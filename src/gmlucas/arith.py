@@ -7,12 +7,23 @@ subtraction and multiplication are closed; division is deliberately
 restricted to powers of two and to units (elements whose norm is a power of
 two), which is all the sequence and series machinery ever needs.  Nothing in
 this module touches floating point.
+
+Dyadic and GaussianDyadic are one object per value.  Poly is not a tuple of
+such objects: it stores two int vectors over one power-of-two denominator,
+re, im and exp, and the coefficient of x**j is (re[j] + im[j] i) / 2**exp.
+Its add, sub, mul and evaluation therefore run on Python ints.  A Poly is
+kept canonical (no trailing zero coefficient; exp == 0 or some part odd;
+zero has exp == 0), so equality and hashing compare the three parts, and
+GaussianDyadic coefficients are built only when asked for (coeffs, coeff,
+str, repr).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, or_, sub
 
 
 def binomial(n: int, k: int) -> int:
@@ -41,6 +52,8 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
+        if type(num) is bool:
+            raise TypeError("Dyadic numerator must be an int, not bool")
         if exp < 0:
             raise ValueError("dyadic exponent must be non-negative")
         if num == 0:
@@ -384,91 +397,126 @@ def _poly_term_text(c: GaussianDyadic, j: int) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial over GaussianDyadic, ascending
-    coefficients, no trailing zeros."""
+    """Dense univariate polynomial over Z[1/2][i]: the coefficient of x**j
+    is (re[j] + im[j] i) / 2**exp.
 
-    __slots__ = ("coeffs",)
+    Canonical form: re and im have the same length with no trailing pair
+    of zeros, and exp == 0 or some re[j] or im[j] is odd (the zero
+    polynomial has exp == 0).  Equality and hashing compare the three parts.
+    """
+
+    __slots__ = ("re", "im", "exp")
 
     ZERO: "Poly"
     ONE: "Poly"
     X: "Poly"
 
     def __init__(self, coeffs=()):
-        cs = []
+        parts = []
         for c in coeffs:
+            if type(c) is int:
+                parts.append((c, 0, 0, 0))
+                continue
             g = GaussianDyadic._coerce(c)
             if g is None:
                 raise TypeError("Poly coefficients must be GaussianDyadic, Dyadic or int")
-            cs.append(g)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+            parts.append((g.re.num, g.re.exp, g.im.num, g.im.exp))
+        exp = max((max(p[1], p[3]) for p in parts), default=0)
+        p = _poly([r << (exp - e) for r, e, _, _ in parts],
+                  [i << (exp - e) for _, _, i, e in parts], exp)
+        self.re, self.im, self.exp = p.re, p.im, p.exp
 
     @staticmethod
     def _coerce(value) -> "Poly | None":
         if isinstance(value, Poly):
             return value
+        if type(value) is int:
+            return _make_poly((value,), (0,), 0) if value else Poly.ZERO
         g = GaussianDyadic._coerce(value)
         if g is not None:
             return Poly((g,))
         return None
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as GaussianDyadic values, lowest power first."""
+        e = self.exp
+        return tuple(_gaussian(Dyadic(r, e), Dyadic(i, e))
+                     for r, i in zip(self.re, self.im))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def coeff(self, j: int) -> GaussianDyadic:
         if j < 0:
             raise IndexError("coefficient index must be non-negative")
-        return self.coeffs[j] if j < len(self.coeffs) else GaussianDyadic.ZERO
+        if j >= len(self.re):
+            return GaussianDyadic.ZERO
+        return _gaussian(Dyadic(self.re[j], self.exp), Dyadic(self.im[j], self.exp))
 
     def __add__(self, other):
         if type(other) is not Poly:
             other = Poly._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return _poly(out)
+        return _poly_sum(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly([-c for c in self.coeffs])
+        return _make_poly(tuple(-c for c in self.re), tuple(-c for c in self.im), self.exp)
 
     def __sub__(self, other):
         if type(other) is not Poly:
             other = Poly._coerce(other)
             if other is None:
                 return NotImplemented
-        return self + (-other)
+        return _poly_sum(self, other, sub)
 
     def __rsub__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _poly_sum(other, self, sub)
 
     def __mul__(self, other):
         if type(other) is not Poly:
             other = Poly._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        # Schoolbook over Z[i]: each nonzero term of the shorter operand adds
+        # a scaled copy of the longer one into the output slice it covers.
+        a, b = (self, other) if len(self.re) <= len(other.re) else (other, self)
+        if not a.re:
             return Poly.ZERO
-        out = [GaussianDyadic.ZERO] * (len(a) + len(b) - 1)
-        b_terms = [(k, ck) for k, ck in enumerate(b) if ck]
-        for j, cj in enumerate(a):
-            if not cj:
-                continue
-            for k, ck in b_terms:
-                out[j + k] = out[j + k] + cj * ck
-        return _poly(out)
+        br, bi = b.re, b.im
+        b_real = not any(bi)
+        size = len(a.re) + len(br) - 1
+        out_re = [0] * size
+        out_im = [0] * size
+        for j, (sr, si) in enumerate(zip(a.re, a.im)):
+            end = j + len(br)
+            if b_real:
+                if sr:
+                    out_re[j:end] = [o + sr * x for o, x in zip(out_re[j:end], br)]
+                if si:
+                    out_im[j:end] = [o + si * x for o, x in zip(out_im[j:end], br)]
+            elif not si:
+                if sr:
+                    out_re[j:end] = [o + sr * x for o, x in zip(out_re[j:end], br)]
+                    out_im[j:end] = [o + sr * y for o, y in zip(out_im[j:end], bi)]
+            elif not sr:
+                out_re[j:end] = [o - si * y for o, y in zip(out_re[j:end], bi)]
+                out_im[j:end] = [o + si * x for o, x in zip(out_im[j:end], br)]
+            else:
+                out_re[j:end] = [o + sr * x - si * y
+                                 for o, x, y in zip(out_re[j:end], br, bi)]
+                out_im[j:end] = [o + sr * y + si * x
+                                 for o, x, y in zip(out_im[j:end], br, bi)]
+        # Z[i] has no zero divisors, so the leading term survives; only
+        # shared twos (such as (1+i)**2 = 2i) can need cancelling.
+        return _poly(out_re, out_im, a.exp + b.exp)
 
     __rmul__ = __mul__
 
@@ -487,41 +535,64 @@ class Poly:
         return out
 
     def mul_pow2(self, k: int) -> "Poly":
-        return Poly(tuple(c.mul_pow2(k) for c in self.coeffs))
+        """self * 2**k for k >= 0."""
+        if k < 0:
+            raise ValueError("use div_pow2 for negative shifts")
+        if k <= self.exp:
+            return _make_poly(self.re, self.im, self.exp - k)
+        k -= self.exp
+        return _make_poly(tuple(c << k for c in self.re), tuple(c << k for c in self.im), 0)
 
     def div_pow2(self, k: int) -> "Poly":
-        return Poly(tuple(c.div_pow2(k) for c in self.coeffs))
+        """self / 2**k for k >= 0; always exact over Z[1/2][i]."""
+        if k < 0:
+            raise ValueError("use mul_pow2 for negative shifts")
+        if self.exp:
+            # An odd part is already present, so the result stays canonical.
+            return _make_poly(self.re, self.im, self.exp + k)
+        return _poly(list(self.re), list(self.im), k)
 
     def inverse(self) -> "Poly":
         """Inverse, defined only for invertible constants."""
-        if not self.coeffs:
+        if not self.re:
             raise ZeroDivisionError("zero polynomial has no inverse")
         if self.degree > 0:
             raise ValueError("only constant polynomials are invertible")
-        return Poly((self.coeffs[0].inverse(),))
+        return Poly((self.coeff(0).inverse(),))
 
     def __call__(self, x) -> GaussianDyadic:
         gx = GaussianDyadic._coerce(x)
         if gx is None:
             raise TypeError("polynomial argument must be GaussianDyadic, Dyadic or int")
-        acc = GaussianDyadic.ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * gx + c
-        return acc
+        if not self.re:
+            return GaussianDyadic.ZERO
+        # Horner in Z[i] with x = (xr + xi i) / 2**f: the accumulator holds
+        # the partial sum times 2**shift, so coefficient c enters as c << shift.
+        f = max(gx.re.exp, gx.im.exp)
+        xr = gx.re.num << (f - gx.re.exp)
+        xi = gx.im.num << (f - gx.im.exp)
+        ar = ai = 0
+        shift = -f
+        for cr, ci in zip(reversed(self.re), reversed(self.im)):
+            shift += f
+            ar, ai = (ar * xr - ai * xi + (cr << shift),
+                      ar * xi + ai * xr + (ci << shift))
+        exp = shift + self.exp
+        return _gaussian(Dyadic(ar, exp), Dyadic(ai, exp))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.exp == other.exp and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.exp))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.re:
             return "0"
         parts = [
             _poly_term_text(c, j) for j, c in enumerate(self.coeffs) if c
@@ -538,16 +609,59 @@ class Poly:
         return f"Poly([{', '.join(map(repr, self.coeffs))}])"
 
 
-def _poly(coeffs: list) -> Poly:
-    """A Poly from a list of GaussianDyadic coefficients, trimmed in place."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+def _make_poly(re: tuple, im: tuple, exp: int) -> Poly:
+    """A Poly from parts the caller knows to be canonical."""
     out = _new(Poly)
-    out.coeffs = tuple(coeffs)
+    out.re = re
+    out.im = im
+    out.exp = exp
     return out
 
 
-Poly.ZERO = Poly(())
+def _poly(re: list, im: list, exp: int) -> Poly:
+    """A canonical Poly from equal-length coefficient lists over 2**exp.
+
+    Trims trailing zero pairs in place, then cancels the twos that every
+    coefficient shares with the denominator.
+    """
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    if not re:
+        exp = 0
+    elif exp:
+        bits = reduce(or_, im, reduce(or_, re, 0))
+        cancel = min((bits & -bits).bit_length() - 1, exp)
+        if cancel:
+            re = [c >> cancel for c in re]
+            im = [c >> cancel for c in im]
+            exp -= cancel
+    return _make_poly(tuple(re), tuple(im), exp)
+
+
+def _poly_sum(a: Poly, b: Poly, op) -> Poly:
+    """a + b or a - b, for op = operator.add or operator.sub, on a shared
+    denominator."""
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    if a.exp > b.exp:
+        k = a.exp - b.exp
+        br, bi = [c << k for c in br], [c << k for c in bi]
+    elif b.exp > a.exp:
+        k = b.exp - a.exp
+        ar, ai = [c << k for c in ar], [c << k for c in ai]
+    re = list(map(op, ar, br))
+    im = list(map(op, ai, bi))
+    n = len(re)
+    if len(ar) > n:
+        re += ar[n:]
+        im += ai[n:]
+    else:
+        re += [op(0, c) for c in br[n:]]
+        im += [op(0, c) for c in bi[n:]]
+    return _poly(re, im, max(a.exp, b.exp))
+
+
+Poly.ZERO = _make_poly((), (), 0)
 Poly.ONE = Poly((1,))
 Poly.X = Poly((0, 1))
 

@@ -324,8 +324,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_weights(argv: list[str]) -> list[str]:
+    """Glue a negative weight to its --d/--p: argparse would read a token
+    such as -1/2^3 as an option, but --p=-1/2^3 parses."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in ("--d", "--p") and token.startswith("-")
+                and _DYADIC_TEXT.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _join_negative_weights(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -30,6 +30,14 @@ gaussian_operands = st.one_of(
 small_polys = st.builds(
     Poly, st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 )
+# Coefficients over Z[1/2][i] with denominators up to 2**6; zeros, integers
+# and pure imaginaries are drawn often so that trimming and each of the
+# product's real/imaginary paths are hit.
+small_dyadics = st.builds(Dyadic, st.integers(-40, 40), st.integers(0, 6))
+small_gaussians = st.builds(GaussianDyadic, small_dyadics, small_dyadics)
+poly_coeffs = st.one_of(st.just(0), st.integers(-9, 9), small_gaussians,
+                        st.builds(GaussianDyadic, st.just(0), small_dyadics))
+gaussian_polys = st.builds(Poly, st.lists(poly_coeffs, min_size=0, max_size=6))
 
 
 def frac(d: Dyadic) -> Fraction:
@@ -320,6 +328,17 @@ def test_gaussian_part_types_guarded():
         GaussianDyadic(0.5, 0)
 
 
+def test_bools_are_rejected():
+    # bool is an int subclass; without a guard Dyadic(True) printed "True".
+    for build in (lambda: Dyadic(True), lambda: Dyadic(False, 2),
+                  lambda: Dyadic(1) + True, lambda: Dyadic(3, 1) * False,
+                  lambda: GaussianDyadic(True), lambda: GaussianDyadic(1, False),
+                  lambda: GaussianDyadic(2) - True,
+                  lambda: Poly((1, True)), lambda: Poly((2,)) * True):
+        with pytest.raises(TypeError):
+            build()
+
+
 # ---------------------------------------------------------------------- Poly
 
 def test_poly_strips_trailing_zeros():
@@ -416,6 +435,111 @@ def test_poly_text():
     assert str(Poly((Dyadic(1, 1),))) == "1/2"
     assert str(Poly((0, Dyadic(-3, 1)))) == "-(3/2)x"
     assert str(Poly((0, 0, GaussianDyadic(0, 1)))) == "ix^2"
+
+
+# Reference schoolbook arithmetic on GaussianDyadic coefficient tuples: the
+# object-per-coefficient algorithm that Poly's int vectors must reproduce.
+
+def ref_trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1) -> tuple:
+    size = max(len(a), len(b))
+    a = list(a) + [GaussianDyadic.ZERO] * (size - len(a))
+    b = list(b) + [GaussianDyadic.ZERO] * (size - len(b))
+    return ref_trim(x + y if sign > 0 else x - y for x, y in zip(a, b))
+
+
+def ref_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [GaussianDyadic.ZERO] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return ref_trim(out)
+
+
+def ref_eval(a, x) -> GaussianDyadic:
+    acc = GaussianDyadic.ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def assert_poly_canonical(p: Poly) -> None:
+    assert len(p.re) == len(p.im)
+    assert not p.re or p.re[-1] or p.im[-1], (p.re, p.im)
+    assert p.exp == 0 or any(c & 1 for c in p.re + p.im), (p.re, p.im, p.exp)
+    assert p.re or p.exp == 0
+    assert Poly(p.coeffs) == p
+    assert hash(Poly(p.coeffs)) == hash(p)
+
+
+@given(gaussian_polys, gaussian_polys)
+def test_poly_ops_match_reference(a, b):
+    for got, want in (
+        (a + b, ref_add(a.coeffs, b.coeffs)),
+        (a - b, ref_add(a.coeffs, b.coeffs, -1)),
+        (a * b, ref_mul(a.coeffs, b.coeffs)),
+        (-a, tuple(-c for c in a.coeffs)),
+    ):
+        assert got.coeffs == want
+        assert_poly_canonical(got)
+
+
+@given(gaussian_polys, small_gaussians)
+def test_poly_eval_matches_reference(a, x):
+    assert a(x) == ref_eval(a.coeffs, x)
+    assert poly_eval(a, 3) == ref_eval(a.coeffs, GaussianDyadic(3))
+
+
+@given(gaussian_polys, st.integers(0, 8))
+def test_poly_pow2_shifts_match_reference(a, k):
+    for got, want in ((a.mul_pow2(k), tuple(c.mul_pow2(k) for c in a.coeffs)),
+                      (a.div_pow2(k), tuple(c.div_pow2(k) for c in a.coeffs))):
+        assert got.coeffs == want
+        assert_poly_canonical(got)
+
+
+@given(gaussian_polys, gaussian_polys)
+def test_equal_polys_hash_equal(a, b):
+    assert_poly_canonical(a)
+    c = (a + b) - b
+    assert c == a
+    assert hash(c) == hash(a)
+    assert (a == b) == (a.coeffs == b.coeffs)
+    # A change to any one of the three parts makes a different polynomial.
+    for d in (GaussianDyadic.I, Dyadic(1, 7), 1):
+        assert a + Poly((d,)) != a
+
+
+def test_poly_product_cancels_shared_twos():
+    # (1+i)/2 has an odd part, but its square (1+i)**2 / 4 = 2i/4 = i/2 does not
+    # keep the factor 4: the product must renormalize to one factor of two.
+    half_unit = GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1))
+    p = Poly((half_unit, half_unit))
+    square = p * p
+    assert (square.re, square.im, square.exp) == ((0, 0, 0), (1, 2, 1), 1)
+    assert square == Poly((GaussianDyadic(0, Dyadic(1, 1)), GaussianDyadic.I,
+                           GaussianDyadic(0, Dyadic(1, 1))))
+    # (1+i)/2 * (1-i) = 1: all the twos cancel.
+    unit = Poly((half_unit,)) * Poly((GaussianDyadic(1, -1),))
+    assert (unit.re, unit.im, unit.exp) == ((1,), (0,), 0)
+    assert_poly_canonical(square)
+    assert_poly_canonical(unit)
+
+
+def test_poly_storage_is_canonical():
+    p = Poly((Dyadic(2, 1), GaussianDyadic(0, Dyadic(3, 2)), 0))
+    assert (p.re, p.im, p.exp) == ((4, 0), (0, 3), 2)
+    assert (Poly.ZERO.re, Poly.ZERO.im, Poly.ZERO.exp) == ((), (), 0)
+    assert Poly((Dyadic(2, 1), 4)).exp == 0
+    assert Poly((0, 0)) == Poly.ZERO
 
 
 def test_poly_equality_is_strict_about_type():

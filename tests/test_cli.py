@@ -1,15 +1,19 @@
 """Command line tests: byte-exact output pins, exit codes, formats.
 
 Everything runs in process through cli.main so the pins really are pins;
-one subprocess test confirms the installed console script works too.
+two subprocess tests confirm that `python -m gmlucas` and the installed
+console script work too.
 """
 
 import contextlib
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,15 @@ def test_series_kernel_with_weights():
         (0, "[1, 1/2, 1/2^2, 1/2^3]\n", "")
 
 
+def test_series_kernel_negative_weights():
+    # A negative dyadic weight may follow --d/--p as its own token.
+    want = (0, "[1, 1/2, 1/2^3, 0]\n", "")
+    assert run_cli("series", "kernel", "3", "--d", "1/2", "--p", "-1/2^3") == want
+    assert run_cli("series", "kernel", "3", "--d", "1/2", "--p=-1/2^3") == want
+    assert run_cli("series", "kernel", "2", "--p", "-1/2", "--d", "-3") == \
+        (0, "[1, -3, 17/2]\n", "")
+
+
 def test_series_kernel_weight_guards():
     code, _, err = run_cli("series", "kernel", "3")
     assert code == 2
@@ -282,6 +295,14 @@ def test_output_is_deterministic():
                  ("verify", "--max-n", "6", "--max-poly-n", "6",
                   "--format", "csv")):
         assert run_cli(*argv) == run_cli(*argv)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "gmlucas", "table", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, TABLE1_TEXT, "")
 
 
 def test_console_script_is_installed():
