@@ -8,14 +8,23 @@ restricted to powers of two and to units (elements whose norm is a power of
 two), which is all the sequence and series machinery ever needs.  Nothing in
 this module touches floating point.
 
-Dyadic and GaussianDyadic are one object per value.  Poly is not a tuple of
-such objects: it stores two int vectors over one power-of-two denominator,
-re, im and exp, and the coefficient of x**j is (re[j] + im[j] i) / 2**exp.
-Its add, sub, mul and evaluation therefore run on Python ints.  A Poly is
-kept canonical (no trailing zero coefficient; exp == 0 or some part odd;
-zero has exp == 0), so equality and hashing compare the three parts, and
-GaussianDyadic coefficients are built only when asked for (coeffs, coeff,
-str, repr).
+Dyadic is one object per value: num / 2**exp.  GaussianDyadic is one
+object with three int slots, a, b and exp, for the value (a + b i) / 2**exp,
+so its add, sub and mul run on Python ints.  It is kept canonical (exp == 0
+or a or b odd; zero has exp == 0), so equality compares the three ints.  Its
+re and im are read-only Dyadic views, built only when asked for.
+
+Poly is not a tuple of GaussianDyadic objects either: it stores two int
+vectors over one power-of-two denominator, re, im and exp, and the
+coefficient of x**j is (re[j] + im[j] i) / 2**exp.  Its add, sub, mul and
+evaluation therefore run on Python ints.  A Poly is kept canonical (no
+trailing zero coefficient; exp == 0 or some part odd; zero has exp == 0), so
+equality and hashing compare the three parts, and GaussianDyadic
+coefficients are built only when asked for (coeffs, coeff, str, repr).
+
+One equality rule covers int, Dyadic, GaussianDyadic and Poly: values that
+are equal in Z[1/2][i][x] compare equal and hash alike, whatever their
+types, so a constant Poly equals the scalar it holds.
 """
 
 from __future__ import annotations
@@ -71,7 +80,8 @@ class Dyadic:
     def _coerce(value) -> "Dyadic | None":
         if isinstance(value, Dyadic):
             return value
-        if isinstance(value, int):
+        # A bool is not a ring value: operators refuse it, == answers False.
+        if isinstance(value, int) and type(value) is not bool:
             return Dyadic(value)
         return None
 
@@ -218,48 +228,85 @@ def _imag_text(d: Dyadic) -> str:
 
 
 class GaussianDyadic:
-    """An element a + bi of Z[1/2][i], with i*i = -1."""
+    """An element (a + b i) / 2**exp of Z[1/2][i], with i*i = -1.
 
-    __slots__ = ("re", "im")
+    Canonical form: exp == 0 or one of a, b is odd, and zero has exp == 0.
+    The parts re and im are read-only Dyadic views built on demand.
+    """
+
+    __slots__ = ("a", "b", "exp")
 
     ZERO: "GaussianDyadic"
     ONE: "GaussianDyadic"
     I: "GaussianDyadic"
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.exp = re, im, 0
+            return
         r = Dyadic._coerce(re)
         m = Dyadic._coerce(im)
         if r is None or m is None:
             raise TypeError("GaussianDyadic parts must be Dyadic or int")
-        self.re = r
-        self.im = m
+        # The part with the larger exponent keeps its odd numerator, so
+        # aligning the other one by a shift gives the canonical form.
+        e = r.exp if r.exp > m.exp else m.exp
+        self.a = r.num << (e - r.exp)
+        self.b = m.num << (e - m.exp)
+        self.exp = e
+
+    @property
+    def re(self) -> Dyadic:
+        return Dyadic(self.a, self.exp)
+
+    @property
+    def im(self) -> Dyadic:
+        return Dyadic(self.b, self.exp)
 
     @staticmethod
     def _coerce(value) -> "GaussianDyadic | None":
         if isinstance(value, GaussianDyadic):
             return value
-        if isinstance(value, (int, Dyadic)):
+        if isinstance(value, (int, Dyadic)) and type(value) is not bool:
             return GaussianDyadic(value)
         return None
+
+    # As for Dyadic, the operators build the result directly whenever
+    # parity makes it canonical: unequal exponents leave the odd part of the
+    # larger one odd, and equal exponents of 0 give a Gaussian integer.
 
     def __add__(self, other):
         if type(other) is not GaussianDyadic:
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        return _gaussian(self.re + other.re, self.im + other.im)
+        e, f = self.exp, other.exp
+        if e > f:
+            return _gaussian(self.a + (other.a << (e - f)), self.b + (other.b << (e - f)), e)
+        if e < f:
+            return _gaussian((self.a << (f - e)) + other.a, (self.b << (f - e)) + other.b, f)
+        if e == 0:
+            return _gaussian(self.a + other.a, self.b + other.b, 0)
+        return _canonical(self.a + other.a, self.b + other.b, e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _gaussian(-self.re, -self.im)
+        return _gaussian(-self.a, -self.b, self.exp)
 
     def __sub__(self, other):
         if type(other) is not GaussianDyadic:
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        return _gaussian(self.re - other.re, self.im - other.im)
+        e, f = self.exp, other.exp
+        if e > f:
+            return _gaussian(self.a - (other.a << (e - f)), self.b - (other.b << (e - f)), e)
+        if e < f:
+            return _gaussian((self.a << (f - e)) - other.a, (self.b << (f - e)) - other.b, f)
+        if e == 0:
+            return _gaussian(self.a - other.a, self.b - other.b, 0)
+        return _canonical(self.a - other.a, self.b - other.b, e)
 
     def __rsub__(self, other):
         other = GaussianDyadic._coerce(other)
@@ -272,12 +319,18 @@ class GaussianDyadic:
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not (a.exp or b.exp or c.exp or d.exp):
-            # Gaussian integers: multiply the ints, no Dyadic temporaries.
-            a, b, c, d = a.num, b.num, c.num, d.num
-            return _gaussian(_dyadic(a * c - b * d, 0), _dyadic(a * d + b * c, 0))
-        return _gaussian(a * c - b * d, a * d + b * c)
+        a, b, e = self.a, self.b, self.exp
+        c, d, f = other.a, other.b, other.exp
+        if e and f:
+            # Each factor has an odd part, so 1+i divides it at most once,
+            # and exactly when both parts are odd: the product can share at
+            # most one two with 2**(e + f), as in (1+i)**2 = 2i.
+            if a & b & c & d & 1:
+                return _gaussian((a * c - b * d) >> 1, (a * d + b * c) >> 1, e + f - 1)
+            return _gaussian(a * c - b * d, a * d + b * c, e + f)
+        if e or f:
+            return _canonical(a * c - b * d, a * d + b * c, e + f)
+        return _gaussian(a * c - b * d, a * d + b * c, 0)
 
     __rmul__ = __mul__
 
@@ -296,11 +349,11 @@ class GaussianDyadic:
         return out
 
     def conj(self) -> "GaussianDyadic":
-        return GaussianDyadic(self.re, -self.im)
+        return _gaussian(self.a, -self.b, self.exp)
 
     def norm(self) -> Dyadic:
         """re**2 + im**2, a non-negative dyadic."""
-        return self.re * self.re + self.im * self.im
+        return Dyadic(self.a * self.a + self.b * self.b, 2 * self.exp)
 
     def inverse(self) -> "GaussianDyadic":
         """Inverse, defined exactly for units: norm must be a power of two."""
@@ -312,50 +365,82 @@ class GaussianDyadic:
         return self.conj() * GaussianDyadic(n.inverse())
 
     def mul_pow2(self, k: int) -> "GaussianDyadic":
-        return GaussianDyadic(self.re.mul_pow2(k), self.im.mul_pow2(k))
+        """self * 2**k for k >= 0."""
+        if k < 0:
+            raise ValueError("use div_pow2 for negative shifts")
+        e = self.exp
+        if k <= e:
+            return _gaussian(self.a, self.b, e - k)
+        return _gaussian(self.a << (k - e), self.b << (k - e), 0)
 
     def div_pow2(self, k: int) -> "GaussianDyadic":
-        return GaussianDyadic(self.re.div_pow2(k), self.im.div_pow2(k))
+        """self / 2**k for k >= 0; always exact in this ring."""
+        if k < 0:
+            raise ValueError("use mul_pow2 for negative shifts")
+        if self.exp:
+            # An odd part is already present, so the result stays canonical.
+            return _gaussian(self.a, self.b, self.exp + k)
+        return _canonical(self.a, self.b, k)
 
     def is_real(self) -> bool:
-        return self.im.num == 0
+        return self.b == 0
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other) -> bool:
         if type(other) is not GaussianDyadic:
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.exp == other.exp
 
     def __hash__(self):
-        # Real values hash like their real part (which hashes like an int
-        # when integer-valued), keeping mixed-type dict lookups coherent.
-        return hash(self.re) if self.im.num == 0 else hash((self.re, self.im))
+        # Real values hash like the Dyadic they equal (which hashes like an
+        # int when integer-valued), keeping mixed-type dict lookups coherent.
+        if self.b == 0:
+            return hash(self.a) if self.exp == 0 else hash((self.a, self.exp))
+        return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        if self.im.num == 0:
-            return str(self.re)
-        imag = _imag_text(self.im)
-        if self.re.num == 0:
+        re, im = self.re, self.im
+        if im.num == 0:
+            return str(re)
+        imag = _imag_text(im)
+        if re.num == 0:
             return imag
-        return f"{self.re}{imag}" if imag.startswith("-") else f"{self.re}+{imag}"
+        return f"{re}{imag}" if imag.startswith("-") else f"{re}+{imag}"
 
     def __repr__(self) -> str:
         return f"GaussianDyadic({self.re!r}, {self.im!r})"
 
 
-def _gaussian(re: Dyadic, im: Dyadic) -> GaussianDyadic:
-    """A GaussianDyadic from parts that are already Dyadic."""
+def _gaussian(a: int, b: int, exp: int) -> GaussianDyadic:
+    """A GaussianDyadic from parts the caller knows to be canonical."""
     out = _new(GaussianDyadic)
-    out.re = re
-    out.im = im
+    out.a = a
+    out.b = b
+    out.exp = exp
     return out
+
+
+def _canonical(a: int, b: int, exp: int) -> GaussianDyadic:
+    """(a + b i) / 2**exp as a GaussianDyadic, cancelling the twos that a, b
+    and the denominator share."""
+    bits = a | b
+    if not bits:
+        exp = 0
+    elif exp:
+        twos = (bits & -bits).bit_length() - 1
+        if twos:
+            cancel = twos if twos < exp else exp
+            a >>= cancel
+            b >>= cancel
+            exp -= cancel
+    return _gaussian(a, b, exp)
 
 
 GaussianDyadic.ZERO = GaussianDyadic(0, 0)
@@ -372,26 +457,27 @@ def gaussian_mul(a: GaussianDyadic, b: GaussianDyadic) -> GaussianDyadic:
 
 
 def _poly_term_text(c: GaussianDyadic, j: int) -> str:
+    re, im = c.re, c.im
     if j == 0:
         s = str(c)
-        return f"({s})" if (c.re.num and c.im.num) else s
+        return f"({s})" if (re.num and im.num) else s
     base = "x" if j == 1 else f"x^{j}"
-    if c.re.num and c.im.num:
+    if re.num and im.num:
         return f"({c}){base}"
-    if c.im.num == 0:
+    if im.num == 0:
         # pure real coefficient
-        if c.re.num == 1 and c.re.exp == 0:
+        if re.num == 1 and re.exp == 0:
             return base
-        if c.re.num == -1 and c.re.exp == 0:
+        if re.num == -1 and re.exp == 0:
             return "-" + base
-        if c.re.exp == 0:
-            return f"{c.re.num}{base}"
-        sign = "-" if c.re.num < 0 else ""
-        mag = Dyadic(abs(c.re.num), c.re.exp)
+        if re.exp == 0:
+            return f"{re.num}{base}"
+        sign = "-" if re.num < 0 else ""
+        mag = Dyadic(abs(re.num), re.exp)
         return f"{sign}({mag}){base}"
     # pure imaginary coefficient
-    sign = "-" if c.im.num < 0 else ""
-    mag = Dyadic(abs(c.im.num), c.im.exp)
+    sign = "-" if im.num < 0 else ""
+    mag = Dyadic(abs(im.num), im.exp)
     body = _imag_text(mag)
     return f"{sign}{body}{base}" if mag.exp == 0 else f"{sign}({body}){base}"
 
@@ -415,15 +501,15 @@ class Poly:
         parts = []
         for c in coeffs:
             if type(c) is int:
-                parts.append((c, 0, 0, 0))
+                parts.append((c, 0, 0))
                 continue
             g = GaussianDyadic._coerce(c)
             if g is None:
                 raise TypeError("Poly coefficients must be GaussianDyadic, Dyadic or int")
-            parts.append((g.re.num, g.re.exp, g.im.num, g.im.exp))
-        exp = max((max(p[1], p[3]) for p in parts), default=0)
-        p = _poly([r << (exp - e) for r, e, _, _ in parts],
-                  [i << (exp - e) for _, _, i, e in parts], exp)
+            parts.append((g.a, g.b, g.exp))
+        exp = max((e for _, _, e in parts), default=0)
+        p = _poly([a << (exp - e) for a, _, e in parts],
+                  [b << (exp - e) for _, b, e in parts], exp)
         self.re, self.im, self.exp = p.re, p.im, p.exp
 
     @staticmethod
@@ -441,8 +527,7 @@ class Poly:
     def coeffs(self) -> tuple:
         """The coefficients as GaussianDyadic values, lowest power first."""
         e = self.exp
-        return tuple(_gaussian(Dyadic(r, e), Dyadic(i, e))
-                     for r, i in zip(self.re, self.im))
+        return tuple(_canonical(r, i, e) for r, i in zip(self.re, self.im))
 
     @property
     def degree(self) -> int:
@@ -453,7 +538,7 @@ class Poly:
             raise IndexError("coefficient index must be non-negative")
         if j >= len(self.re):
             return GaussianDyadic.ZERO
-        return _gaussian(Dyadic(self.re[j], self.exp), Dyadic(self.im[j], self.exp))
+        return _canonical(self.re[j], self.im[j], self.exp)
 
     def __add__(self, other):
         if type(other) is not Poly:
@@ -568,27 +653,30 @@ class Poly:
             return GaussianDyadic.ZERO
         # Horner in Z[i] with x = (xr + xi i) / 2**f: the accumulator holds
         # the partial sum times 2**shift, so coefficient c enters as c << shift.
-        f = max(gx.re.exp, gx.im.exp)
-        xr = gx.re.num << (f - gx.re.exp)
-        xi = gx.im.num << (f - gx.im.exp)
+        xr, xi, f = gx.a, gx.b, gx.exp
         ar = ai = 0
         shift = -f
         for cr, ci in zip(reversed(self.re), reversed(self.im)):
             shift += f
             ar, ai = (ar * xr - ai * xi + (cr << shift),
                       ar * xi + ai * xr + (ci << shift))
-        exp = shift + self.exp
-        return _gaussian(Dyadic(ar, exp), Dyadic(ai, exp))
+        return _canonical(ar, ai, shift + self.exp)
 
     def __bool__(self) -> bool:
         return bool(self.re)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
+        # A scalar compares as the constant polynomial it makes.
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.exp == other.exp and self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # A constant hashes like the scalar it equals.
+        if len(self.re) <= 1:
+            return hash(self.coeff(0))
         return hash((self.re, self.im, self.exp))
 
     def __str__(self) -> str:

@@ -5,6 +5,12 @@ rows of both reference tables), series (generating function expansions),
 and verify (the full cross-method check suite).  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error.
 
+Sizes are capped before any work starts, and a request over a cap is a
+usage error: |n| <= 20000 for the number families and 500 for the
+polynomial families (term), the same caps on table rows and series order,
+and verify --max-n <= 2000, --max-poly-n <= 200.  The kernel series also
+needs order times the bit size of its larger weight to be at most 40000.
+
 Output is deterministic: identical invocations produce byte-identical
 stdout.  JSON renders every dyadic as {"num": <decimal string>, "exp2": k}
 so arbitrarily large integers survive parsers that lack big integers.
@@ -27,6 +33,15 @@ from . import verify as ver
 FAMILIES = ("m", "gm", "mpoly", "gmpoly")
 METHODS = ("recurrence", "binet", "explicit", "symmetric", "genfun", "relation")
 SERIES_KINDS = ("gm", "gm-even", "gm-odd", "mpoly", "gmpoly", "kernel")
+
+# A number term has about n bits and a polynomial term about n**2, so the
+# caps keep every request finite; they sit far above the default sizes.
+MAX_NUMBER_N = 20000
+MAX_POLY_N = 500
+MAX_VERIFY_N = 2000
+MAX_VERIFY_POLY_N = 200
+# Kernel coefficient S_n has about n times the weights' bit size.
+MAX_KERNEL_BITS = 40000
 
 
 # ---------------------------------------------------------------- rendering
@@ -129,6 +144,9 @@ def _explain_invalid(family: str, method: str, n: int) -> str:
 
 
 def cmd_term(family: str, n: int, method: str, fmt: str) -> int:
+    cap = MAX_POLY_N if family in ("mpoly", "gmpoly") else MAX_NUMBER_N
+    if abs(n) > cap:
+        return _usage_error(f"|n| must be at most {cap} for family '{family}'")
     valid = _valid_methods(family, n)
     if method == "auto":
         computed = [(label, _compute_term(family, label, n)) for label in valid]
@@ -162,6 +180,9 @@ def cmd_term(family: str, n: int, method: str, fmt: str) -> int:
 def cmd_table(which: int, rows: int, fmt: str) -> int:
     if rows < 1:
         return _usage_error("--rows must be at least 1")
+    cap = MAX_NUMBER_N if which == 1 else MAX_POLY_N
+    if rows > cap:
+        return _usage_error(f"--rows must be at most {cap} for table {which}")
     if which == 1:
         data = []
         walker = iter(range(rows))
@@ -211,9 +232,17 @@ def cmd_series(which: str, order: int, d: Dyadic | None, p: Dyadic | None,
                fmt: str) -> int:
     if order < 0:
         return _usage_error("series order must be non-negative")
+    cap = MAX_POLY_N if which in ("mpoly", "gmpoly") else MAX_NUMBER_N
+    if order > cap:
+        return _usage_error(f"series order must be at most {cap} for '{which}'")
     if which == "kernel":
         if d is None or p is None:
             return _usage_error("the kernel series needs both --d and --p")
+        bits = max(abs(w.num).bit_length() + w.exp for w in (d, p))
+        if order * bits > MAX_KERNEL_BITS:
+            return _usage_error(
+                f"series order times the weight size ({bits} bits) must be "
+                f"at most {MAX_KERNEL_BITS}")
         series = sf.kernel_series(sf.SymKernel(d, p), order)
     else:
         if d is not None or p is not None:
@@ -233,6 +262,10 @@ def cmd_series(which: str, order: int, d: Dyadic | None, p: Dyadic | None,
 
 def cmd_verify(max_n: int, max_poly_n: int, seed: int,
                inject_fault: str | None, fmt: str) -> int:
+    if max_n > MAX_VERIFY_N:
+        return _usage_error(f"--max-n must be at most {MAX_VERIFY_N}")
+    if max_poly_n > MAX_VERIFY_POLY_N:
+        return _usage_error(f"--max-poly-n must be at most {MAX_VERIFY_POLY_N}")
     try:
         report = ver.run_verify(max_n, max_poly_n, seed, inject_fault)
     except ValueError as err:

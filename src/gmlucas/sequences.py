@@ -75,20 +75,16 @@ def _ml_int(n: int) -> int:
 
 def _ml_explicit_int(n: int) -> int:
     # The lone n = 0 summand is 0/0 * C(0,0); the Lucas convention reads
-    # it as 2, matching the recurrence seed.  Powers are carried across the
-    # loop instead of recomputed; the summand function below stays the
-    # term-by-term reference.
+    # it as 2, matching the recurrence seed.  Summand j + 1 is summand j
+    # times -2 (n-2j)(n-2j-1) / (9 (j+1)(n-j-1)); both summands are
+    # integers, so the floor division is exact.  explicit_summand above
+    # stays the term-by-term reference.
     if n == 0:
         return 2
-    total = 0
-    three_pow = 3**n
-    two_pow = 1
-    for j in range(n // 2 + 1):
-        c = n * binomial(n - j, j) // (n - j)
-        term = c * three_pow * two_pow
-        total += -term if j & 1 else term
-        three_pow //= 9
-        two_pow <<= 1
+    total = term = 3**n
+    for j in range(n // 2):
+        term = -term * (2 * (n - 2 * j) * (n - 2 * j - 1)) // (9 * (j + 1) * (n - j - 1))
+        total += term
     return total
 
 

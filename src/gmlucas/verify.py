@@ -120,21 +120,20 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
                 name, rng,
                 f"n={n}: recurrence={rec} binet={binet} explicit={explicit}",
             )
-        b = binet.re.num
+        b = binet.a  # binet equals the integer rec here
         if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
             return _fail(name, rng, f"n={n}: {b} is not 1 + a power of two")
         grec = ga if n == 0 else gb
         routes = [("binet", seq.gml_binet(n).value),
                   ("symmetric", c0 * s_cur - c1 * s_prev)]
         if n >= 1:
-            routes.append(("explicit", GaussianDyadic(explicit.re, e_prev.re)))
+            routes.append(("explicit", GaussianDyadic(explicit.a, e_prev.a)))
             routes.append(("relation", seq.gml_from_ml(n).value))
         for label, got in routes:
             if got != grec:
                 return _fail(name, rng, f"n={n}: recurrence={grec} vs {label}={got}")
         gbinet = routes[0][1]
-        if n >= 1 and (gbinet.re != binet.re
-                       or gbinet.im != seq.ml_binet(n - 1).value.re):
+        if n >= 1 and gbinet != GaussianDyadic(b, seq.ml_binet(n - 1).value.a):
             return _fail(name, rng, f"n={n}: Gm parts do not split into m terms")
         e_prev = explicit
         if n >= 1:

@@ -337,6 +337,218 @@ def test_bools_are_rejected():
                   lambda: Poly((1, True)), lambda: Poly((2,)) * True):
         with pytest.raises(TypeError):
             build()
+    # Not a ring value, so comparing with one answers instead of raising.
+    for value in (Dyadic(1), GaussianDyadic(1), Poly((1,)), Poly.ZERO):
+        assert value != True and not value == True
+        assert value not in (True, False)
+
+
+# The two-Dyadic GaussianDyadic that the flat (a, b, exp) class replaced,
+# kept as the reference: each part is its own normalized Dyadic, and every
+# operation is done part by part in Dyadic arithmetic.
+
+def ref_den_text(exp: int) -> str:
+    return "2" if exp == 1 else f"2^{exp}"
+
+
+class RefGaussian:
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, Dyadic) else Dyadic(re)
+        self.im = im if isinstance(im, Dyadic) else Dyadic(im)
+
+    def __add__(self, other):
+        return RefGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return RefGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return RefGaussian(a * c - b * d, a * d + b * c)
+
+    def mul_pow2(self, k):
+        return RefGaussian(self.re.mul_pow2(k), self.im.mul_pow2(k))
+
+    def div_pow2(self, k):
+        return RefGaussian(self.re.div_pow2(k), self.im.div_pow2(k))
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        if n.num == 0:
+            raise ZeroDivisionError("zero")
+        if n.num & (n.num - 1):
+            raise ValueError("not a unit")
+        return RefGaussian(self.re, -self.im) * RefGaussian(n.inverse())
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) if self.im.num == 0 else hash((self.re, self.im))
+
+    def __str__(self):
+        if self.im.num == 0:
+            return str(self.re)
+        mag = abs(self.im.num)
+        imag = ("-" if self.im.num < 0 else "") + ("i" if mag == 1 else f"{mag}i")
+        if self.im.exp:
+            imag += "/" + ref_den_text(self.im.exp)
+        if self.re.num == 0:
+            return imag
+        return f"{self.re}{imag}" if imag.startswith("-") else f"{self.re}+{imag}"
+
+    def __repr__(self):
+        return f"GaussianDyadic({self.re!r}, {self.im!r})"
+
+
+odd_ints = st.integers(-40, 40).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def gaussian_parts(draw):
+    """A (re, im) pair of Dyadics.  Integers, pure imaginaries and pairs of
+    odd parts over one exponent (the multiples of 1+i, whose products
+    cancel a two, as (1+i)**2 / 2 = i) are drawn often."""
+    shape = draw(st.sampled_from(("any", "big", "int", "imag", "odd-pair", "zero")))
+    if shape == "int":
+        return Dyadic(draw(st.integers(-99, 99))), Dyadic(0)
+    if shape == "imag":
+        return Dyadic(0), draw(small_dyadics)
+    if shape == "odd-pair":
+        e = draw(st.integers(0, 6))
+        return Dyadic(draw(odd_ints), e), Dyadic(draw(odd_ints), e)
+    if shape == "zero":
+        return Dyadic(0), Dyadic(0)
+    if shape == "big":
+        return draw(dyadics), draw(dyadics)
+    return draw(small_dyadics), draw(small_dyadics)
+
+
+def assert_gaussian_canonical(g: GaussianDyadic) -> None:
+    assert g.exp == 0 or (g.a | g.b) & 1, (g.a, g.b, g.exp)
+    assert g.a or g.b or g.exp == 0, (g.a, g.b, g.exp)
+    assert GaussianDyadic(g.re, g.im) == g
+
+
+def assert_matches_reference(got: GaussianDyadic, want: RefGaussian) -> None:
+    assert_gaussian_canonical(got)
+    assert got.re.as_pair() == want.re.as_pair()
+    assert got.im.as_pair() == want.im.as_pair()
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+
+
+@given(gaussian_parts(), gaussian_parts())
+def test_gaussian_ops_match_reference(x, y):
+    a, b = GaussianDyadic(*x), GaussianDyadic(*y)
+    ra, rb = RefGaussian(*x), RefGaussian(*y)
+    assert_matches_reference(a, ra)
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (-a, -ra), (a.conj(), RefGaussian(ra.re, -ra.im))):
+        assert_matches_reference(got, want)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(gaussian_parts(), st.integers(-9, 9), small_dyadics)
+def test_gaussian_scalar_operands_match_reference(x, k, d):
+    a, ra = GaussianDyadic(*x), RefGaussian(*x)
+    rk, rd = RefGaussian(k), RefGaussian(d)
+    for got, want in ((a + k, ra + rk), (k + a, rk + ra), (a - k, ra - rk),
+                      (k - a, rk - ra), (k * a, rk * ra), (a * d, ra * rd),
+                      (d - a, rd - ra), (a + d, ra + rd)):
+        assert_matches_reference(got, want)
+
+
+@given(gaussian_parts(), st.integers(0, 8))
+def test_gaussian_pow2_shifts_match_reference(x, k):
+    a, ra = GaussianDyadic(*x), RefGaussian(*x)
+    assert_matches_reference(a.mul_pow2(k), ra.mul_pow2(k))
+    assert_matches_reference(a.div_pow2(k), ra.div_pow2(k))
+    # A shift that keeps both numerators and moves only exp is a new value.
+    assert (a.div_pow2(k) == a) == (k == 0 or not a)
+
+
+@given(st.integers(0, 3), st.integers(0, 6), st.integers(-6, 6))
+def test_gaussian_inverse_of_units_matches_reference(m, k, t):
+    # Every unit of Z[1/2][i] is i**m (1+i)**k 2**t.
+    u = GaussianDyadic.I ** m * GaussianDyadic(1, 1) ** k
+    u = u.mul_pow2(t) if t >= 0 else u.div_pow2(-t)
+    ru = RefGaussian(u.re, u.im)
+    assert_matches_reference(u.inverse(), ru.inverse())
+    assert u * u.inverse() == GaussianDyadic.ONE
+
+
+@given(gaussian_parts())
+def test_gaussian_inverse_refusals_match_reference(x):
+    a, ra = GaussianDyadic(*x), RefGaussian(*x)
+    try:
+        want = ra.inverse()
+    except (ValueError, ZeroDivisionError) as err:
+        with pytest.raises(type(err)):
+            a.inverse()
+    else:
+        assert_matches_reference(a.inverse(), want)
+
+
+def test_gaussian_products_cancel_shared_twos():
+    half_unit = GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1))  # (1+i)/2
+    for got, parts in ((half_unit * GaussianDyadic(1, 1), (0, 1, 0)),  # i
+                       (half_unit * half_unit, (0, 1, 1)),  # i/2
+                       (half_unit * GaussianDyadic(1, -1), (1, 0, 0)),  # 1
+                       (half_unit + half_unit, (1, 1, 0)),
+                       (half_unit - half_unit, (0, 0, 0)),
+                       (GaussianDyadic(4, 6).div_pow2(3), (2, 3, 2))):
+        assert (got.a, got.b, got.exp) == parts
+        assert_gaussian_canonical(got)
+
+
+def test_gaussian_storage_is_canonical():
+    g = GaussianDyadic(Dyadic(3, 1), Dyadic(5, 3))
+    assert (g.a, g.b, g.exp) == (12, 5, 3)
+    assert (g.re.as_pair(), g.im.as_pair()) == ((3, 1), (5, 3))
+    assert (GaussianDyadic.ZERO.a, GaussianDyadic.ZERO.b, GaussianDyadic.ZERO.exp) == (0, 0, 0)
+    assert GaussianDyadic(Dyadic(4, 1), 6).exp == 0
+
+
+def test_gaussian_parts_are_read_only():
+    g = GaussianDyadic(1, 2)
+    with pytest.raises(AttributeError):
+        g.re = Dyadic(3)
+
+
+def test_one_equality_rule_across_ring_types():
+    # Equal values compare equal and hash alike whatever their types; a
+    # constant polynomial is the scalar it holds.
+    classes = (
+        (5, Dyadic(5), GaussianDyadic(5), Poly((5,))),
+        (0, Dyadic(0), GaussianDyadic.ZERO, Poly.ZERO, Poly(())),
+        (Dyadic(3, 1), GaussianDyadic(Dyadic(3, 1)), Poly((Dyadic(3, 1),))),
+        (GaussianDyadic(1, 1), Poly((GaussianDyadic(1, 1),))),
+        (GaussianDyadic(0, Dyadic(1, 2)), Poly((GaussianDyadic(0, Dyadic(1, 2)),))),
+    )
+    for values in classes:
+        for x in values:
+            for y in values:
+                assert x == y and not x != y, (x, y)
+                assert hash(x) == hash(y), (x, y)
+    for i, values in enumerate(classes):
+        for other in classes[i + 1:]:
+            for x in values:
+                for y in other:
+                    assert x != y and not x == y, (x, y)
+    for x in (Poly((5, 1)), Poly((0, 5))):
+        for y in classes[0]:
+            assert x != y and y != x
+    table = {Poly((5,)): "hit"}
+    assert table[5] == table[Dyadic(5)] == table[GaussianDyadic(5)] == "hit"
 
 
 # ---------------------------------------------------------------------- Poly
@@ -543,7 +755,9 @@ def test_poly_storage_is_canonical():
 
 
 def test_poly_equality_is_strict_about_type():
-    assert Poly((5,)).__eq__(5) is NotImplemented
+    # Ring scalars compare as constants; anything else is not a ring value.
+    assert Poly((5,)).__eq__("5") is NotImplemented
+    assert Poly((5,)).__eq__(5.0) is NotImplemented
     assert Poly((5,)) != Poly((5, 1))
 
 

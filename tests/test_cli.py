@@ -2,7 +2,8 @@
 
 Everything runs in process through cli.main so the pins really are pins;
 two subprocess tests confirm that `python -m gmlucas` and the installed
-console script work too.
+console script work too, and the refusals of over-cap inputs run in
+subprocesses with a timeout.
 """
 
 import contextlib
@@ -303,6 +304,44 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "gmlucas", "table", "1"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, TABLE1_TEXT, "")
+
+
+HUGE_INPUTS = (
+    ("term", "m", "99999999999999999999"),
+    ("term", "gm", "-20001"),
+    ("term", "gmpoly", "501"),
+    ("term", "mpoly", "-501"),
+    ("table", "1", "--rows", "20001"),
+    ("table", "2", "--rows", "501"),
+    ("series", "gm-even", "20001"),
+    ("series", "mpoly", "501"),
+    ("series", "kernel", "20001", "--d", "1", "--p", "1"),
+    ("series", "kernel", "2000", "--d", "1/2^99", "--p", "1"),
+    ("verify", "--max-n", "2001"),
+    ("verify", "--max-poly-n", "201"),
+)
+
+
+@pytest.mark.parametrize("argv", HUGE_INPUTS, ids=" ".join)
+def test_huge_inputs_are_refused(argv):
+    # In a subprocess with a timeout, so a missing cap fails this test
+    # instead of hanging the suite.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "gmlucas", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("gmlucas: error: ")
+    assert "at most" in proc.stderr
+
+
+def test_caps_are_inclusive():
+    code, out, err = run_cli("term", "mpoly", "500", "--method", "explicit")
+    assert (code, err) == (0, "")
+    assert out.endswith("x^500\n")
+    code, out, _ = run_cli("series", "kernel", "400", "--d", "1/2^99", "--p", "0")
+    assert code == 0
+    assert out.endswith(", 1/2^39600]\n")
 
 
 def test_console_script_is_installed():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from gmlucas.arith import Dyadic, GaussianDyadic
 from gmlucas.sequences import (
+    _ml_explicit_int,
     GM0,
     GM1,
     M0,
@@ -87,10 +88,19 @@ def test_explicit_summands_match_hand_expansion():
 
 
 def test_explicit_sum_equals_summand_total():
-    # the running-power fast path against the per-term reference
+    # the ratio-updated sum against the per-term reference
     for n in range(1, 61):
         total = sum(explicit_summand(n, j) for j in range(n // 2 + 1))
         assert ml_explicit(n).value == GaussianDyadic(total)
+
+
+def test_ratio_updated_sum_matches_summands_and_closed_form():
+    # Each summand is reached from the one before by an exact floor
+    # division; a wrong ratio or a rounded quotient shows at some n <= 600.
+    assert _ml_explicit_int(0) == 2
+    for n in range(1, 601):
+        total = sum(explicit_summand(n, j) for j in range(n // 2 + 1))
+        assert _ml_explicit_int(n) == total == 2**n + 1, n
 
 
 def test_explicit_summand_is_integral():
