@@ -13,6 +13,7 @@ the closed form is exposed only as a floating point spot check
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -73,6 +74,25 @@ def iter_gml_poly() -> Iterator[Poly]:
     while True:
         yield b
         a, b = b, _THREE_X * b - 2 * a
+
+
+def iter_gml_poly_from_ml() -> Iterator[Poly]:
+    """Yields gml_poly_from_ml(1), (2), ... from one walk of iter_ml_poly."""
+    for m_prev, m_n in itertools.pairwise(iter_ml_poly()):
+        yield m_n + GaussianDyadic.I * m_prev
+
+
+def iter_ml_poly_negative() -> Iterator[Poly]:
+    """Yields m_{-1}(x), m_{-2}(x), ... from one walk of iter_ml_poly."""
+    for n, m_n in enumerate(itertools.islice(iter_ml_poly(), 1, None), 1):
+        yield m_n.div_pow2(n)
+
+
+def iter_gml_poly_negative() -> Iterator[Poly]:
+    """Yields Gm_{-1}(x), Gm_{-2}(x), ... from one walk of iter_ml_poly."""
+    pairs = itertools.pairwise(itertools.islice(iter_ml_poly(), 1, None))
+    for n, (m_n, m_next) in enumerate(pairs, 1):
+        yield (m_n + _HALF_I * m_next).div_pow2(n)
 
 
 def _ml_poly(n: int) -> Poly:

@@ -14,6 +14,7 @@ units (in practice 1 or 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .arith import Dyadic, GaussianDyadic, Poly, binomial
 
@@ -270,6 +271,14 @@ def kernel_term(k: SymKernel, n: int):
     return cur
 
 
+def iter_kernel(k: SymKernel) -> Iterator:
+    """Yields S_0, S_1, S_2, ... of the kernel in one walk of its recurrence."""
+    prev, cur = _zero_like(k.d), _one_like(k.d)
+    while True:
+        yield cur
+        prev, cur = cur, k.d * cur + k.p * prev
+
+
 def kernel_term_explicit(k: SymKernel, n: int):
     """S_n = sum_j C(n-j, j) d**(n-2j) p**j, the closed binomial route."""
     if n < 0:
@@ -283,7 +292,7 @@ def kernel_term_explicit(k: SymKernel, n: int):
         p_pows.append(p_pows[-1] * k.p)
     acc = _zero_like(k.d)
     for j in range(n // 2 + 1):
-        acc = acc + binomial(n - j, j) * d_pows[n - 2 * j] * p_pows[j]
+        acc = acc + binomial(n - j, j) * p_pows[j] * d_pows[n - 2 * j]
     return acc
 
 
@@ -349,19 +358,44 @@ def gf_gml_poly(order: int) -> PowerSeries:
     return series_div(num, den, order)
 
 
-# Decompositions of the families over their kernels.
+# Decompositions of the families over their kernels, c0 S_n +- c1 S_{n-1}.
+# The single-term routes and the iterators share coefficients and formulas.
 
 _KERNEL_NUM = SymKernel(3, -2)
 _KERNEL_POLY = SymKernel(Poly((0, 3)), Poly((-2,)))
+
+_GML_C0 = GaussianDyadic(2, Dyadic(3, 1))
+_GML_C1 = GaussianDyadic(3, Dyadic(5, 1))
+_ML_POLY_C0 = 2
+_ML_POLY_C1 = Poly((0, 3))
+_GML_POLY_C0 = Poly((2, GaussianDyadic(0, Dyadic(3, 1))))
+_GML_POLY_C1 = Poly((GaussianDyadic(0, 2), -3, GaussianDyadic(0, Dyadic(-9, 1))))
+
+
+def _gml_from_kernel(s_n, s_prev) -> GaussianDyadic:
+    return _GML_C0 * s_n - _GML_C1 * s_prev
+
+
+def _ml_poly_from_kernel(s_n, s_prev) -> Poly:
+    return _ML_POLY_C0 * s_n - _ML_POLY_C1 * s_prev
+
+
+def _gml_poly_from_kernel(s_n, s_prev) -> Poly:
+    return _GML_POLY_C0 * s_n + _GML_POLY_C1 * s_prev
+
+
+def _iter_decompose(kernel: SymKernel, combine) -> Iterator:
+    s_prev = _zero_like(kernel.d)
+    for s_n in iter_kernel(kernel):
+        yield combine(s_n, s_prev)
+        s_prev = s_n
 
 
 def sym_decompose_gml(n: int) -> GaussianDyadic:
     """Gm_n = (2 + 3i/2) S_n - (3 + 5i/2) S_{n-1} over the kernel (3, -2)."""
     if n < 0:
         raise ValueError("sym_decompose_gml requires n >= 0")
-    c0 = GaussianDyadic(2, Dyadic(3, 1))
-    c1 = GaussianDyadic(3, Dyadic(5, 1))
-    return c0 * kernel_term(_KERNEL_NUM, n) - c1 * kernel_term(_KERNEL_NUM, n - 1)
+    return _gml_from_kernel(kernel_term(_KERNEL_NUM, n), kernel_term(_KERNEL_NUM, n - 1))
 
 
 def sym_decompose_ml_poly(n: int) -> Poly:
@@ -370,15 +404,28 @@ def sym_decompose_ml_poly(n: int) -> Poly:
         raise ValueError("sym_decompose_ml_poly requires n >= 0")
     s_n = kernel_term(_KERNEL_POLY, n)
     s_prev = kernel_term(_KERNEL_POLY, n - 1)
-    return 2 * s_n - Poly((0, 3)) * s_prev
+    return _ml_poly_from_kernel(s_n, s_prev)
 
 
 def sym_decompose_gml_poly(n: int) -> Poly:
     """Gm_n(x) = (2 + (3i/2)x) S_n + (i(2 - (9/2)x**2) - 3x) S_{n-1}."""
     if n < 0:
         raise ValueError("sym_decompose_gml_poly requires n >= 0")
-    c0 = Poly((2, GaussianDyadic(0, Dyadic(3, 1))))
-    c1 = Poly((GaussianDyadic(0, 2), -3, GaussianDyadic(0, Dyadic(-9, 1))))
     s_n = kernel_term(_KERNEL_POLY, n)
     s_prev = kernel_term(_KERNEL_POLY, n - 1)
-    return c0 * s_n + c1 * s_prev
+    return _gml_poly_from_kernel(s_n, s_prev)
+
+
+def iter_sym_decompose_gml() -> Iterator[GaussianDyadic]:
+    """Yields sym_decompose_gml(0), (1), ... from one walk of the kernel."""
+    yield from _iter_decompose(_KERNEL_NUM, _gml_from_kernel)
+
+
+def iter_sym_decompose_ml_poly() -> Iterator[Poly]:
+    """Yields sym_decompose_ml_poly(0), (1), ... from one walk of the kernel."""
+    yield from _iter_decompose(_KERNEL_POLY, _ml_poly_from_kernel)
+
+
+def iter_sym_decompose_gml_poly() -> Iterator[Poly]:
+    """Yields sym_decompose_gml_poly(0), (1), ... from one walk of the kernel."""
+    yield from _iter_decompose(_KERNEL_POLY, _gml_poly_from_kernel)

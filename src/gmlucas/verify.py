@@ -4,10 +4,17 @@ over explicit ranges, with the first counterexample reported by index.
 The report is deterministic for a given (max_n, max_poly_n, seed) triple;
 the seed drives only the random-alphabet convolution check.  A fault can be
 injected into the recurrence seeds to confirm that the checks actually bite.
+
+Every sweep over indices walks each recurrence once, through the iter_*
+routes of polyfam and symfun, so a sweep to n costs one pass rather than a
+rerun from index 0 per term; the identities checked are exactly the per-term
+ones.  The iterators are looked up on their modules at call time, so a test
+can substitute a corrupted route and see the sweep catch it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -90,12 +97,7 @@ def _check_tables_polynomials() -> CheckResult:
 
 
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
-    """Every number route must agree at every index up to max_n.
-
-    Recurrences, the decomposition kernel and the explicit sums are all
-    carried forward incrementally so the whole sweep stays linear; the
-    identities checked are exactly the per-term ones.
-    """
+    """Every number route must agree at every index up to max_n."""
     name, rng = "route-agreement/numbers", f"0..{max_n}"
     m0, m1 = seq.M0, seq.M1
     g0, g1 = seq.GM0, seq.GM1
@@ -107,9 +109,7 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         g1 = g1 + 1
     ma, mb = m0, m1
     ga, gb = g0, g1
-    c0 = GaussianDyadic(2, Dyadic(3, 1))
-    c1 = GaussianDyadic(3, Dyadic(5, 1))
-    s_prev, s_cur = 0, 1  # kernel terms S_{n-1}, S_n for (3, -2)
+    symmetric = sf.iter_sym_decompose_gml()
     e_prev = None
     for n in range(max_n + 1):
         rec = ma if n == 0 else mb
@@ -125,7 +125,7 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
             return _fail(name, rng, f"n={n}: {b} is not 1 + a power of two")
         grec = ga if n == 0 else gb
         routes = [("binet", seq.gml_binet(n).value),
-                  ("symmetric", c0 * s_cur - c1 * s_prev)]
+                  ("symmetric", next(symmetric))]
         if n >= 1:
             routes.append(("explicit", GaussianDyadic(explicit.a, e_prev.a)))
             routes.append(("relation", seq.gml_from_ml(n).value))
@@ -139,7 +139,6 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         if n >= 1:
             ma, mb = mb, 3 * mb - 2 * ma
             ga, gb = gb, 3 * gb - 2 * ga
-        s_prev, s_cur = s_cur, 3 * s_cur - 2 * s_prev
     return _ok(name, rng)
 
 
@@ -147,20 +146,23 @@ def _check_route_polynomials(max_poly_n: int) -> CheckResult:
     name, rng = "route-agreement/polynomials", f"0..{max_poly_n}"
     ml_iter = pf.iter_ml_poly()
     gml_iter = pf.iter_gml_poly()
+    ml_sym = sf.iter_sym_decompose_ml_poly()
+    gml_sym = sf.iter_sym_decompose_gml_poly()
+    relation = pf.iter_gml_poly_from_ml()
     for n in range(max_poly_n + 1):
         rec = next(ml_iter)
         explicit = pf.ml_poly_explicit(n).value
-        dec = sf.sym_decompose_ml_poly(n)
+        dec = next(ml_sym)
         if not (rec == explicit == dec):
             return _fail(
                 name, rng,
                 f"n={n}: m recurrence={rec} explicit={explicit} symmetric={dec}",
             )
         grec = next(gml_iter)
-        groutes = [("symmetric", sf.sym_decompose_gml_poly(n))]
+        groutes = [("symmetric", next(gml_sym))]
         if n >= 1:
             groutes.append(("explicit", pf.gml_poly_explicit(n).value))
-            groutes.append(("relation", pf.gml_poly_from_ml(n).value))
+            groutes.append(("relation", next(relation)))
         for label, got in groutes:
             if got != grec:
                 return _fail(name, rng, f"n={n}: Gm recurrence={grec} vs {label}={got}")
@@ -227,8 +229,9 @@ def _check_genfun_gml_poly(max_poly_n: int) -> CheckResult:
 def _check_decomposition_gml(max_n: int) -> CheckResult:
     hi = min(100, max_n)
     name, rng = "decomposition/gm", f"0..{hi}"
+    decomposition = sf.iter_sym_decompose_gml()
     for n in range(hi + 1):
-        got = sf.sym_decompose_gml(n)
+        got = next(decomposition)
         want = seq.gml_binet(n).value
         if got != want:
             return _fail(name, rng, f"n={n}: decomposition={got} vs binet={want}")
@@ -239,9 +242,10 @@ def _check_decomposition_ml_poly(max_poly_n: int) -> CheckResult:
     hi = min(40, max_poly_n)
     name, rng = "decomposition/m-poly", f"0..{hi}"
     walker = pf.iter_ml_poly()
+    decomposition = sf.iter_sym_decompose_ml_poly()
     for n in range(hi + 1):
         want = next(walker)
-        got = sf.sym_decompose_ml_poly(n)
+        got = next(decomposition)
         if got != want:
             return _fail(name, rng, f"n={n}: decomposition={got} vs recurrence={want}")
     return _ok(name, rng)
@@ -251,9 +255,10 @@ def _check_decomposition_gml_poly(max_poly_n: int) -> CheckResult:
     hi = min(40, max_poly_n)
     name, rng = "decomposition/gm-poly", f"0..{hi}"
     walker = pf.iter_gml_poly()
+    decomposition = sf.iter_sym_decompose_gml_poly()
     for n in range(hi + 1):
         want = next(walker)
-        got = sf.sym_decompose_gml_poly(n)
+        got = next(decomposition)
         if got != want:
             return _fail(name, rng, f"n={n}: decomposition={got} vs recurrence={want}")
     return _ok(name, rng)
@@ -279,13 +284,16 @@ def _check_negative_polynomials(max_poly_n: int) -> CheckResult:
     hi = min(40, max_poly_n)
     name, rng = "negative/polynomials", f"1..{hi}"
     half_i = GaussianDyadic(0, Dyadic(1, 1))
+    positives = itertools.pairwise(itertools.islice(pf.iter_ml_poly(), 1, None))
+    ml_neg = pf.iter_ml_poly_negative()
+    gml_neg = pf.iter_gml_poly_negative()
     for n in range(1, hi + 1):
-        m_pos = pf.ml_poly(n).value
-        m_neg = pf.ml_poly_negative(n).value
+        m_pos, m_next = next(positives)
+        m_neg = next(ml_neg)
         if m_neg.mul_pow2(n) != m_pos:
             return _fail(name, rng, f"n={n}: 2^{n} * m(-{n})(x) differs from m_{n}(x)")
-        gm_neg = pf.gml_poly_negative(n).value
-        want = m_pos + half_i * pf.ml_poly(n + 1).value
+        gm_neg = next(gml_neg)
+        want = m_pos + half_i * m_next
         if gm_neg.mul_pow2(n) != want:
             return _fail(name, rng, f"n={n}: 2^{n} * Gm(-{n})(x) has the wrong closed form")
     return _ok(name, rng)
@@ -353,23 +361,12 @@ def _check_convolution(seed: int) -> CheckResult:
     return _ok(name, rng_text)
 
 
-def _kernel_walk(kernel: sf.SymKernel, hi: int) -> list:
-    """S_{-1} .. S_hi of the kernel recurrence, in one linear pass."""
-    zero = sf.kernel_term(kernel, -1)
-    prev, cur = zero, sf.kernel_term(kernel, 0)
-    terms = [prev, cur]
-    for _ in range(hi):
-        prev, cur = cur, kernel.d * cur + kernel.p * prev
-        terms.append(cur)
-    return terms
-
-
 def _check_kernel_explicit(kernel: sf.SymKernel, which: str) -> CheckResult:
     name, rng = f"kernel/explicit-{which}", "0..60"
     series = sf.kernel_series(kernel, 60)
-    terms = _kernel_walk(kernel, 60)
+    walk = sf.iter_kernel(kernel)
     for n in range(61):
-        rec = terms[n + 1]
+        rec = next(walk)
         explicit = sf.kernel_term_explicit(kernel, n)
         if not (rec == explicit == series[n]):
             return _fail(
@@ -382,7 +379,8 @@ def _check_kernel_explicit(kernel: sf.SymKernel, which: str) -> CheckResult:
 def _check_decimation(kernel: sf.SymKernel, which: str) -> CheckResult:
     name, rng = f"decimation/kernel-{which}", "0..30"
     odd_back, even, odd_fwd = sf.kernel_even_odd_series(kernel, 30)
-    terms = _kernel_walk(kernel, 61)
+    # S_{-1} .. S_61
+    terms = [sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 62)]
     if terms[31] != sf.kernel_term(kernel, 30):
         return _fail(name, rng, "recurrence walk disagrees with kernel_term")
     for n in range(31):
@@ -399,10 +397,10 @@ def _check_decimation(kernel: sf.SymKernel, which: str) -> CheckResult:
 
 def _check_two_letter_bridge() -> CheckResult:
     name, rng = "kernel/two-letter-bridge", "0..60"
-    kernel = sf.SymKernel(3, -2)
+    walk = sf.iter_kernel(sf.SymKernel(3, -2))
     for n in range(61):
         two = sf.two_letter_sn(2, 1, n)
-        ker = sf.kernel_term(kernel, n)
+        ker = next(walk)
         if two != ker:
             return _fail(name, rng, f"n={n}: two-letter={two} vs kernel={ker}")
     return _ok(name, rng)
@@ -412,8 +410,9 @@ def _check_numeric_binet() -> CheckResult:
     name, rng = "numeric-binet", "n<=30, x in {1, 2, 3, 5/2}"
     points = ((1, GaussianDyadic(1)), (2, GaussianDyadic(2)),
               (3, GaussianDyadic(3)), (2.5, GaussianDyadic(Dyadic(5, 1))))
+    walker = pf.iter_gml_poly()
     for n in range(31):
-        gm = pf.gml_poly(n).value
+        gm = next(walker)
         for x_float, x_exact in points:
             exact = complex(poly_eval(gm, x_exact))
             approx = pf.binet_numeric(n, x_float)

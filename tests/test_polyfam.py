@@ -24,7 +24,10 @@ from gmlucas.polyfam import (
     gml_poly_from_ml,
     gml_poly_negative,
     iter_gml_poly,
+    iter_gml_poly_from_ml,
+    iter_gml_poly_negative,
     iter_ml_poly,
+    iter_ml_poly_negative,
     ml_poly,
     ml_poly_explicit,
     ml_poly_negative,
@@ -64,6 +67,14 @@ def test_iterators_match_direct_terms():
             itertools.islice(zip(iter_ml_poly(), iter_gml_poly()), 12)):
         assert m_val == ml_poly(n).value
         assert gm_val == gml_poly(n).value
+
+
+def test_derived_walks_match_single_terms():
+    # the relation and negative walks start at n = 1
+    for walk, term in ((iter_gml_poly_from_ml(), gml_poly_from_ml),
+                       (iter_ml_poly_negative(), ml_poly_negative),
+                       (iter_gml_poly_negative(), gml_poly_negative)):
+        assert list(itertools.islice(walk, 40)) == [term(n).value for n in range(1, 41)]
 
 
 def test_explicit_equals_recurrence():

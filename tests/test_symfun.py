@@ -7,6 +7,8 @@ Independent oracles used here:
   * alphabet products expanded by hand
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,10 @@ from gmlucas.symfun import (
     gf_gml_odd,
     gf_gml_poly,
     gf_ml_poly,
+    iter_kernel,
+    iter_sym_decompose_gml,
+    iter_sym_decompose_gml_poly,
+    iter_sym_decompose_ml_poly,
     kernel_even_odd_series,
     kernel_series,
     kernel_term,
@@ -284,6 +290,12 @@ def test_kernel_explicit_agrees_with_recurrence():
         assert kernel_term_explicit(KER_POLY, n) == kernel_term(KER_POLY, n)
 
 
+def test_kernel_walk_matches_kernel_term():
+    for kernel, hi in ((KER_NUM, 60), (KER_POLY, 40), (FIB, 15)):
+        walk = itertools.islice(iter_kernel(kernel), hi + 1)
+        assert list(walk) == [kernel_term(kernel, n) for n in range(hi + 1)]
+
+
 def test_poly_kernel_small_terms():
     assert kernel_term(KER_POLY, 1) == Poly((0, 3))
     assert kernel_term(KER_POLY, 2) == Poly((-2, 0, 9))
@@ -386,6 +398,15 @@ def test_decompositions_match_recurrences():
         assert sym_decompose_gml(n) == gml_recurrence(n).value
         assert sym_decompose_ml_poly(n) == ml_poly(n).value
         assert sym_decompose_gml_poly(n) == gml_poly(n).value
+
+
+def test_decomposition_walks_match_single_terms():
+    # one walk of the kernel against a rerun from index 0 for every n
+    for walk, term, hi in (
+            (iter_sym_decompose_gml(), sym_decompose_gml, 60),
+            (iter_sym_decompose_ml_poly(), sym_decompose_ml_poly, 40),
+            (iter_sym_decompose_gml_poly(), sym_decompose_gml_poly, 40)):
+        assert list(itertools.islice(walk, hi + 1)) == [term(n) for n in range(hi + 1)]
 
 
 def test_decomposition_preconditions():
