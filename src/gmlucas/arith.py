@@ -22,6 +22,11 @@ trailing zero coefficient; exp == 0 or some part odd; zero has exp == 0), so
 equality and hashing compare the three parts, and GaussianDyadic
 coefficients are built only when asked for (coeffs, coeff, str, repr).
 
+Poly mul is schoolbook with one fast path, the one-term path: when the
+shorter operand is a single term c x**j, as the recurrence multipliers 3x
+and -2 and the powers d**k are, the product is the other operand scaled by
+c and shifted by j, built directly.
+
 One equality rule covers int, Dyadic, GaussianDyadic and Poly: values that
 are equal in Z[1/2][i][x] compare equal and hash alike, whatever their
 types, so a constant Poly equals the scalar it holds.
@@ -576,6 +581,21 @@ class Poly:
         if not a.re:
             return Poly.ZERO
         br, bi = b.re, b.im
+        j = len(a.re) - 1
+        if not (any(a.re[:j]) or any(a.im[:j])):
+            # a is one term c x**j: scale b by c and shift it by j, with no
+            # zero vector to add into.
+            sr, si, pad = a.re[j], a.im[j], [0] * j
+            if not si:
+                out_re = pad + [sr * x for x in br]
+                out_im = pad + [sr * y for y in bi]
+            elif not sr:
+                out_re = pad + [-si * y for y in bi]
+                out_im = pad + [si * x for x in br]
+            else:
+                out_re = pad + [sr * x - si * y for x, y in zip(br, bi)]
+                out_im = pad + [sr * y + si * x for x, y in zip(br, bi)]
+            return _poly(out_re, out_im, a.exp + b.exp)
         b_real = not any(bi)
         size = len(a.re) + len(br) - 1
         out_re = [0] * size

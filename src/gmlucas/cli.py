@@ -11,6 +11,10 @@ polynomial families (term), the same caps on table rows and series order,
 and verify --max-n <= 2000, --max-poly-n <= 200.  The kernel series also
 needs order times the bit size of its larger weight to be at most 40000.
 
+The argparse parser is built once per process, on the first main() call,
+and reused by every later call: each parse returns a fresh Namespace, and
+help and error text go to the sys.stdout/sys.stderr of the moment.
+
 Output is deterministic: identical invocations produce byte-identical
 stdout.  JSON renders every dyadic as {"num": <decimal string>, "exp2": k}
 so arbitrarily large integers survive parsers that lack big integers.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -309,6 +314,7 @@ def _parse_dyadic(text: str) -> Dyadic:
     return Dyadic(num, exp)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     fmt_parent = argparse.ArgumentParser(add_help=False)
     fmt_parent.add_argument(

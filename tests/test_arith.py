@@ -8,7 +8,7 @@ standard library.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gmlucas.arith import (
     Dyadic,
@@ -700,6 +700,32 @@ def test_poly_ops_match_reference(a, b):
         (a * b, ref_mul(a.coeffs, b.coeffs)),
         (-a, tuple(-c for c in a.coeffs)),
     ):
+        assert got.coeffs == want
+        assert_poly_canonical(got)
+
+
+# One-term operands c x**j, like the recurrence multipliers 3x and -2 and
+# the powers d**k: c is real, imaginary or both, often with a denominator.
+nonzero_dyadics = st.builds(Dyadic, st.integers(-40, 40).filter(bool),
+                            st.integers(0, 6))
+one_term_coeffs = st.one_of(
+    st.builds(GaussianDyadic, nonzero_dyadics),
+    st.builds(GaussianDyadic, st.just(0), nonzero_dyadics),
+    st.builds(GaussianDyadic, nonzero_dyadics, nonzero_dyadics),
+)
+one_term_polys = st.one_of(
+    st.just(Poly.ZERO),
+    st.builds(lambda c, j: Poly((0,) * j + (c,)), one_term_coeffs,
+              st.integers(0, 6)),
+)
+
+
+@given(one_term_polys, gaussian_polys)
+# i + x is not one term: its lower coefficient is imaginary only.
+@example(Poly.X, Poly((GaussianDyadic.I, 1)))
+def test_one_term_products_match_reference(t, b):
+    want = ref_mul(t.coeffs, b.coeffs)
+    for got in (t * b, b * t):
         assert got.coeffs == want
         assert_poly_canonical(got)
 

@@ -6,6 +6,7 @@ console script work too, and the refusals of over-cap inputs run in
 subprocesses with a timeout.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from gmlucas import cli
 from gmlucas.cli import main
 
 TABLE1_TEXT = """\
@@ -296,6 +298,55 @@ def test_output_is_deterministic():
                  ("verify", "--max-n", "6", "--max-poly-n", "6",
                   "--format", "csv")):
         assert run_cli(*argv) == run_cli(*argv)
+
+
+# One parser serves every main() call in a process: no call may leave state
+# behind for the next, whatever the order.
+REUSE_SEQUENCE = (
+    ("term", "gm", "5", "--format", "json"),
+    ("term", "gm", "5"),
+    ("term", "m", "ten"),
+    ("term", "m", "10"),
+    ("--help",),
+    ("term", "--help"),
+    ("series", "kernel", "5", "--d", "3", "--p", "-2"),
+)
+
+
+def test_parser_reuse_keeps_calls_independent():
+    forward = [run_cli(*argv) for argv in REUSE_SEQUENCE]
+    backward = [run_cli(*argv) for argv in reversed(REUSE_SEQUENCE)]
+    assert forward == backward[::-1]
+    assert json.loads(forward[0][1])["value"] == {
+        "re": {"num": "33", "exp2": 0}, "im": {"num": "17", "exp2": 0}}
+    assert forward[1] == (0, "33+17i\n", "")
+    assert forward[2][0] == 2 and "invalid int value" in forward[2][2]
+    assert forward[3] == (0, "1025\n", "")
+    assert forward[4][1].startswith("usage: gmlucas")
+    assert forward[5][1].startswith("usage: gmlucas term")
+    assert forward[6] == (0, "[1, 3, 7, 15, 31, 63]\n", "")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.__wrapped__()
+    per_build = len(built)
+    built.clear()
+    cli._build_parser.cache_clear()
+    try:
+        for k in range(50):
+            run_cli(*REUSE_SEQUENCE[k % len(REUSE_SEQUENCE)])
+    finally:
+        cli._build_parser.cache_clear()
+    assert per_build > 0
+    assert len(built) == per_build
 
 
 def test_python_dash_m_runs_the_cli():
