@@ -27,6 +27,10 @@ shorter operand is a single term c x**j, as the recurrence multipliers 3x
 and -2 and the powers d**k are, the product is the other operand scaled by
 c and shifted by j, built directly.
 
+Poly evaluation at a real integer point, the real-point path, runs Horner
+on re and im as two real chains, half the big-int multiplies of the Z[i]
+chain; at x = 1 it just sums each vector.
+
 One equality rule covers int, Dyadic, GaussianDyadic and Poly: values that
 are equal in Z[1/2][i][x] compare equal and hash alike, whatever their
 types, so a constant Poly equals the scalar it holds.
@@ -671,6 +675,18 @@ class Poly:
             raise TypeError("polynomial argument must be GaussianDyadic, Dyadic or int")
         if not self.re:
             return GaussianDyadic.ZERO
+        if not (gx.b or gx.exp):
+            # A real integer point: the real and imaginary parts are two
+            # independent real Horner chains, and x = 1 just sums them.
+            xr = gx.a
+            if xr == 1:
+                return _canonical(sum(self.re), sum(self.im), self.exp)
+            ar = ai = 0
+            for c in reversed(self.re):
+                ar = ar * xr + c
+            for c in reversed(self.im):
+                ai = ai * xr + c
+            return _canonical(ar, ai, self.exp)
         # Horner in Z[i] with x = (xr + xi i) / 2**f: the accumulator holds
         # the partial sum times 2**shift, so coefficient c enters as c << shift.
         xr, xi, f = gx.a, gx.b, gx.exp

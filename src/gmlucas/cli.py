@@ -17,7 +17,10 @@ help and error text go to the sys.stdout/sys.stderr of the moment.
 
 Output is deterministic: identical invocations produce byte-identical
 stdout.  JSON renders every dyadic as {"num": <decimal string>, "exp2": k}
-so arbitrarily large integers survive parsers that lack big integers.
+so arbitrarily large integers survive parsers that lack big integers.  The
+JSON is written by a small recursive emitter, _json_text, that produces the
+bytes of json.dumps(obj, indent=2) without the pure-Python encoder that
+json.dumps falls back to whenever an indent is set.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .arith import Dyadic, GaussianDyadic, Poly
 from . import polyfam as pf
@@ -65,8 +68,39 @@ def _value_json(v) -> dict:
 def _series_json(s: sf.PowerSeries) -> dict:
     return {"order": s.order, "coeffs": [_value_json(c) for c in s.coeffs]}
 
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for the dict, list, str,
+    int, bool and None values the CLI emits."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError for a key that is not a str.
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+                 for key, value in obj.items()]
+        head, tail = "{", "}"
+    elif isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        head, tail = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{head}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{tail}"
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 def _emit_csv(header, rows) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -8,6 +8,10 @@ both families onto the number sequences.
 The characteristic roots (3x +- sqrt(9x**2 - 8)) / 2 are irrational in x, so
 the closed form is exposed only as a floating point spot check
 (binet_numeric); every exact route stays in Z[1/2][i][x].
+
+A route that needs two adjacent terms of m (the relation Gm_n(x) =
+m_n(x) + i m_{n-1}(x) and the negative extension of Gm) takes both from one
+walk of the recurrence.
 """
 
 from __future__ import annotations
@@ -47,16 +51,21 @@ _THREE_X = Poly((0, 3))
 _HALF_I = GaussianDyadic(0, Dyadic(1, 1))
 
 
+def _poly_recurrence_pair(seed0: Poly, seed1: Poly, n: int) -> tuple[Poly, Poly]:
+    """(p_{n-1}, p_n) of p_k = 3x p_{k-1} - 2 p_{k-2} from one walk, n >= 1."""
+    a, b = seed0, seed1
+    for _ in range(n - 1):
+        a, b = b, _THREE_X * b - 2 * a
+    return a, b
+
+
 def poly_recurrence_term(seed0: Poly, seed1: Poly, n: int) -> Poly:
     """n-th entry of p_k = 3x p_{k-1} - 2 p_{k-2} from arbitrary seeds."""
     if n < 0:
         raise ValueError("poly_recurrence_term requires n >= 0")
     if n == 0:
         return seed0
-    a, b = seed0, seed1
-    for _ in range(n - 1):
-        a, b = b, _THREE_X * b - 2 * a
-    return b
+    return _poly_recurrence_pair(seed0, seed1, n)[1]
 
 
 def iter_ml_poly() -> Iterator[Poly]:
@@ -115,7 +124,8 @@ def gml_poly_from_ml(n: int) -> PolyTerm:
     """Gm_n(x) = m_n(x) + i m_{n-1}(x), valid for n >= 1."""
     if n < 1:
         raise ValueError("gml_poly_from_ml requires n >= 1")
-    return PolyTerm(n, _ml_poly(n) + GaussianDyadic.I * _ml_poly(n - 1), Method.RELATION)
+    m_prev, m_n = _poly_recurrence_pair(MP0, MP1, n)
+    return PolyTerm(n, m_n + GaussianDyadic.I * m_prev, Method.RELATION)
 
 
 def _ml_poly_explicit(n: int) -> Poly:
@@ -153,7 +163,8 @@ def gml_poly_negative(n: int) -> PolyTerm:
     """Gm_{-n}(x) = (m_n(x) + (i/2) m_{n+1}(x)) / 2**n for n >= 1."""
     if n < 1:
         raise ValueError("gml_poly_negative requires n >= 1")
-    value = (_ml_poly(n) + _HALF_I * _ml_poly(n + 1)).div_pow2(n)
+    m_n, m_next = _poly_recurrence_pair(MP0, MP1, n + 1)
+    value = (m_n + _HALF_I * m_next).div_pow2(n)
     return PolyTerm(-n, value, Method.RECURRENCE)
 
 

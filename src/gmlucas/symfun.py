@@ -9,14 +9,24 @@ polynomial families from (3x, -2).
 Everything here is ring generic: coefficients may be GaussianDyadic or Poly,
 and truncated series division only ever inverts constant terms that are
 units (in practice 1 or 2).
+
+Scalar series run on int pairs: when the coefficients are GaussianDyadic,
+series_div and the Cauchy product align each operand to one power-of-two
+denominator, carry every coefficient as a Gaussian integer (a pair of Python
+ints), and build each GaussianDyadic once, at the end.  Series over Poly
+keep the generic loop on ring elements.
+
+iter_kernel_explicit walks the closed binomial route: it extends its lists
+of powers of d and p by one factor per term instead of rebuilding them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import Dyadic, GaussianDyadic, Poly, binomial
+from .arith import Dyadic, GaussianDyadic, Poly, _canonical, binomial
 
 
 def _as_ring(value):
@@ -42,6 +52,14 @@ def _common_ring(entries: list) -> list:
     if any(isinstance(e, Poly) for e in entries):
         entries = [e if isinstance(e, Poly) else Poly((e,)) for e in entries]
     return entries
+
+
+def _align(values) -> tuple[list, list, int]:
+    """GaussianDyadic values as Gaussian integers over their largest
+    denominator 2**e: value j is (re[j] + im[j] i) / 2**e."""
+    e = max((v.exp for v in values), default=0)
+    return ([v.a << (e - v.exp) for v in values],
+            [v.b << (e - v.exp) for v in values], e)
 
 
 class PowerSeries:
@@ -92,12 +110,26 @@ class PowerSeries:
     def __mul__(self, other):
         """Cauchy product truncated back to the shared order."""
         self._check_order(other)
+        size = self.order + 1
+        if type(self.coeffs[0]) is GaussianDyadic and type(other.coeffs[0]) is GaussianDyadic:
+            # Over 2**e and 2**f, every product lands over 2**(e + f).
+            ar, ai, e = _align(self.coeffs)
+            br, bi, f = _align(other.coeffs)
+            out_re = [0] * size
+            out_im = [0] * size
+            for j, (sr, si) in enumerate(zip(ar, ai)):
+                if sr or si:
+                    for k in range(size - j):
+                        x, y = br[k], bi[k]
+                        out_re[j + k] += sr * x - si * y
+                        out_im[j + k] += sr * y + si * x
+            return _series(tuple(_canonical(r, i, e + f) for r, i in zip(out_re, out_im)))
         zero = _zero_like(self.coeffs[0])
-        out = [zero] * (self.order + 1)
+        out = [zero] * size
         for j, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for k in range(self.order + 1 - j):
+            for k in range(size - j):
                 b = other.coeffs[k]
                 if b:
                     out[j + k] = out[j + k] + a * b
@@ -116,6 +148,13 @@ class PowerSeries:
 
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)!r})"
+
+
+def _series(coeffs: tuple) -> PowerSeries:
+    """A PowerSeries from coefficients the caller knows to share one ring."""
+    out = object.__new__(PowerSeries)
+    out.coeffs = coeffs
+    return out
 
 
 def series_from_coeffs(coeffs, order: int) -> PowerSeries:
@@ -148,6 +187,8 @@ def series_div(num, den, order: int) -> PowerSeries:
         inv = den[0].inverse()
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"denominator constant term is not invertible: {err}") from None
+    if type(inv) is GaussianDyadic:
+        return _series(_series_div_gaussian(num, den, inv, order))
     zero = _zero_like(den[0])
     out: list = []
     for n in range(order + 1):
@@ -155,7 +196,40 @@ def series_div(num, den, order: int) -> PowerSeries:
         for k in range(1, min(n, len(den) - 1) + 1):
             acc = acc - den[k] * out[n - k]
         out.append(inv * acc)
-    return PowerSeries(out)
+    return _series(tuple(out))
+
+
+def _series_div_gaussian(num: list, den: list, inv: GaussianDyadic, order: int) -> tuple:
+    """series_div's coefficients on Gaussian integers.
+
+    Scaled by inv, den starts with 1.  With inv * num over 2**g and inv * den
+    over 2**f, coefficient n is T_n / 2**(g + n*f) for the Gaussian integer
+    T_n = N_n 2**(n*f) - sum_k D_k T_{n-k} 2**((k - 1) f), so each step is
+    int multiplies and shifts only.
+    """
+    if inv != GaussianDyadic.ONE:
+        num = [inv * c for c in num]
+        den = [inv * c for c in den]
+    nr, ni, g = _align(num)
+    dr, di, f = _align(den)
+    taps = [(dr[k] << (k - 1) * f, di[k] << (k - 1) * f) for k in range(1, len(den))]
+    tr: list = []
+    ti: list = []
+    out: list = []
+    for n in range(order + 1):
+        if n < len(nr):
+            ar, ai = nr[n] << n * f, ni[n] << n * f
+        else:
+            ar = ai = 0
+        # Tap k = 1, 2, ... meets T_m for m = n - k, while m >= 0.
+        for m, (cr, ci) in zip(range(n - 1, -1, -1), taps):
+            xr, xi = tr[m], ti[m]
+            ar -= cr * xr - ci * xi
+            ai -= cr * xi + ci * xr
+        tr.append(ar)
+        ti.append(ai)
+        out.append(_canonical(ar, ai, g + n * f))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -279,6 +353,15 @@ def iter_kernel(k: SymKernel) -> Iterator:
         prev, cur = cur, k.d * cur + k.p * prev
 
 
+def _binomial_sum(n: int, d_pows: list, p_pows: list, zero):
+    """sum_j C(n-j, j) d**(n-2j) p**j from the powers d**0..d**n and
+    p**0..p**(n//2)."""
+    acc = zero
+    for j in range(n // 2 + 1):
+        acc = acc + binomial(n - j, j) * p_pows[j] * d_pows[n - 2 * j]
+    return acc
+
+
 def kernel_term_explicit(k: SymKernel, n: int):
     """S_n = sum_j C(n-j, j) d**(n-2j) p**j, the closed binomial route."""
     if n < 0:
@@ -290,10 +373,20 @@ def kernel_term_explicit(k: SymKernel, n: int):
     p_pows = [one]
     for _ in range(n // 2):
         p_pows.append(p_pows[-1] * k.p)
-    acc = _zero_like(k.d)
-    for j in range(n // 2 + 1):
-        acc = acc + binomial(n - j, j) * p_pows[j] * d_pows[n - 2 * j]
-    return acc
+    return _binomial_sum(n, d_pows, p_pows, _zero_like(k.d))
+
+
+def iter_kernel_explicit(k: SymKernel) -> Iterator:
+    """Yields kernel_term_explicit(k, 0), (1), ...: each step extends the
+    powers of d and p by one factor instead of rebuilding them."""
+    one, zero = _one_like(k.d), _zero_like(k.d)
+    d_pows, p_pows = [one], [one]
+    for n in itertools.count():
+        if n:
+            d_pows.append(d_pows[-1] * k.d)
+            if n % 2 == 0:
+                p_pows.append(p_pows[-1] * k.p)
+        yield _binomial_sum(n, d_pows, p_pows, zero)
 
 
 def kernel_series(k: SymKernel, order: int) -> PowerSeries:

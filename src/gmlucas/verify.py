@@ -365,9 +365,10 @@ def _check_kernel_explicit(kernel: sf.SymKernel, which: str) -> CheckResult:
     name, rng = f"kernel/explicit-{which}", "0..60"
     series = sf.kernel_series(kernel, 60)
     walk = sf.iter_kernel(kernel)
+    explicit_walk = sf.iter_kernel_explicit(kernel)
     for n in range(61):
         rec = next(walk)
-        explicit = sf.kernel_term_explicit(kernel, n)
+        explicit = next(explicit_walk)
         if not (rec == explicit == series[n]):
             return _fail(
                 name, rng,

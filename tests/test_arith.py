@@ -736,6 +736,22 @@ def test_poly_eval_matches_reference(a, x):
     assert poly_eval(a, 3) == ref_eval(a.coeffs, GaussianDyadic(3))
 
 
+# Real integer points take two real Horner chains (and a plain sum at
+# x = 1); the other points take the Z[i] chain.
+eval_points = st.one_of(st.sampled_from((1, -1, 0, 2, 3)), st.integers(-99, 99),
+                        small_dyadics, small_gaussians)
+
+
+@given(gaussian_polys, eval_points)
+# Odd parts over 2 whose sum (x = 1) or alternating sum (x = -1) is even.
+@example(Poly((Dyadic(1, 1), GaussianDyadic(Dyadic(3, 1), 1))), 1)
+@example(Poly((Dyadic(1, 1), Dyadic(1, 1))), -1)
+def test_poly_eval_at_real_and_dyadic_points_matches_reference(a, x):
+    got = a(x)
+    assert_gaussian_canonical(got)
+    assert got == ref_eval(a.coeffs, GaussianDyadic._coerce(x))
+
+
 @given(gaussian_polys, st.integers(0, 8))
 def test_poly_pow2_shifts_match_reference(a, k):
     for got, want in ((a.mul_pow2(k), tuple(c.mul_pow2(k) for c in a.coeffs)),

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gmlucas import cli
 from gmlucas.cli import main
@@ -347,6 +348,27 @@ def test_parser_is_built_once_per_process(monkeypatch):
         cli._build_parser.cache_clear()
     assert per_build > 0
     assert len(built) == per_build
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(json_values)
+@example({"": [], "e": {}, "x": [[], {}, [{}]]})
+@example(["\u00e9\u4e2d", "\"\\/\b\f\n\r\t\x00\x1f\x7f", "\U0001f600", "\ud800"])
+# Random integers rarely hit 0 and 1, which must not print as false and true.
+@example({"k\u00e9\n": [True, False, None, -(10 ** 30), 0, 1]})
+def test_json_emitter_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", (1.5, {1: 2}, (1, 2), {"a": [set()]}))
+def test_json_emitter_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_python_dash_m_runs_the_cli():

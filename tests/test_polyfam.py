@@ -225,3 +225,33 @@ def test_poly_walker_specializes_to_number_walker(a, b, n):
 
     p = poly_recurrence_term(Poly((a,)), Poly((b,)), n)
     assert poly_eval(p, 1) == GaussianDyadic(recurrence_term(a, b, n))
+
+
+@pytest.mark.parametrize("route", (
+    lambda n: gml_poly_from_ml(n).value,
+    lambda n: gml_poly_negative(n).value,
+), ids=("gml_poly_from_ml", "gml_poly_negative"))
+def test_adjacent_term_routes_walk_once(monkeypatch, route):
+    # Counts, not timings: a route that needs two adjacent terms must take
+    # both from one walk, about the multiplies of ml_poly(n), not twice that.
+    calls = 0
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+
+    def muls(fn, n: int) -> int:
+        nonlocal calls
+        calls = 0
+        fn(n)
+        return calls
+
+    n = 30
+    one_walk = muls(lambda k: ml_poly(k).value, n)
+    assert one_walk >= 2 * (n - 1)
+    assert muls(route, n) <= one_walk + 4, (muls(route, n), one_walk)

@@ -10,7 +10,7 @@ Independent oracles used here:
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly
 from gmlucas.symfun import (
@@ -23,6 +23,7 @@ from gmlucas.symfun import (
     gf_gml_poly,
     gf_ml_poly,
     iter_kernel,
+    iter_kernel_explicit,
     iter_sym_decompose_gml,
     iter_sym_decompose_gml_poly,
     iter_sym_decompose_ml_poly,
@@ -40,6 +41,7 @@ from gmlucas.symfun import (
     sym_decompose_ml_poly,
     two_letter_sn,
 )
+from test_arith import assert_gaussian_canonical, gaussian_parts
 
 I = GaussianDyadic.I
 KER_NUM = SymKernel(3, -2)
@@ -168,6 +170,47 @@ def test_division_round_trip_property(num, den_tail, den_head):
     assert series_from_coeffs(den, order) * s == series_from_coeffs(num, order)
 
 
+# Scalar series run on Gaussian-integer pairs; the same series lifted to
+# constant Polys take the generic ring loop, which is the reference here.
+
+scalar_coeffs = st.builds(lambda parts: GaussianDyadic(*parts), gaussian_parts())
+UNIT_HEADS = (GaussianDyadic(1), GaussianDyadic(2), GaussianDyadic(1, 1),
+              GaussianDyadic(0, -1), GaussianDyadic(Dyadic(1, 1)))
+
+
+def lifted(coeffs):
+    return [Poly((c,)) for c in coeffs]
+
+
+def assert_scalar_matches_lifted(got, want):
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert type(c) is GaussianDyadic
+        assert_gaussian_canonical(c)
+        assert Poly((c,)) == w
+
+
+@settings(max_examples=80)
+@given(st.lists(scalar_coeffs, max_size=4), st.sampled_from(UNIT_HEADS),
+       st.lists(scalar_coeffs, max_size=3), st.integers(0, 8))
+# An imaginary second tap over 2: random draws do not always reach one.
+@example([GaussianDyadic(1)], GaussianDyadic(1), [GaussianDyadic(0), GaussianDyadic(0, Dyadic(1, 1))], 4)
+def test_scalar_division_matches_generic_path(num, head, tail, order):
+    den = [head] + tail
+    got = series_div(num, den, order)
+    assert_scalar_matches_lifted(got, series_div(lifted(num), lifted(den), order))
+    assert series_from_coeffs(den, order) * got == series_from_coeffs(num, order)
+
+
+@settings(max_examples=80)
+@given(st.lists(scalar_coeffs, min_size=1, max_size=6),
+       st.lists(scalar_coeffs, min_size=1, max_size=6), st.integers(0, 8))
+def test_scalar_cauchy_product_matches_generic_path(a, b, order):
+    got = series_from_coeffs(a, order) * series_from_coeffs(b, order)
+    want = series_from_coeffs(lifted(a), order) * series_from_coeffs(lifted(b), order)
+    assert_scalar_matches_lifted(got, want)
+
+
 # ---------------------------------------------------------------- alphabets
 
 def test_alphabet_container():
@@ -294,6 +337,17 @@ def test_kernel_walk_matches_kernel_term():
     for kernel, hi in ((KER_NUM, 60), (KER_POLY, 40), (FIB, 15)):
         walk = itertools.islice(iter_kernel(kernel), hi + 1)
         assert list(walk) == [kernel_term(kernel, n) for n in range(hi + 1)]
+
+
+@settings(max_examples=20)
+@given(scalar_coeffs, scalar_coeffs)
+@example(KER_NUM.d, KER_NUM.p)
+@example(KER_POLY.d, KER_POLY.p)
+@example(FIB.d, FIB.p)
+def test_explicit_kernel_walk_matches_single_terms(d, p):
+    kernel = SymKernel(d, p)
+    walk = itertools.islice(iter_kernel_explicit(kernel), 61)
+    assert list(walk) == [kernel_term_explicit(kernel, n) for n in range(61)]
 
 
 def test_poly_kernel_small_terms():
