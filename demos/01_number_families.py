@@ -21,26 +21,26 @@ from gmlucas import (
 print("First rows of both families")
 print(f"{'n':>3}  {'m_n':>6}  Gm_n")
 for n in range(8):
-    m = ml_recurrence(n).value
-    gm = gml_recurrence(n).value
+    m = ml_recurrence(n)
+    gm = gml_recurrence(n)
     print(f"{n:>3}  {str(m):>6}  {gm}")
 
 print()
 print("Three routes to m_20, four to Gm_20")
 routes_m = {
-    "recurrence": ml_recurrence(20).value,
-    "binet": ml_binet(20).value,
-    "explicit": ml_explicit(20).value,
+    "recurrence": ml_recurrence(20),
+    "binet": ml_binet(20),
+    "explicit": ml_explicit(20),
 }
 for label, value in routes_m.items():
     print(f"  m_20 via {label:<10} = {value}")
 assert len(set(map(str, routes_m.values()))) == 1
 
 routes_gm = {
-    "recurrence": gml_recurrence(20).value,
-    "binet": gml_binet(20).value,
-    "explicit": gml_explicit(20).value,
-    "relation": gml_from_ml(20).value,
+    "recurrence": gml_recurrence(20),
+    "binet": gml_binet(20),
+    "explicit": gml_explicit(20),
+    "relation": gml_from_ml(20),
 }
 for label, value in routes_gm.items():
     print(f"  Gm_20 via {label:<10} = {value}")
@@ -49,11 +49,11 @@ assert len(set(map(str, routes_gm.values()))) == 1
 print()
 print("Backwards: indices -5..-1 stay in the ring Z[1/2][i]")
 for n in range(5, 0, -1):
-    print(f"  m_-{n} = {ml_negative(n).value}    Gm_-{n} = {gml_negative(n).value}")
+    print(f"  m_-{n} = {ml_negative(n)}    Gm_-{n} = {gml_negative(n)}")
 
 # the backward terms still satisfy x_n = 3 x_{n-1} - 2 x_{n-2}
 def term(k):
-    return gml_binet(k).value if k >= 0 else gml_negative(-k).value
+    return gml_binet(k) if k >= 0 else gml_negative(-k)
 
 for k in range(-3, 4):
     assert term(k) == 3 * term(k - 1) - 2 * term(k - 2)

@@ -22,26 +22,26 @@ from gmlucas import (
 print("Polynomial table")
 print(f"{'n':>3}  m_n(x)")
 for n in range(6):
-    print(f"{n:>3}  {ml_poly(n).value}")
+    print(f"{n:>3}  {ml_poly(n)}")
 print()
 print(f"{'n':>3}  Gm_n(x)")
 for n in range(6):
-    print(f"{n:>3}  {gml_poly(n).value}")
+    print(f"{n:>3}  {gml_poly(n)}")
 
 # explicit binomial coefficients match the recurrence, term by term
 for n in range(30):
-    assert ml_poly_explicit(n).value == ml_poly(n).value
+    assert ml_poly_explicit(n) == ml_poly(n)
 
 print()
 print("Specialization at x = 1 recovers the numbers")
 for n in (0, 1, 5, 10, 50):
-    value = poly_eval(ml_poly(n).value, 1)
+    value = poly_eval(ml_poly(n), 1)
     print(f"  m_{n}(1) = {value} = 2^{n} + 1")
-    assert value == ml_binet(n).value
+    assert value == ml_binet(n)
 
 print()
 print("Exact evaluation anywhere in the ring, e.g. x = 2:")
-print(f"  m_3(2)  = {poly_eval(ml_poly(3).value, 2)}   (27*8 - 18*2 = 180)")
+print(f"  m_3(2)  = {poly_eval(ml_poly(3), 2)}   (27*8 - 18*2 = 180)")
 print(f"  Gm_3(2) = {eval_gml_poly(3, 2)}")
 
 print()
@@ -56,6 +56,6 @@ for n in (3, 10, 20):
 print()
 print("Negative indices divide by powers of two:")
 for n in (1, 2, 3):
-    print(f"  m_-{n}(x) = {ml_poly_negative(n).value}")
-assert poly_eval(ml_poly_negative(2).value, 1) == GaussianDyadic(
-    ml_binet(2).value.re.num, 0).div_pow2(2)
+    print(f"  m_-{n}(x) = {ml_poly_negative(n)}")
+assert poly_eval(ml_poly_negative(2), 1) == GaussianDyadic(
+    ml_binet(2).re.num, 0).div_pow2(2)

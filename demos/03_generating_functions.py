@@ -25,8 +25,8 @@ print("Even and odd bisections share one denominator 2 - 10z + 8z^2:")
 print(f"  Gm_0, Gm_2, Gm_4, ... = {gf_gml_even(3)}")
 print(f"  Gm_1, Gm_3, Gm_5, ... = {gf_gml_odd(3)}")
 for n in range(4):
-    assert gf_gml_even(3)[n] == gml_binet(2 * n).value
-    assert gf_gml_odd(3)[n] == gml_binet(2 * n + 1).value
+    assert gf_gml_even(3)[n] == gml_binet(2 * n)
+    assert gf_gml_odd(3)[n] == gml_binet(2 * n + 1)
 
 print()
 print("The polynomial family expands the same way, over Z[1/2][i][x]:")

@@ -12,13 +12,9 @@ from .arith import (
     GaussianDyadic,
     Poly,
     binomial,
-    dyadic_normalize,
-    gaussian_mul,
     poly_eval,
 )
 from .sequences import (
-    Method,
-    SeqTerm,
     explicit_summand,
     gml_binet,
     gml_explicit,
@@ -30,10 +26,10 @@ from .sequences import (
     ml_negative,
     ml_recurrence,
     recurrence_term,
+    walk,
 )
 from .polyfam import (
     CharRoots,
-    PolyTerm,
     binet_numeric,
     char_roots,
     eval_gml_poly,
@@ -77,11 +73,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "CharRoots", "CheckResult", "Dyadic", "GaussianDyadic",
-    "Method", "Poly", "PolyTerm", "PowerSeries", "SeqTerm", "SymKernel",
-    "VerifyReport", "binet_numeric", "binomial", "char_roots",
-    "dyadic_normalize", "eval_gml_poly", "explicit_summand", "gaussian_mul",
-    "gf_gml", "gf_gml_even", "gf_gml_odd", "gf_gml_poly", "gf_ml_poly",
-    "gml_binet", "gml_explicit", "gml_from_ml", "gml_negative", "gml_poly",
+    "Poly", "PowerSeries", "SymKernel", "VerifyReport", "binet_numeric",
+    "binomial", "char_roots", "eval_gml_poly", "explicit_summand", "gf_gml",
+    "gf_gml_even", "gf_gml_odd", "gf_gml_poly", "gf_ml_poly", "gml_binet",
+    "gml_explicit", "gml_from_ml", "gml_negative", "gml_poly",
     "gml_poly_explicit", "gml_poly_from_ml", "gml_poly_negative",
     "gml_recurrence", "iter_gml_poly", "iter_ml_poly",
     "kernel_even_odd_series", "kernel_series", "kernel_term",
@@ -90,5 +85,5 @@ __all__ = [
     "poly_eval", "poly_recurrence_term", "recurrence_term", "run_verify",
     "s_diff_convolution", "s_diff_series", "s_neg_alphabet", "series_div",
     "series_from_coeffs", "sym_decompose_gml", "sym_decompose_gml_poly",
-    "sym_decompose_ml_poly", "two_letter_sn",
+    "sym_decompose_ml_poly", "two_letter_sn", "walk",
 ]

@@ -222,11 +222,6 @@ def _dyadic(num: int, exp: int) -> Dyadic:
     return out
 
 
-def dyadic_normalize(num: int, exp: int) -> Dyadic:
-    """Build a Dyadic from raw parts; the constructor cancels shared twos."""
-    return Dyadic(num, exp)
-
-
 def _imag_text(d: Dyadic) -> str:
     mag = abs(d.num)
     sign = "-" if d.num < 0 else ""
@@ -391,9 +386,6 @@ class GaussianDyadic:
             return _gaussian(self.a, self.b, self.exp + k)
         return _canonical(self.a, self.b, k)
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -455,14 +447,6 @@ def _canonical(a: int, b: int, exp: int) -> GaussianDyadic:
 GaussianDyadic.ZERO = GaussianDyadic(0, 0)
 GaussianDyadic.ONE = GaussianDyadic(1, 0)
 GaussianDyadic.I = GaussianDyadic(0, 1)
-
-
-def gaussian_mul(a: GaussianDyadic, b: GaussianDyadic) -> GaussianDyadic:
-    ga = GaussianDyadic._coerce(a)
-    gb = GaussianDyadic._coerce(b)
-    if ga is None or gb is None:
-        raise TypeError("gaussian_mul expects GaussianDyadic operands")
-    return ga * gb
 
 
 def _poly_term_text(c: GaussianDyadic, j: int) -> str:

@@ -5,6 +5,12 @@ rows of both reference tables), series (generating function expansions),
 and verify (the full cross-method check suite).  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error.
 
+term reads one table per family, _TERM_ROUTES: its routes as (method,
+first valid n, compute) in the order auto runs them, and its route for
+negative n.  The table decides which methods are valid at n, computes the
+term, and picks the usage message for a refused method.  Every subcommand
+prints through _emit, once per format.
+
 Sizes are capped before any work starts, and a request over a cap is a
 usage error: |n| <= 20000 for the number families and 500 for the
 polynomial families (term), the same caps on table rows and series order,
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -99,13 +106,17 @@ def _json_text(obj, indent: str = "") -> str:
     return f"{head}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{tail}"
 
 
-def _emit_json(obj) -> None:
-    print(_json_text(obj))
-
-def _emit_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(fmt: str, text, doc, header: tuple, rows) -> None:
+    """Print a result as text, JSON or CSV.  text, doc and rows are
+    functions of no arguments, so only the chosen rendering is built."""
+    if fmt == "text":
+        print(text())
+    elif fmt == "json":
+        print(_json_text(doc()))
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
 
 def _usage_error(message: str) -> int:
     print(f"gmlucas: error: {message}", file=sys.stderr)
@@ -114,71 +125,50 @@ def _usage_error(message: str) -> int:
 
 # --------------------------------------------------------------------- term
 
-def _valid_methods(family: str, n: int) -> tuple[str, ...]:
+# Each family's term routes as (method, first valid n, compute), in the
+# order `auto` runs them, then its route for negative n.  Negative indices
+# exist only through the negative extension: the closed form for the number
+# families, the backward recurrence for the polynomial families.  Each
+# compute looks its route up on the module at call time, so a patched or
+# traced route is the one that runs.
+_TERM_ROUTES = {
+    "m": ((("recurrence", 0, lambda n: seq.ml_recurrence(n)),
+           ("binet", 0, lambda n: seq.ml_binet(n)),
+           ("explicit", 0, lambda n: seq.ml_explicit(n))),
+          ("binet", lambda n: seq.ml_negative(-n))),
+    "gm": ((("recurrence", 0, lambda n: seq.gml_recurrence(n)),
+            ("binet", 0, lambda n: seq.gml_binet(n)),
+            ("symmetric", 0, lambda n: sf.sym_decompose_gml(n)),
+            ("genfun", 0, lambda n: sf.gf_gml(n)[n]),
+            ("explicit", 1, lambda n: seq.gml_explicit(n)),
+            ("relation", 1, lambda n: seq.gml_from_ml(n))),
+           ("binet", lambda n: seq.gml_negative(-n))),
+    "mpoly": ((("recurrence", 0, lambda n: pf.ml_poly(n)),
+               ("explicit", 0, lambda n: pf.ml_poly_explicit(n)),
+               ("symmetric", 0, lambda n: sf.sym_decompose_ml_poly(n)),
+               ("genfun", 0, lambda n: sf.gf_ml_poly(n)[n])),
+              ("recurrence", lambda n: pf.ml_poly_negative(-n))),
+    "gmpoly": ((("recurrence", 0, lambda n: pf.gml_poly(n)),
+                ("symmetric", 0, lambda n: sf.sym_decompose_gml_poly(n)),
+                ("genfun", 0, lambda n: sf.gf_gml_poly(n)[n]),
+                ("explicit", 1, lambda n: pf.gml_poly_explicit(n)),
+                ("relation", 1, lambda n: pf.gml_poly_from_ml(n))),
+               ("recurrence", lambda n: pf.gml_poly_negative(-n))),
+}
+
+
+def _refusal(family: str, method: str, n: int) -> str:
+    routes, (negative, _) = _TERM_ROUTES[family]
     if n < 0:
-        # Negative indices exist only through the negative extension: the
-        # closed form for the number families, the backward recurrence for
-        # the polynomial families.
-        return ("binet",) if family in ("m", "gm") else ("recurrence",)
-    if family == "m":
-        return ("recurrence", "binet", "explicit")
-    if family == "gm":
-        base = ("recurrence", "binet", "symmetric", "genfun")
-        return base + (("explicit", "relation") if n >= 1 else ())
-    if family == "mpoly":
-        return ("recurrence", "explicit", "symmetric", "genfun")
-    base = ("recurrence", "symmetric", "genfun")
-    return base + (("explicit", "relation") if n >= 1 else ())
-
-
-def _compute_term(family: str, method: str, n: int):
-    if family == "m":
-        if n < 0:
-            return seq.ml_negative(-n).value
-        fn = {"recurrence": seq.ml_recurrence, "binet": seq.ml_binet,
-              "explicit": seq.ml_explicit}[method]
-        return fn(n).value
-    if family == "gm":
-        if n < 0:
-            return seq.gml_negative(-n).value
-        if method == "symmetric":
-            return sf.sym_decompose_gml(n)
-        if method == "genfun":
-            return sf.gf_gml(n)[n]
-        fn = {"recurrence": seq.gml_recurrence, "binet": seq.gml_binet,
-              "explicit": seq.gml_explicit, "relation": seq.gml_from_ml}[method]
-        return fn(n).value
-    if family == "mpoly":
-        if n < 0:
-            return pf.ml_poly_negative(-n).value
-        if method == "symmetric":
-            return sf.sym_decompose_ml_poly(n)
-        if method == "genfun":
-            return sf.gf_ml_poly(n)[n]
-        fn = {"recurrence": pf.ml_poly, "explicit": pf.ml_poly_explicit}[method]
-        return fn(n).value
-    if n < 0:
-        return pf.gml_poly_negative(-n).value
-    if method == "symmetric":
-        return sf.sym_decompose_gml_poly(n)
-    if method == "genfun":
-        return sf.gf_gml_poly(n)[n]
-    fn = {"recurrence": pf.gml_poly, "explicit": pf.gml_poly_explicit,
-          "relation": pf.gml_poly_from_ml}[method]
-    return fn(n).value
-
-
-def _explain_invalid(family: str, method: str, n: int) -> str:
-    if n < 0:
-        route = "'binet'" if family in ("m", "gm") else "'recurrence'"
         return (f"negative indices come only from the negative extension; "
-                f"use method {route} or 'auto' for family '{family}'")
-    if family in ("mpoly", "gmpoly") and method == "binet":
+                f"use method '{negative}' or 'auto' for family '{family}'")
+    for label, first, _ in routes:
+        if label == method:
+            return f"method '{method}' requires n >= {first} for family '{family}'"
+    if method == "binet":
         return ("method 'binet' is only a floating point spot check for the "
                 "polynomial families (see gmlucas.polyfam.binet_numeric), "
                 "not an exact term route")
-    if family in ("gm", "gmpoly") and method in ("explicit", "relation") and n == 0:
-        return f"method '{method}' requires n >= 1 for family '{family}'"
     return f"method '{method}' is not a route for family '{family}'"
 
 
@@ -186,31 +176,25 @@ def cmd_term(family: str, n: int, method: str, fmt: str) -> int:
     cap = MAX_POLY_N if family in ("mpoly", "gmpoly") else MAX_NUMBER_N
     if abs(n) > cap:
         return _usage_error(f"|n| must be at most {cap} for family '{family}'")
-    valid = _valid_methods(family, n)
-    if method == "auto":
-        computed = [(label, _compute_term(family, label, n)) for label in valid]
-        first_label, first = computed[0]
-        for label, value in computed[1:]:
-            if value != first:
-                print(
-                    f"gmlucas: route disagreement for {family} at n={n}: "
-                    f"{first_label}={first} vs {label}={value}",
-                    file=sys.stderr,
-                )
-                return 1
-        value = first
-    elif method not in valid:
-        return _usage_error(_explain_invalid(family, method, n))
-    else:
-        value = _compute_term(family, method, n)
-    if fmt == "text":
-        print(value)
-    elif fmt == "json":
-        _emit_json({"family": family, "n": n, "method": method,
-                    "value": _value_json(value)})
-    else:
-        _emit_csv(("family", "n", "method", "value"),
-                  [(family, n, method, str(value))])
+    routes, negative = _TERM_ROUTES[family]
+    valid = [negative] if n < 0 else [(label, compute) for label, first, compute in routes
+                                      if n >= first]
+    if method != "auto":
+        valid = [route for route in valid if route[0] == method]
+        if not valid:
+            return _usage_error(_refusal(family, method, n))
+    (first_label, value), *others = [(label, compute(n)) for label, compute in valid]
+    for label, other in others:
+        if other != value:
+            print(
+                f"gmlucas: route disagreement for {family} at n={n}: "
+                f"{first_label}={value} vs {label}={other}",
+                file=sys.stderr,
+            )
+            return 1
+    _emit(fmt, lambda: value,
+          lambda: {"family": family, "n": n, "method": method, "value": _value_json(value)},
+          ("family", "n", "method", "value"), lambda: [(family, n, method, str(value))])
     return 0
 
 
@@ -223,36 +207,18 @@ def cmd_table(which: int, rows: int, fmt: str) -> int:
     if rows > cap:
         return _usage_error(f"--rows must be at most {cap} for table {which}")
     if which == 1:
-        data = []
-        walker = iter(range(rows))
-        a, b = seq.GM0, seq.GM1
-        for n in walker:
-            data.append((n, a))
-            a, b = b, 3 * b - 2 * a
-        if fmt == "text":
-            print("n  Gm_n")
-            for n, value in data:
-                print(f"{n}  {value}")
-        elif fmt == "json":
-            _emit_json({"table": 1, "rows": [
-                {"n": n, "gm": _gaussian_json(v)} for n, v in data]})
-        else:
-            _emit_csv(("n", "gm"), [(n, str(v)) for n, v in data])
+        data = list(enumerate(itertools.islice(seq.walk(seq.GM0, seq.GM1, 3, -2), rows)))
+        _emit(fmt, lambda: "\n".join(["n  Gm_n"] + [f"{n}  {v}" for n, v in data]),
+              lambda: {"table": 1, "rows": [{"n": n, "gm": _gaussian_json(v)} for n, v in data]},
+              ("n", "gm"), lambda: [(n, str(v)) for n, v in data])
         return 0
-    ml_iter = pf.iter_ml_poly()
-    gml_iter = pf.iter_gml_poly()
-    data2 = [(n, next(ml_iter), next(gml_iter)) for n in range(rows)]
-    if fmt == "text":
-        print("n  m_n(x)  |  Gm_n(x)")
-        for n, m_val, gm_val in data2:
-            print(f"{n}  {m_val}  |  {gm_val}")
-    elif fmt == "json":
-        _emit_json({"table": 2, "rows": [
-            {"n": n, "m": _value_json(m_val), "gm": _value_json(gm_val)}
-            for n, m_val, gm_val in data2]})
-    else:
-        _emit_csv(("n", "m", "gm"),
-                  [(n, str(m_val), str(gm_val)) for n, m_val, gm_val in data2])
+    data = list(zip(range(rows), pf.iter_ml_poly(), pf.iter_gml_poly()))
+    _emit(fmt,
+          lambda: "\n".join(["n  m_n(x)  |  Gm_n(x)"]
+                            + [f"{n}  {m}  |  {gm}" for n, m, gm in data]),
+          lambda: {"table": 2, "rows": [{"n": n, "m": _value_json(m), "gm": _value_json(gm)}
+                                        for n, m, gm in data]},
+          ("n", "m", "gm"), lambda: [(n, str(m), str(gm)) for n, m, gm in data])
     return 0
 
 
@@ -287,17 +253,17 @@ def cmd_series(which: str, order: int, d: Dyadic | None, p: Dyadic | None,
         if d is not None or p is not None:
             return _usage_error("--d/--p apply only to the kernel series")
         series = _SERIES_FN[which](order)
-    if fmt == "text":
-        print(series)
-    elif fmt == "json":
-        _emit_json({"series": which, "value": _series_json(series)})
-    else:
-        _emit_csv(("n", "coefficient"),
-                  [(n, str(c)) for n, c in enumerate(series)])
+    _emit(fmt, lambda: series, lambda: {"series": which, "value": _series_json(series)},
+          ("n", "coefficient"), lambda: [(n, str(c)) for n, c in enumerate(series)])
     return 0
 
 
 # ------------------------------------------------------------------- verify
+
+def _report_line(check: ver.CheckResult) -> str:
+    line = f"[{'pass' if check.passed else 'FAIL'}] {check.name} ({check.range})"
+    return line + f": {check.detail}" if check.detail else line
+
 
 def cmd_verify(max_n: int, max_poly_n: int, seed: int,
                inject_fault: str | None, fmt: str) -> int:
@@ -309,27 +275,16 @@ def cmd_verify(max_n: int, max_poly_n: int, seed: int,
         report = ver.run_verify(max_n, max_poly_n, seed, inject_fault)
     except ValueError as err:
         return _usage_error(str(err))
-    if fmt == "text":
-        for check in report.checks:
-            status = "pass" if check.passed else "FAIL"
-            line = f"[{status}] {check.name} ({check.range})"
-            if check.detail:
-                line += f": {check.detail}"
-            print(line)
-        print(f"overall: {'pass' if report.overall else 'FAIL'}")
-    elif fmt == "json":
-        _emit_json({
-            "checks": [
-                {"name": c.name, "range": c.range,
-                 "status": "pass" if c.passed else "fail", "detail": c.detail}
-                for c in report.checks
-            ],
-            "overall": report.overall,
-        })
-    else:
-        _emit_csv(("name", "range", "status", "detail"),
-                  [(c.name, c.range, "pass" if c.passed else "fail", c.detail)
-                   for c in report.checks])
+    checks = report.checks
+    _emit(fmt,
+          lambda: "\n".join([_report_line(c) for c in checks]
+                            + [f"overall: {'pass' if report.overall else 'FAIL'}"]),
+          lambda: {"checks": [{"name": c.name, "range": c.range,
+                               "status": "pass" if c.passed else "fail", "detail": c.detail}
+                              for c in checks],
+                   "overall": report.overall},
+          ("name", "range", "status", "detail"),
+          lambda: [(c.name, c.range, "pass" if c.passed else "fail", c.detail) for c in checks])
     return 0 if report.overall else 1
 
 

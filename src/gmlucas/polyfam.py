@@ -3,7 +3,8 @@
 m_0(x) = 2, m_1(x) = 3x, m_n(x) = 3x m_{n-1}(x) - 2 m_{n-2}(x); the Gaussian
 family starts from Gm_0(x) = 2 + (3i/2)x and Gm_1(x) = 3x + 2i and satisfies
 Gm_n(x) = m_n(x) + i m_{n-1}(x) for n >= 1.  Specializing x = 1 collapses
-both families onto the number sequences.
+both families onto the number sequences.  Each route returns its Poly, and
+the recurrence routes and iterators walk sequences.walk with d = 3x, p = -2.
 
 The characteristic roots (3x +- sqrt(9x**2 - 8)) / 2 are irrational in x, so
 the closed form is exposed only as a floating point spot check
@@ -22,14 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import Dyadic, GaussianDyadic, Poly, poly_eval
-from .sequences import Method, explicit_summand
-
-
-@dataclass(frozen=True)
-class PolyTerm:
-    index: int
-    value: Poly
-    method: Method
+from .sequences import explicit_summand, walk
 
 
 @dataclass(frozen=True)
@@ -51,38 +45,25 @@ _THREE_X = Poly((0, 3))
 _HALF_I = GaussianDyadic(0, Dyadic(1, 1))
 
 
-def _poly_recurrence_pair(seed0: Poly, seed1: Poly, n: int) -> tuple[Poly, Poly]:
-    """(p_{n-1}, p_n) of p_k = 3x p_{k-1} - 2 p_{k-2} from one walk, n >= 1."""
-    a, b = seed0, seed1
-    for _ in range(n - 1):
-        a, b = b, _THREE_X * b - 2 * a
-    return a, b
-
-
 def poly_recurrence_term(seed0: Poly, seed1: Poly, n: int) -> Poly:
     """n-th entry of p_k = 3x p_{k-1} - 2 p_{k-2} from arbitrary seeds."""
     if n < 0:
         raise ValueError("poly_recurrence_term requires n >= 0")
-    if n == 0:
-        return seed0
-    return _poly_recurrence_pair(seed0, seed1, n)[1]
+    return next(itertools.islice(walk(seed0, seed1, _THREE_X, -2), n, None))
+
+
+def _ml_poly_pair(n: int) -> tuple[Poly, Poly]:
+    """(m_{n-1}(x), m_n(x)) from one walk, n >= 1."""
+    return next(itertools.islice(itertools.pairwise(iter_ml_poly()), n - 1, None))
 
 
 def iter_ml_poly() -> Iterator[Poly]:
     """Yields m_0(x), m_1(x), m_2(x), ... without recomputing prefixes."""
-    a, b = MP0, MP1
-    yield a
-    while True:
-        yield b
-        a, b = b, _THREE_X * b - 2 * a
+    return walk(MP0, MP1, _THREE_X, -2)
 
 
 def iter_gml_poly() -> Iterator[Poly]:
-    a, b = GMP0, GMP1
-    yield a
-    while True:
-        yield b
-        a, b = b, _THREE_X * b - 2 * a
+    return walk(GMP0, GMP1, _THREE_X, -2)
 
 
 def iter_gml_poly_from_ml() -> Iterator[Poly]:
@@ -104,31 +85,31 @@ def iter_gml_poly_negative() -> Iterator[Poly]:
         yield (m_n + _HALF_I * m_next).div_pow2(n)
 
 
-def _ml_poly(n: int) -> Poly:
+def ml_poly(n: int) -> Poly:
+    if n < 0:
+        raise ValueError("ml_poly requires n >= 0")
     return poly_recurrence_term(MP0, MP1, n)
 
 
-def ml_poly(n: int) -> PolyTerm:
-    if n < 0:
-        raise ValueError("ml_poly requires n >= 0")
-    return PolyTerm(n, _ml_poly(n), Method.RECURRENCE)
-
-
-def gml_poly(n: int) -> PolyTerm:
+def gml_poly(n: int) -> Poly:
     if n < 0:
         raise ValueError("gml_poly requires n >= 0")
-    return PolyTerm(n, poly_recurrence_term(GMP0, GMP1, n), Method.RECURRENCE)
+    return poly_recurrence_term(GMP0, GMP1, n)
 
 
-def gml_poly_from_ml(n: int) -> PolyTerm:
+def gml_poly_from_ml(n: int) -> Poly:
     """Gm_n(x) = m_n(x) + i m_{n-1}(x), valid for n >= 1."""
     if n < 1:
         raise ValueError("gml_poly_from_ml requires n >= 1")
-    m_prev, m_n = _poly_recurrence_pair(MP0, MP1, n)
-    return PolyTerm(n, m_n + GaussianDyadic.I * m_prev, Method.RELATION)
+    m_prev, m_n = _ml_poly_pair(n)
+    return m_n + GaussianDyadic.I * m_prev
 
 
-def _ml_poly_explicit(n: int) -> Poly:
+def ml_poly_explicit(n: int) -> Poly:
+    """Closed binomial expansion: the x**(n-2j) coefficient is the same
+    integer summand that the number family adds up."""
+    if n < 0:
+        raise ValueError("ml_poly_explicit requires n >= 0")
     if n == 0:
         return MP0
     coeffs = [0] * (n + 1)
@@ -137,35 +118,25 @@ def _ml_poly_explicit(n: int) -> Poly:
     return Poly(coeffs)
 
 
-def ml_poly_explicit(n: int) -> PolyTerm:
-    """Closed binomial expansion: the x**(n-2j) coefficient is the same
-    integer summand that the number family adds up."""
-    if n < 0:
-        raise ValueError("ml_poly_explicit requires n >= 0")
-    return PolyTerm(n, _ml_poly_explicit(n), Method.EXPLICIT)
-
-
-def gml_poly_explicit(n: int) -> PolyTerm:
+def gml_poly_explicit(n: int) -> Poly:
     if n < 1:
         raise ValueError("gml_poly_explicit requires n >= 1")
-    value = _ml_poly_explicit(n) + GaussianDyadic.I * _ml_poly_explicit(n - 1)
-    return PolyTerm(n, value, Method.EXPLICIT)
+    return ml_poly_explicit(n) + GaussianDyadic.I * ml_poly_explicit(n - 1)
 
 
-def ml_poly_negative(n: int) -> PolyTerm:
+def ml_poly_negative(n: int) -> Poly:
     """m_{-n}(x) = m_n(x) / 2**n for n >= 1 (backward recurrence closure)."""
     if n < 1:
         raise ValueError("ml_poly_negative requires n >= 1")
-    return PolyTerm(-n, _ml_poly(n).div_pow2(n), Method.RECURRENCE)
+    return ml_poly(n).div_pow2(n)
 
 
-def gml_poly_negative(n: int) -> PolyTerm:
+def gml_poly_negative(n: int) -> Poly:
     """Gm_{-n}(x) = (m_n(x) + (i/2) m_{n+1}(x)) / 2**n for n >= 1."""
     if n < 1:
         raise ValueError("gml_poly_negative requires n >= 1")
-    m_n, m_next = _poly_recurrence_pair(MP0, MP1, n + 1)
-    value = (m_n + _HALF_I * m_next).div_pow2(n)
-    return PolyTerm(-n, value, Method.RECURRENCE)
+    m_n, m_next = _ml_poly_pair(n + 1)
+    return (m_n + _HALF_I * m_next).div_pow2(n)
 
 
 def char_roots(x: float) -> CharRoots:
@@ -200,4 +171,4 @@ def binet_numeric(n: int, x: float) -> complex:
 
 def eval_gml_poly(n: int, x) -> GaussianDyadic:
     """Exact Gm_n(x) at a dyadic point, for comparison with binet_numeric."""
-    return poly_eval(gml_poly(n).value, x)
+    return poly_eval(gml_poly(n), x)

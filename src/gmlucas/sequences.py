@@ -5,34 +5,21 @@ closed form is m_n = 2**n + 1.  The Gaussian family shares the recurrence
 with seeds Gm_0 = 2 + (3/2)i and Gm_1 = 3 + 2i, and satisfies
 Gm_n = m_n + i m_{n-1} for n >= 1.  Every term can be produced by several
 independent routes which must agree exactly; the cross-checks live in the
-test suite and in the verify command.
+test suite and in the verify command.  Each route returns its term as a
+GaussianDyadic.
+
+walk is the one producer of the order-2 recurrence x_k = d x_{k-1} +
+p x_{k-2}: the recurrence routes here and in polyfam, symfun.iter_kernel,
+table 1 of the CLI and the verifier's seed sweeps all take their terms
+from it.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+import itertools
+from typing import Iterator
 
 from .arith import Dyadic, GaussianDyadic, binomial
-
-
-class Method(enum.Enum):
-    """Which computation route produced a term."""
-
-    RECURRENCE = "recurrence"
-    BINET = "binet"
-    EXPLICIT = "explicit"
-    SYMMETRIC = "symmetric"
-    GENFUN = "genfun"
-    RELATION = "relation"
-
-
-@dataclass(frozen=True)
-class SeqTerm:
-    index: int
-    value: GaussianDyadic
-    method: Method
-
 
 # Recurrence seeds.
 M0 = 2
@@ -41,19 +28,23 @@ GM0 = GaussianDyadic(2, Dyadic(3, 1))
 GM1 = GaussianDyadic(3, 2)
 
 
-def recurrence_term(seed0, seed1, n: int):
-    """n-th entry of x_k = 3 x_{k-1} - 2 x_{k-2} from arbitrary seeds.
+def walk(x0, x1, d, p) -> Iterator:
+    """Yields x_0, x_1, x_2, ... of x_k = d x_{k-1} + p x_{k-2}.
 
-    Works over any ring whose elements support + and * with ints.
+    Works over any ring whose elements support + and * (ints mix in), and
+    computes x_k only when it is asked for.
     """
+    yield x0
+    while True:
+        yield x1
+        x0, x1 = x1, d * x1 + p * x0
+
+
+def recurrence_term(seed0, seed1, n: int):
+    """n-th entry of x_k = 3 x_{k-1} - 2 x_{k-2} from arbitrary seeds."""
     if n < 0:
         raise ValueError("recurrence_term requires n >= 0")
-    if n == 0:
-        return seed0
-    a, b = seed0, seed1
-    for _ in range(n - 1):
-        a, b = b, 3 * b - 2 * a
-    return b
+    return next(itertools.islice(walk(seed0, seed1, 3, -2), n, None))
 
 
 def explicit_summand(n: int, j: int) -> int:
@@ -88,68 +79,63 @@ def _ml_explicit_int(n: int) -> int:
     return total
 
 
-def ml_recurrence(n: int) -> SeqTerm:
+def ml_recurrence(n: int) -> GaussianDyadic:
     if n < 0:
         raise ValueError("ml_recurrence requires n >= 0")
-    return SeqTerm(n, GaussianDyadic(recurrence_term(M0, M1, n)), Method.RECURRENCE)
+    return GaussianDyadic(recurrence_term(M0, M1, n))
 
 
-def ml_binet(n: int) -> SeqTerm:
+def ml_binet(n: int) -> GaussianDyadic:
     """Closed form 2**n + 1 (the roots of the recurrence are 2 and 1)."""
     if n < 0:
         raise ValueError("ml_binet requires n >= 0; use ml_negative below zero")
-    return SeqTerm(n, GaussianDyadic(_ml_int(n)), Method.BINET)
+    return GaussianDyadic(_ml_int(n))
 
 
-def ml_explicit(n: int) -> SeqTerm:
+def ml_explicit(n: int) -> GaussianDyadic:
     """Alternating binomial sum over j <= n/2; n = 0 returns 2 by convention."""
     if n < 0:
         raise ValueError("ml_explicit requires n >= 0")
-    return SeqTerm(n, GaussianDyadic(_ml_explicit_int(n)), Method.EXPLICIT)
+    return GaussianDyadic(_ml_explicit_int(n))
 
 
-def ml_negative(n: int) -> SeqTerm:
+def ml_negative(n: int) -> GaussianDyadic:
     """m_{-n} = m_n / 2**n for n >= 1, the backward closure of the recurrence."""
     if n < 1:
         raise ValueError("ml_negative requires n >= 1")
-    return SeqTerm(-n, GaussianDyadic(Dyadic(_ml_int(n), n)), Method.BINET)
+    return GaussianDyadic(Dyadic(_ml_int(n), n))
 
 
-def gml_recurrence(n: int) -> SeqTerm:
+def gml_recurrence(n: int) -> GaussianDyadic:
     if n < 0:
         raise ValueError("gml_recurrence requires n >= 0")
-    return SeqTerm(n, recurrence_term(GM0, GM1, n), Method.RECURRENCE)
+    return recurrence_term(GM0, GM1, n)
 
 
-def gml_binet(n: int) -> SeqTerm:
+def gml_binet(n: int) -> GaussianDyadic:
     """Gm_n = (2**n + 1) + i (2**(n-1) + 1), with the n = 0 imaginary part 3/2."""
     if n < 0:
         raise ValueError("gml_binet requires n >= 0; use gml_negative below zero")
     im = Dyadic(_ml_int(n - 1)) if n >= 1 else Dyadic(3, 1)
-    return SeqTerm(n, GaussianDyadic(Dyadic(_ml_int(n)), im), Method.BINET)
+    return GaussianDyadic(Dyadic(_ml_int(n)), im)
 
 
-def gml_from_ml(n: int) -> SeqTerm:
+def gml_from_ml(n: int) -> GaussianDyadic:
     """Gm_n = m_n + i m_{n-1}, valid for n >= 1."""
     if n < 1:
         raise ValueError("gml_from_ml requires n >= 1")
-    return SeqTerm(n, GaussianDyadic(_ml_int(n), _ml_int(n - 1)), Method.RELATION)
+    return GaussianDyadic(_ml_int(n), _ml_int(n - 1))
 
 
-def gml_explicit(n: int) -> SeqTerm:
+def gml_explicit(n: int) -> GaussianDyadic:
     """Binomial sums for both parts; the shifted imaginary sum needs n >= 1."""
     if n < 1:
         raise ValueError("gml_explicit requires n >= 1")
-    return SeqTerm(
-        n,
-        GaussianDyadic(_ml_explicit_int(n), _ml_explicit_int(n - 1)),
-        Method.EXPLICIT,
-    )
+    return GaussianDyadic(_ml_explicit_int(n), _ml_explicit_int(n - 1))
 
 
-def gml_negative(n: int) -> SeqTerm:
+def gml_negative(n: int) -> GaussianDyadic:
     """Gm_{-n} = (m_n + (i/2) m_{n+1}) / 2**n for n >= 1."""
     if n < 1:
         raise ValueError("gml_negative requires n >= 1")
-    value = GaussianDyadic(Dyadic(_ml_int(n), n), Dyadic(_ml_int(n + 1), n + 1))
-    return SeqTerm(-n, value, Method.BINET)
+    return GaussianDyadic(Dyadic(_ml_int(n), n), Dyadic(_ml_int(n + 1), n + 1))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import Dyadic, GaussianDyadic, Poly, _canonical, binomial
+from .sequences import walk
 
 
 def _as_ring(value):
@@ -88,24 +89,11 @@ class PowerSeries:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if not 0 <= order <= self.order:
-            raise ValueError("can only truncate to a lower order")
-        return PowerSeries(self.coeffs[: order + 1])
-
     def _check_order(self, other):
         if not isinstance(other, PowerSeries):
             raise TypeError("series arithmetic needs two PowerSeries")
         if other.order != self.order:
-            raise ValueError("series orders differ; truncate explicitly first")
-
-    def __add__(self, other):
-        self._check_order(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check_order(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+            raise ValueError("series orders differ")
 
     def __mul__(self, other):
         """Cauchy product truncated back to the shared order."""
@@ -347,10 +335,7 @@ def kernel_term(k: SymKernel, n: int):
 
 def iter_kernel(k: SymKernel) -> Iterator:
     """Yields S_0, S_1, S_2, ... of the kernel in one walk of its recurrence."""
-    prev, cur = _zero_like(k.d), _one_like(k.d)
-    while True:
-        yield cur
-        prev, cur = cur, k.d * cur + k.p * prev
+    return walk(_one_like(k.d), k.d, k.d, k.p)
 
 
 def _binomial_sum(n: int, d_pows: list, p_pows: list, zero):

@@ -10,6 +10,11 @@ routes of polyfam and symfun, so a sweep to n costs one pass rather than a
 rerun from index 0 per term; the identities checked are exactly the per-term
 ones.  The iterators are looked up on their modules at call time, so a test
 can substitute a corrupted route and see the sweep catch it.
+
+A check that compares one produced stream with one reference stream, term
+by term, runs through _check_stream, which run_verify calls once per check
+name.  The seed sweeps of route-agreement/numbers walk sequences.walk; the
+backward-closure check writes out the recurrence it checks.
 """
 
 from __future__ import annotations
@@ -70,27 +75,18 @@ _TABLE_M_POLY = (
 )
 
 
-def _check_tables_numbers() -> CheckResult:
-    name, rng = "tables/numbers", "0..5"
-    for n, want in enumerate(_TABLE_GM):
-        got = seq.gml_recurrence(n).value
-        if got != want:
-            return _fail(name, rng, f"n={n}: recurrence={got} vs table={want}")
-    return _ok(name, rng)
-
-
 def _check_tables_polynomials() -> CheckResult:
     name, rng = "tables/polynomials", "0..5"
     for n, row in enumerate(_TABLE_M_POLY):
         want_m = Poly(row)
-        got_m = pf.ml_poly(n).value
+        got_m = pf.ml_poly(n)
         if got_m != want_m:
             return _fail(name, rng, f"n={n}: m recurrence={got_m} vs table={want_m}")
         if n == 0:
             want_gm = Poly((2, GaussianDyadic(0, Dyadic(3, 1))))
         else:
             want_gm = want_m + GaussianDyadic.I * Poly(_TABLE_M_POLY[n - 1])
-        got_gm = pf.gml_poly(n).value
+        got_gm = pf.gml_poly(n)
         if got_gm != want_gm:
             return _fail(name, rng, f"n={n}: gm recurrence={got_gm} vs table={want_gm}")
     return _ok(name, rng)
@@ -107,14 +103,14 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         g0 = g0 + 1
     elif fault == "gm1":
         g1 = g1 + 1
-    ma, mb = m0, m1
-    ga, gb = g0, g1
+    m_walk = seq.walk(m0, m1, 3, -2)
+    g_walk = seq.walk(g0, g1, 3, -2)
     symmetric = sf.iter_sym_decompose_gml()
     e_prev = None
     for n in range(max_n + 1):
-        rec = ma if n == 0 else mb
-        binet = seq.ml_binet(n).value
-        explicit = seq.ml_explicit(n).value
+        rec = next(m_walk)
+        binet = seq.ml_binet(n)
+        explicit = seq.ml_explicit(n)
         if not (GaussianDyadic(rec) == binet == explicit):
             return _fail(
                 name, rng,
@@ -123,22 +119,19 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         b = binet.a  # binet equals the integer rec here
         if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
             return _fail(name, rng, f"n={n}: {b} is not 1 + a power of two")
-        grec = ga if n == 0 else gb
-        routes = [("binet", seq.gml_binet(n).value),
+        grec = next(g_walk)
+        routes = [("binet", seq.gml_binet(n)),
                   ("symmetric", next(symmetric))]
         if n >= 1:
             routes.append(("explicit", GaussianDyadic(explicit.a, e_prev.a)))
-            routes.append(("relation", seq.gml_from_ml(n).value))
+            routes.append(("relation", seq.gml_from_ml(n)))
         for label, got in routes:
             if got != grec:
                 return _fail(name, rng, f"n={n}: recurrence={grec} vs {label}={got}")
         gbinet = routes[0][1]
-        if n >= 1 and gbinet != GaussianDyadic(b, seq.ml_binet(n - 1).value.a):
+        if n >= 1 and gbinet != GaussianDyadic(b, seq.ml_binet(n - 1).a):
             return _fail(name, rng, f"n={n}: Gm parts do not split into m terms")
         e_prev = explicit
-        if n >= 1:
-            ma, mb = mb, 3 * mb - 2 * ma
-            ga, gb = gb, 3 * gb - 2 * ga
     return _ok(name, rng)
 
 
@@ -151,7 +144,7 @@ def _check_route_polynomials(max_poly_n: int) -> CheckResult:
     relation = pf.iter_gml_poly_from_ml()
     for n in range(max_poly_n + 1):
         rec = next(ml_iter)
-        explicit = pf.ml_poly_explicit(n).value
+        explicit = pf.ml_poly_explicit(n)
         dec = next(ml_sym)
         if not (rec == explicit == dec):
             return _fail(
@@ -161,7 +154,7 @@ def _check_route_polynomials(max_poly_n: int) -> CheckResult:
         grec = next(gml_iter)
         groutes = [("symmetric", next(gml_sym))]
         if n >= 1:
-            groutes.append(("explicit", pf.gml_poly_explicit(n).value))
+            groutes.append(("explicit", pf.gml_poly_explicit(n)))
             groutes.append(("relation", next(relation)))
         for label, got in groutes:
             if got != grec:
@@ -169,98 +162,16 @@ def _check_route_polynomials(max_poly_n: int) -> CheckResult:
     return _ok(name, rng)
 
 
-def _check_genfun_gml(max_n: int) -> CheckResult:
-    hi = min(100, max_n)
-    name, rng = "genfun/gm", f"0..{hi}"
-    series = sf.gf_gml(hi)
-    for n in range(hi + 1):
-        want = seq.gml_binet(n).value
-        if series[n] != want:
-            return _fail(name, rng, f"n={n}: coefficient={series[n]} vs term={want}")
-    return _ok(name, rng)
-
-
-def _check_genfun_gml_even(max_n: int) -> CheckResult:
-    hi = min(50, max(max_n // 2, 1))
-    name, rng = "genfun/gm-even", f"0..{hi}"
-    series = sf.gf_gml_even(hi)
-    for n in range(hi + 1):
-        want = seq.gml_binet(2 * n).value
-        if series[n] != want:
-            return _fail(name, rng, f"n={n}: coefficient={series[n]} vs Gm({2*n})={want}")
-    return _ok(name, rng)
-
-
-def _check_genfun_gml_odd(max_n: int) -> CheckResult:
-    hi = min(50, max(max_n // 2, 1))
-    name, rng = "genfun/gm-odd", f"0..{hi}"
-    series = sf.gf_gml_odd(hi)
-    for n in range(hi + 1):
-        want = seq.gml_binet(2 * n + 1).value
-        if series[n] != want:
-            return _fail(name, rng, f"n={n}: coefficient={series[n]} vs Gm({2*n+1})={want}")
-    return _ok(name, rng)
-
-
-def _check_genfun_ml_poly(max_poly_n: int) -> CheckResult:
-    hi = min(30, max_poly_n)
-    name, rng = "genfun/m-poly", f"0..{hi}"
-    series = sf.gf_ml_poly(hi)
-    walker = pf.iter_ml_poly()
-    for n in range(hi + 1):
-        want = next(walker)
-        if series[n] != want:
-            return _fail(name, rng, f"n={n}: coefficient={series[n]} vs term={want}")
-    return _ok(name, rng)
-
-
-def _check_genfun_gml_poly(max_poly_n: int) -> CheckResult:
-    hi = min(30, max_poly_n)
-    name, rng = "genfun/gm-poly", f"0..{hi}"
-    series = sf.gf_gml_poly(hi)
-    walker = pf.iter_gml_poly()
-    for n in range(hi + 1):
-        want = next(walker)
-        if series[n] != want:
-            return _fail(name, rng, f"n={n}: coefficient={series[n]} vs term={want}")
-    return _ok(name, rng)
-
-
-def _check_decomposition_gml(max_n: int) -> CheckResult:
-    hi = min(100, max_n)
-    name, rng = "decomposition/gm", f"0..{hi}"
-    decomposition = sf.iter_sym_decompose_gml()
-    for n in range(hi + 1):
-        got = next(decomposition)
-        want = seq.gml_binet(n).value
+def _check_stream(name: str, hi: int, produced, reference, what: str,
+                  against: str) -> CheckResult:
+    """Terms 0..hi of produced() against reference(); the first mismatch
+    reads "n=<n>: <what>=<term> vs <against>=<term>", where against may name
+    the reference term's own index as {even} (2n) or {odd} (2n + 1)."""
+    rng = f"0..{hi}"
+    for n, got, want in zip(range(hi + 1), produced(), reference()):
         if got != want:
-            return _fail(name, rng, f"n={n}: decomposition={got} vs binet={want}")
-    return _ok(name, rng)
-
-
-def _check_decomposition_ml_poly(max_poly_n: int) -> CheckResult:
-    hi = min(40, max_poly_n)
-    name, rng = "decomposition/m-poly", f"0..{hi}"
-    walker = pf.iter_ml_poly()
-    decomposition = sf.iter_sym_decompose_ml_poly()
-    for n in range(hi + 1):
-        want = next(walker)
-        got = next(decomposition)
-        if got != want:
-            return _fail(name, rng, f"n={n}: decomposition={got} vs recurrence={want}")
-    return _ok(name, rng)
-
-
-def _check_decomposition_gml_poly(max_poly_n: int) -> CheckResult:
-    hi = min(40, max_poly_n)
-    name, rng = "decomposition/gm-poly", f"0..{hi}"
-    walker = pf.iter_gml_poly()
-    decomposition = sf.iter_sym_decompose_gml_poly()
-    for n in range(hi + 1):
-        want = next(walker)
-        got = next(decomposition)
-        if got != want:
-            return _fail(name, rng, f"n={n}: decomposition={got} vs recurrence={want}")
+            label = against.format(even=2 * n, odd=2 * n + 1)
+            return _fail(name, rng, f"n={n}: {what}={got} vs {label}={want}")
     return _ok(name, rng)
 
 
@@ -269,12 +180,12 @@ def _check_negative_numbers(max_n: int) -> CheckResult:
     name, rng = "negative/numbers", f"1..{hi}"
     half_i = GaussianDyadic(0, Dyadic(1, 1))
     for n in range(1, hi + 1):
-        m_pos = seq.ml_binet(n).value
-        m_neg = seq.ml_negative(n).value
+        m_pos = seq.ml_binet(n)
+        m_neg = seq.ml_negative(n)
         if m_neg.mul_pow2(n) != m_pos:
             return _fail(name, rng, f"n={n}: 2^{n} * m(-{n}) = {m_neg.mul_pow2(n)} vs {m_pos}")
-        gm_neg = seq.gml_negative(n).value
-        want = m_pos + half_i * seq.ml_binet(n + 1).value
+        gm_neg = seq.gml_negative(n)
+        want = m_pos + half_i * seq.ml_binet(n + 1)
         if gm_neg.mul_pow2(n) != want:
             return _fail(name, rng, f"n={n}: 2^{n} * Gm(-{n}) = {gm_neg.mul_pow2(n)} vs {want}")
     return _ok(name, rng)
@@ -305,7 +216,7 @@ def _check_backward_closure(max_n: int) -> CheckResult:
     name, rng = "negative/backward-closure", f"{lo}..{hi}"
 
     def term(k: int) -> GaussianDyadic:
-        return seq.gml_binet(k).value if k >= 0 else seq.gml_negative(-k).value
+        return seq.gml_binet(k) if k >= 0 else seq.gml_negative(-k)
 
     prev2 = term(lo - 2)
     prev1 = term(lo - 1)
@@ -326,11 +237,11 @@ def _check_specialization(max_n: int) -> CheckResult:
     gml_iter = pf.iter_gml_poly()
     for n in range(hi + 1):
         m_val = poly_eval(next(ml_iter), one)
-        if m_val != seq.ml_binet(n).value:
-            return _fail(name, rng, f"n={n}: m_{n}(1)={m_val} vs m_{n}={seq.ml_binet(n).value}")
+        if m_val != seq.ml_binet(n):
+            return _fail(name, rng, f"n={n}: m_{n}(1)={m_val} vs m_{n}={seq.ml_binet(n)}")
         gm_val = poly_eval(next(gml_iter), one)
-        if gm_val != seq.gml_binet(n).value:
-            return _fail(name, rng, f"n={n}: Gm_{n}(1)={gm_val} vs Gm_{n}={seq.gml_binet(n).value}")
+        if gm_val != seq.gml_binet(n):
+            return _fail(name, rng, f"n={n}: Gm_{n}(1)={gm_val} vs Gm_{n}={seq.gml_binet(n)}")
     return _ok(name, rng)
 
 
@@ -396,17 +307,6 @@ def _check_decimation(kernel: sf.SymKernel, which: str) -> CheckResult:
     return _ok(name, rng)
 
 
-def _check_two_letter_bridge() -> CheckResult:
-    name, rng = "kernel/two-letter-bridge", "0..60"
-    walk = sf.iter_kernel(sf.SymKernel(3, -2))
-    for n in range(61):
-        two = sf.two_letter_sn(2, 1, n)
-        ker = next(walk)
-        if two != ker:
-            return _fail(name, rng, f"n={n}: two-letter={two} vs kernel={ker}")
-    return _ok(name, rng)
-
-
 def _check_numeric_binet() -> CheckResult:
     name, rng = "numeric-binet", "n<=30, x in {1, 2, 3, 5/2}"
     points = ((1, GaussianDyadic(1)), (2, GaussianDyadic(2)),
@@ -446,21 +346,39 @@ def run_verify(
         raise ValueError(f"unknown fault {inject_fault!r}; choose from {FAULTS}")
     kernel_num = sf.SymKernel(3, -2)
     kernel_poly = sf.SymKernel(Poly((0, 3)), Poly((-2,)))
+    hi_gm, hi_half = min(100, max_n), min(50, max(max_n // 2, 1))
+    hi_gf_poly, hi_dec_poly = min(30, max_poly_n), min(40, max_poly_n)
+
+    def gm_binet(first=0, step=1):
+        return lambda: map(seq.gml_binet, itertools.count(first, step))
+
     checks = [
         _check_convolution(seed),
         _check_decimation(kernel_num, "scalar"),
         _check_decimation(kernel_poly, "poly"),
-        _check_decomposition_gml(max_n),
-        _check_decomposition_gml_poly(max_poly_n),
-        _check_decomposition_ml_poly(max_poly_n),
-        _check_genfun_gml(max_n),
-        _check_genfun_gml_even(max_n),
-        _check_genfun_gml_odd(max_n),
-        _check_genfun_gml_poly(max_poly_n),
-        _check_genfun_ml_poly(max_poly_n),
+        _check_stream("decomposition/gm", hi_gm, lambda: sf.iter_sym_decompose_gml(),
+                      gm_binet(), "decomposition", "binet"),
+        _check_stream("decomposition/gm-poly", hi_dec_poly,
+                      lambda: sf.iter_sym_decompose_gml_poly(), lambda: pf.iter_gml_poly(),
+                      "decomposition", "recurrence"),
+        _check_stream("decomposition/m-poly", hi_dec_poly,
+                      lambda: sf.iter_sym_decompose_ml_poly(), lambda: pf.iter_ml_poly(),
+                      "decomposition", "recurrence"),
+        _check_stream("genfun/gm", hi_gm, lambda: sf.gf_gml(hi_gm), gm_binet(),
+                      "coefficient", "term"),
+        _check_stream("genfun/gm-even", hi_half, lambda: sf.gf_gml_even(hi_half),
+                      gm_binet(0, 2), "coefficient", "Gm({even})"),
+        _check_stream("genfun/gm-odd", hi_half, lambda: sf.gf_gml_odd(hi_half),
+                      gm_binet(1, 2), "coefficient", "Gm({odd})"),
+        _check_stream("genfun/gm-poly", hi_gf_poly, lambda: sf.gf_gml_poly(hi_gf_poly),
+                      lambda: pf.iter_gml_poly(), "coefficient", "term"),
+        _check_stream("genfun/m-poly", hi_gf_poly, lambda: sf.gf_ml_poly(hi_gf_poly),
+                      lambda: pf.iter_ml_poly(), "coefficient", "term"),
         _check_kernel_explicit(kernel_num, "scalar"),
         _check_kernel_explicit(kernel_poly, "poly"),
-        _check_two_letter_bridge(),
+        _check_stream("kernel/two-letter-bridge", 60,
+                      lambda: (sf.two_letter_sn(2, 1, n) for n in itertools.count()),
+                      lambda: sf.iter_kernel(kernel_num), "two-letter", "kernel"),
         _check_backward_closure(max_n),
         _check_negative_numbers(max_n),
         _check_negative_polynomials(max_poly_n),
@@ -468,7 +386,8 @@ def run_verify(
         _check_route_numbers(max_n, inject_fault),
         _check_route_polynomials(max_poly_n),
         _check_specialization(max_n),
-        _check_tables_numbers(),
+        _check_stream("tables/numbers", 5, lambda: map(seq.gml_recurrence, itertools.count()),
+                      lambda: _TABLE_GM, "recurrence", "table"),
         _check_tables_polynomials(),
     ]
     checks.sort(key=lambda c: c.name)

@@ -97,10 +97,10 @@ def test_criterion_02_polynomial_table_coefficient_exact():
 
     def body():
         for n, want in enumerate(rows_m):
-            assert ml_poly(n).value == want
+            assert ml_poly(n) == want
             want_gm = (Poly((2, GaussianDyadic(0, Dyadic(3, 1)))) if n == 0
                        else want + I * rows_m[n - 1])
-            assert gml_poly(n).value == want_gm
+            assert gml_poly(n) == want_gm
 
     _criterion(2, "polynomial table, six rows coefficient-exact", 1.0, body)
 
@@ -111,18 +111,18 @@ def test_criterion_03_number_routes_to_500():
         ga, gb = GaussianDyadic(2, Dyadic(3, 1)), GaussianDyadic(3, 2)
         for n in range(501):
             m_rec = ma if n == 0 else mb
-            assert ml_binet(n).value == GaussianDyadic(m_rec)
-            assert ml_explicit(n).value == GaussianDyadic(m_rec)
+            assert ml_binet(n) == GaussianDyadic(m_rec)
+            assert ml_explicit(n) == GaussianDyadic(m_rec)
             gm_rec = ga if n == 0 else gb
-            assert gml_binet(n).value == gm_rec
+            assert gml_binet(n) == gm_rec
             assert sym_decompose_gml(n) == gm_rec
             if n >= 1:
-                assert gml_from_ml(n).value == gm_rec
-                assert gml_explicit(n).value == gm_rec
+                assert gml_from_ml(n) == gm_rec
+                assert gml_explicit(n) == gm_rec
                 ma, mb = mb, 3 * mb - 2 * ma
                 ga, gb = gb, 3 * gb - 2 * ga
-        assert ml_recurrence(500).value == ml_binet(500).value
-        assert gml_recurrence(500).value == gml_binet(500).value
+        assert ml_recurrence(500) == ml_binet(500)
+        assert gml_recurrence(500) == gml_binet(500)
 
     _criterion(3, "all number routes agree for n <= 500", 5.0, body)
 
@@ -133,13 +133,13 @@ def test_criterion_04_polynomial_routes_to_40():
         gm_iter = iter_gml_poly()
         for n in range(41):
             m_rec = next(m_iter)
-            assert ml_poly_explicit(n).value == m_rec
+            assert ml_poly_explicit(n) == m_rec
             assert sym_decompose_ml_poly(n) == m_rec
             gm_rec = next(gm_iter)
             assert sym_decompose_gml_poly(n) == gm_rec
             if n >= 1:
-                assert gml_poly_explicit(n).value == gm_rec
-                assert gml_poly_from_ml(n).value == gm_rec
+                assert gml_poly_explicit(n) == gm_rec
+                assert gml_poly_from_ml(n) == gm_rec
 
     _criterion(4, "all polynomial routes agree for n <= 40", 10.0, body)
 
@@ -148,12 +148,12 @@ def test_criterion_05_generating_functions():
     def body():
         series = gf_gml(100)
         for n in range(101):
-            assert series[n] == gml_binet(n).value
+            assert series[n] == gml_binet(n)
         even = gf_gml_even(50)
         odd = gf_gml_odd(50)
         for n in range(51):
-            assert even[n] == gml_binet(2 * n).value
-            assert odd[n] == gml_binet(2 * n + 1).value
+            assert even[n] == gml_binet(2 * n)
+            assert odd[n] == gml_binet(2 * n + 1)
         m_series = gf_ml_poly(30)
         gm_series = gf_gml_poly(30)
         m_iter = iter_ml_poly()
@@ -169,18 +169,18 @@ def test_criterion_06_negative_indices():
     def body():
         half_i = GaussianDyadic(0, Dyadic(1, 1))
         for n in range(1, 101):
-            m_pos = ml_binet(n).value
-            assert ml_negative(n).value.mul_pow2(n) == m_pos
-            want = m_pos + half_i * ml_binet(n + 1).value
-            assert gml_negative(n).value.mul_pow2(n) == want
+            m_pos = ml_binet(n)
+            assert ml_negative(n).mul_pow2(n) == m_pos
+            want = m_pos + half_i * ml_binet(n + 1)
+            assert gml_negative(n).mul_pow2(n) == want
         for n in range(1, 41):
-            assert ml_poly_negative(n).value.mul_pow2(n) == ml_poly(n).value
-            want_p = (ml_poly_negative(n).value
-                      + I * ml_poly_negative(n + 1).value)
-            assert gml_poly_negative(n).value == want_p
+            assert ml_poly_negative(n).mul_pow2(n) == ml_poly(n)
+            want_p = (ml_poly_negative(n)
+                      + I * ml_poly_negative(n + 1))
+            assert gml_poly_negative(n) == want_p
 
         def term(k: int) -> GaussianDyadic:
-            return gml_binet(k).value if k >= 0 else gml_negative(-k).value
+            return gml_binet(k) if k >= 0 else gml_negative(-k)
 
         prev2, prev1 = term(-100), term(-99)
         for k in range(-98, 101):
@@ -197,8 +197,8 @@ def test_criterion_07_specialization_at_one():
         m_iter = iter_ml_poly()
         gm_iter = iter_gml_poly()
         for n in range(201):
-            assert poly_eval(next(m_iter), one) == ml_binet(n).value
-            assert poly_eval(next(gm_iter), one) == gml_binet(n).value
+            assert poly_eval(next(m_iter), one) == ml_binet(n)
+            assert poly_eval(next(gm_iter), one) == gml_binet(n)
 
     _criterion(7, "x = 1 specialization for n <= 200", 5.0, body)
 

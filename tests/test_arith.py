@@ -15,8 +15,6 @@ from gmlucas.arith import (
     GaussianDyadic,
     Poly,
     binomial,
-    dyadic_normalize,
-    gaussian_mul,
     poly_eval,
 )
 
@@ -204,10 +202,6 @@ def test_dyadic_text():
     assert str(Dyadic(-7, 4)) == "-7/2^4"
 
 
-def test_dyadic_normalize_helper():
-    assert dyadic_normalize(12, 2) == Dyadic(3)
-
-
 # ------------------------------------------------------------ GaussianDyadic
 
 def test_gaussian_product_oracle():
@@ -226,12 +220,6 @@ def test_gaussian_ops_match_fractions(a, b):
         assert (frac(got.re), frac(got.im)) == want
         assert_canonical(got.re)
         assert_canonical(got.im)
-
-
-def test_gaussian_mul_helper_and_type_guard():
-    assert gaussian_mul(GaussianDyadic(3, 2), GaussianDyadic(1, 1)) == GaussianDyadic(1, 5)
-    with pytest.raises(TypeError):
-        gaussian_mul(GaussianDyadic(1), "2")
 
 
 def test_i_squared_is_minus_one():

@@ -94,6 +94,14 @@ def test_term_json_polynomial_coefficients():
     ]}
 
 
+def test_json_output_is_indented_and_ends_in_a_newline():
+    for argv in (("term", "gmpoly", "2"), ("table", "1"), ("series", "gm", "2"),
+                 ("verify", "--max-n", "6", "--max-poly-n", "6")):
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_term_csv():
     code, out, _ = run_cli("term", "gm", "2", "--format", "csv")
     assert code == 0
@@ -121,6 +129,63 @@ def test_term_invalid_method_is_usage_error():
     code, _, err = run_cli("term", "gm", "-2", "--method", "recurrence")
     assert code == 2
     assert "negative" in err
+
+
+# Which --method answers at which n, family by family. ok: exit 0 and the
+# term on stdout, the same line for every method that answers. Any other
+# entry: exit 2 and that message on stderr.
+ROUTE_MATRIX = """\
+m      -2  negb  ok    negb  negb  negb  negb  ok
+m      -1  negb  ok    negb  negb  negb  negb  ok
+m       0  ok    ok    ok    not   not   not   ok
+m       1  ok    ok    ok    not   not   not   ok
+m       2  ok    ok    ok    not   not   not   ok
+gm     -2  negb  ok    negb  negb  negb  negb  ok
+gm     -1  negb  ok    negb  negb  negb  negb  ok
+gm      0  ok    ok    n>=1  ok    ok    n>=1  ok
+gm      1  ok    ok    ok    ok    ok    ok    ok
+gm      2  ok    ok    ok    ok    ok    ok    ok
+mpoly  -2  ok    negr  negr  negr  negr  negr  ok
+mpoly  -1  ok    negr  negr  negr  negr  negr  ok
+mpoly   0  ok    spot  ok    ok    ok    not   ok
+mpoly   1  ok    spot  ok    ok    ok    not   ok
+mpoly   2  ok    spot  ok    ok    ok    not   ok
+gmpoly -2  ok    negr  negr  negr  negr  negr  ok
+gmpoly -1  ok    negr  negr  negr  negr  negr  ok
+gmpoly  0  ok    spot  n>=1  ok    ok    n>=1  ok
+gmpoly  1  ok    spot  ok    ok    ok    ok    ok
+gmpoly  2  ok    spot  ok    ok    ok    ok    ok
+"""
+MATRIX_METHODS = ("recurrence", "binet", "explicit", "symmetric", "genfun",
+                  "relation", "auto")
+REFUSALS = {
+    "negb": "negative indices come only from the negative extension; "
+            "use method 'binet' or 'auto' for family '{family}'",
+    "negr": "negative indices come only from the negative extension; "
+            "use method 'recurrence' or 'auto' for family '{family}'",
+    "spot": "method 'binet' is only a floating point spot check for the "
+            "polynomial families (see gmlucas.polyfam.binet_numeric), "
+            "not an exact term route",
+    "n>=1": "method '{method}' requires n >= 1 for family '{family}'",
+    "not": "method '{method}' is not a route for family '{family}'",
+}
+
+
+@pytest.mark.parametrize("row", ROUTE_MATRIX.splitlines(),
+                         ids=lambda row: " ".join(row.split()[:2]))
+def test_route_validity_matrix(row):
+    family, n, *entries = row.split()
+    assert len(entries) == len(MATRIX_METHODS)
+    answers = set()
+    for method, entry in zip(MATRIX_METHODS, entries):
+        code, out, err = run_cli("term", family, n, "--method", method)
+        if entry == "ok":
+            assert (code, err) == (0, ""), (method, err)
+            answers.add(out)
+        else:
+            message = REFUSALS[entry].format(method=method, family=family)
+            assert (code, out, err) == (2, "", f"gmlucas: error: {message}\n"), method
+    assert len(answers) == 1 and answers.pop().endswith("\n")
 
 
 def test_term_unknown_family_is_usage_error():

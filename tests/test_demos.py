@@ -1,6 +1,6 @@
 """The demos run end to end: each script in demos/ exits 0.
 
-They read values through the public surface (`.value.re.num`, `int(c.re)`,
+They read values through the public surface (`.re.num`, `int(c.re)`,
 the printed forms), so a change to that surface shows here.
 """
 

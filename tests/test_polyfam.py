@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, poly_eval
 from gmlucas.polyfam import (
     CharRoots,
-    Method,
     binet_numeric,
     char_roots,
     eval_gml_poly,
@@ -58,15 +57,15 @@ TABLE_GM = (
 
 def test_polynomial_table():
     for n in range(6):
-        assert ml_poly(n).value == TABLE_M[n]
-        assert gml_poly(n).value == TABLE_GM[n]
+        assert ml_poly(n) == TABLE_M[n]
+        assert gml_poly(n) == TABLE_GM[n]
 
 
 def test_iterators_match_direct_terms():
     for n, (m_val, gm_val) in enumerate(
             itertools.islice(zip(iter_ml_poly(), iter_gml_poly()), 12)):
-        assert m_val == ml_poly(n).value
-        assert gm_val == gml_poly(n).value
+        assert m_val == ml_poly(n)
+        assert gm_val == gml_poly(n)
 
 
 def test_derived_walks_match_single_terms():
@@ -74,25 +73,25 @@ def test_derived_walks_match_single_terms():
     for walk, term in ((iter_gml_poly_from_ml(), gml_poly_from_ml),
                        (iter_ml_poly_negative(), ml_poly_negative),
                        (iter_gml_poly_negative(), gml_poly_negative)):
-        assert list(itertools.islice(walk, 40)) == [term(n).value for n in range(1, 41)]
+        assert list(itertools.islice(walk, 40)) == [term(n) for n in range(1, 41)]
 
 
 def test_explicit_equals_recurrence():
     for n in range(41):
-        assert ml_poly_explicit(n).value == ml_poly(n).value
+        assert ml_poly_explicit(n) == ml_poly(n)
         if n >= 1:
-            assert gml_poly_explicit(n).value == gml_poly(n).value
+            assert gml_poly_explicit(n) == gml_poly(n)
 
 
 def test_relation_to_base_family():
     for n in range(1, 31):
-        assert gml_poly_from_ml(n).value == gml_poly(n).value
-        assert gml_poly(n).value == ml_poly(n).value + I * ml_poly(n - 1).value
+        assert gml_poly_from_ml(n) == gml_poly(n)
+        assert gml_poly(n) == ml_poly(n) + I * ml_poly(n - 1)
 
 
 def test_degree_and_leading_coefficient():
     for n in range(1, 31):
-        p = ml_poly(n).value
+        p = ml_poly(n)
         assert p.degree == n
         assert p.coeff(n) == GaussianDyadic(3**n)
 
@@ -100,7 +99,7 @@ def test_degree_and_leading_coefficient():
 def test_parity_structure():
     # only degrees n, n-2, n-4, ... appear
     for n in range(31):
-        p = ml_poly(n).value
+        p = ml_poly(n)
         for j in range(n + 1):
             if (n - j) % 2 == 1:
                 assert p.coeff(j) == GaussianDyadic.ZERO
@@ -109,35 +108,35 @@ def test_parity_structure():
 def test_specialization_collapses_to_numbers():
     one = GaussianDyadic.ONE
     for n in range(51):
-        assert poly_eval(ml_poly(n).value, one) == ml_binet(n).value
-        assert poly_eval(gml_poly(n).value, one) == gml_binet(n).value
+        assert poly_eval(ml_poly(n), one) == ml_binet(n)
+        assert poly_eval(gml_poly(n), one) == gml_binet(n)
 
 
 def test_evaluation_at_two():
     # m_3(x) = 27x^3 - 18x, so m_3(2) = 216 - 36 = 180; m_2(2) = 36 - 4 = 32
-    assert poly_eval(ml_poly(3).value, 2) == GaussianDyadic(180)
+    assert poly_eval(ml_poly(3), 2) == GaussianDyadic(180)
     assert eval_gml_poly(3, 2) == GaussianDyadic(180, 32)
 
 
 def test_negative_polynomials():
-    assert ml_poly_negative(1).value == Poly((0, Dyadic(3, 1)))
-    assert ml_poly_negative(2).value == Poly((-1, 0, Dyadic(9, 2)))
+    assert ml_poly_negative(1) == Poly((0, Dyadic(3, 1)))
+    assert ml_poly_negative(2) == Poly((-1, 0, Dyadic(9, 2)))
     for n in range(1, 21):
-        assert ml_poly_negative(n).value.mul_pow2(n) == ml_poly(n).value
+        assert ml_poly_negative(n).mul_pow2(n) == ml_poly(n)
 
 
 def test_negative_gaussian_splits_into_negative_base_terms():
     # Gm_{-n}(x) = m_{-n}(x) + i m_{-(n+1)}(x)
     for n in range(1, 21):
-        want = ml_poly_negative(n).value + I * ml_poly_negative(n + 1).value
-        assert gml_poly_negative(n).value == want
+        want = ml_poly_negative(n) + I * ml_poly_negative(n + 1)
+        assert gml_poly_negative(n) == want
 
 
 def test_backward_closure_through_zero():
     three_x = Poly((0, 3))
 
     def term(k: int) -> Poly:
-        return ml_poly(k).value if k >= 0 else ml_poly_negative(-k).value
+        return ml_poly(k) if k >= 0 else ml_poly_negative(-k)
 
     for k in range(-10, 12):
         assert term(k) == three_x * term(k - 1) - 2 * term(k - 2)
@@ -148,18 +147,8 @@ def test_negative_specialization_matches_negative_numbers():
 
     one = GaussianDyadic.ONE
     for n in range(1, 21):
-        assert poly_eval(ml_poly_negative(n).value, one) == ml_negative(n).value
-        assert poly_eval(gml_poly_negative(n).value, one) == gml_negative(n).value
-
-
-def test_term_records():
-    t = ml_poly(4)
-    assert (t.index, t.method) == (4, Method.RECURRENCE)
-    assert ml_poly_explicit(4).method is Method.EXPLICIT
-    assert gml_poly_from_ml(4).method is Method.RELATION
-    assert ml_poly_negative(3).index == -3
-    with pytest.raises(AttributeError):
-        t.index = 0
+        assert poly_eval(ml_poly_negative(n), one) == ml_negative(n)
+        assert poly_eval(gml_poly_negative(n), one) == gml_negative(n)
 
 
 def test_preconditions():
@@ -228,8 +217,8 @@ def test_poly_walker_specializes_to_number_walker(a, b, n):
 
 
 @pytest.mark.parametrize("route", (
-    lambda n: gml_poly_from_ml(n).value,
-    lambda n: gml_poly_negative(n).value,
+    lambda n: gml_poly_from_ml(n),
+    lambda n: gml_poly_negative(n),
 ), ids=("gml_poly_from_ml", "gml_poly_negative"))
 def test_adjacent_term_routes_walk_once(monkeypatch, route):
     # Counts, not timings: a route that needs two adjacent terms must take
@@ -252,6 +241,6 @@ def test_adjacent_term_routes_walk_once(monkeypatch, route):
         return calls
 
     n = 30
-    one_walk = muls(lambda k: ml_poly(k).value, n)
+    one_walk = muls(lambda k: ml_poly(k), n)
     assert one_walk >= 2 * (n - 1)
     assert muls(route, n) <= one_walk + 4, (muls(route, n), one_walk)

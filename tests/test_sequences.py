@@ -5,17 +5,18 @@ form 2**n + 1 computed inline with shifts, and the hand-expanded binomial
 summands for small n.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from gmlucas.arith import Dyadic, GaussianDyadic
+from gmlucas.arith import Dyadic, GaussianDyadic, Poly
 from gmlucas.sequences import (
     _ml_explicit_int,
     GM0,
     GM1,
     M0,
     M1,
-    Method,
     explicit_summand,
     gml_binet,
     gml_explicit,
@@ -27,6 +28,7 @@ from gmlucas.sequences import (
     ml_negative,
     ml_recurrence,
     recurrence_term,
+    walk,
 )
 
 # First six rows of the number table.
@@ -61,25 +63,25 @@ def test_seeds():
 
 def test_number_table():
     for n, want in enumerate(TABLE_M):
-        assert ml_recurrence(n).value == GaussianDyadic(want)
+        assert ml_recurrence(n) == GaussianDyadic(want)
     for n, want in enumerate(TABLE_GM):
-        assert gml_recurrence(n).value == want
+        assert gml_recurrence(n) == want
 
 
 def test_closed_form_is_two_to_n_plus_one():
     for n in range(65):
-        assert ml_binet(n).value == GaussianDyadic((1 << n) + 1)
+        assert ml_binet(n) == GaussianDyadic((1 << n) + 1)
 
 
 def test_wordsize_boundary_value():
-    assert int(ml_binet(64).value.re) == 18446744073709551617
+    assert int(ml_binet(64).re) == 18446744073709551617
 
 
 def test_number_routes_agree():
     for n in range(81):
-        rec = ml_recurrence(n).value
-        assert ml_binet(n).value == rec
-        assert ml_explicit(n).value == rec
+        rec = ml_recurrence(n)
+        assert ml_binet(n) == rec
+        assert ml_explicit(n) == rec
 
 
 def test_explicit_summands_match_hand_expansion():
@@ -91,7 +93,7 @@ def test_explicit_sum_equals_summand_total():
     # the ratio-updated sum against the per-term reference
     for n in range(1, 61):
         total = sum(explicit_summand(n, j) for j in range(n // 2 + 1))
-        assert ml_explicit(n).value == GaussianDyadic(total)
+        assert ml_explicit(n) == GaussianDyadic(total)
 
 
 def test_ratio_updated_sum_matches_summands_and_closed_form():
@@ -113,45 +115,45 @@ def test_explicit_summand_is_integral():
 
 
 def test_explicit_zero_convention():
-    assert ml_explicit(0).value == GaussianDyadic(2)
+    assert ml_explicit(0) == GaussianDyadic(2)
 
 
 def test_gaussian_routes_agree():
     for n in range(61):
-        rec = gml_recurrence(n).value
-        assert gml_binet(n).value == rec
+        rec = gml_recurrence(n)
+        assert gml_binet(n) == rec
         if n >= 1:
-            assert gml_from_ml(n).value == rec
-            assert gml_explicit(n).value == rec
+            assert gml_from_ml(n) == rec
+            assert gml_explicit(n) == rec
 
 
 def test_gaussian_parts_are_adjacent_numbers():
     for n in range(1, 41):
-        gm = gml_binet(n).value
-        assert gm.re == ml_binet(n).value.re
-        assert gm.im == ml_binet(n - 1).value.re
+        gm = gml_binet(n)
+        assert gm.re == ml_binet(n).re
+        assert gm.im == ml_binet(n - 1).re
 
 
 def test_gaussian_zero_has_fractional_imag_part():
-    assert gml_binet(0).value == GaussianDyadic(2, Dyadic(3, 1))
+    assert gml_binet(0) == GaussianDyadic(2, Dyadic(3, 1))
 
 
 def test_negative_numbers():
-    assert ml_negative(1).value == GaussianDyadic(Dyadic(3, 1))
-    assert ml_negative(2).value == GaussianDyadic(Dyadic(5, 2))
-    assert ml_negative(3).value == GaussianDyadic(Dyadic(9, 3))
-    assert gml_negative(1).value == GaussianDyadic(Dyadic(3, 1), Dyadic(5, 2))
-    assert gml_negative(2).value == GaussianDyadic(Dyadic(5, 2), Dyadic(9, 3))
+    assert ml_negative(1) == GaussianDyadic(Dyadic(3, 1))
+    assert ml_negative(2) == GaussianDyadic(Dyadic(5, 2))
+    assert ml_negative(3) == GaussianDyadic(Dyadic(9, 3))
+    assert gml_negative(1) == GaussianDyadic(Dyadic(3, 1), Dyadic(5, 2))
+    assert gml_negative(2) == GaussianDyadic(Dyadic(5, 2), Dyadic(9, 3))
 
 
 def test_negative_scaling_identity():
     for n in range(1, 31):
-        assert ml_negative(n).value.mul_pow2(n) == ml_binet(n).value
+        assert ml_negative(n).mul_pow2(n) == ml_binet(n)
 
 
 def test_backward_closure_through_zero():
     def term(k: int) -> GaussianDyadic:
-        return gml_binet(k).value if k >= 0 else gml_negative(-k).value
+        return gml_binet(k) if k >= 0 else gml_negative(-k)
 
     for k in range(-20, 21):
         assert term(k) == 3 * term(k - 1) - 2 * term(k - 2)
@@ -159,21 +161,9 @@ def test_backward_closure_through_zero():
 
 def test_negative_denominators_are_bounded():
     for n in range(1, 31):
-        v = gml_negative(n).value
+        v = gml_negative(n)
         assert v.re.exp <= n
         assert v.im.exp <= n + 1
-
-
-def test_term_records():
-    t = ml_recurrence(5)
-    assert (t.index, t.method) == (5, Method.RECURRENCE)
-    assert ml_binet(5).method is Method.BINET
-    assert ml_explicit(5).method is Method.EXPLICIT
-    assert gml_from_ml(5).method is Method.RELATION
-    neg = ml_negative(3)
-    assert (neg.index, neg.method) == (-3, Method.BINET)
-    with pytest.raises(AttributeError):
-        t.index = 7
 
 
 def test_preconditions():
@@ -210,4 +200,30 @@ def test_generic_walker_closed_form(a, b, n):
 def test_negative_index_against_closed_form(n):
     want = GaussianDyadic(Dyadic((1 << n) + 1, n),
                           Dyadic((1 << (n + 1)) + 1, n + 1))
-    assert gml_negative(n).value == want
+    assert gml_negative(n) == want
+
+
+WALK_CASES = {
+    "int seeds, int weights": (2, 3, 3, -2),
+    "int seeds, dyadic weights": (1, -2, Dyadic(3, 1), Dyadic(-5, 2)),
+    "gaussian seeds, dyadic weights": (
+        GaussianDyadic(2, Dyadic(3, 1)), GaussianDyadic(-1, 2),
+        Dyadic(-7, 3), Dyadic(1, 1)),
+    "gaussian seeds, gaussian weights": (
+        GaussianDyadic(1), GaussianDyadic(0, 1),
+        GaussianDyadic(Dyadic(1, 1), -1), GaussianDyadic(2, Dyadic(3, 2))),
+    "poly seeds, poly weights": (
+        Poly((2,)), Poly((0, 3)), Poly((0, 3)), Poly((-2,))),
+    "poly seeds, mixed weights": (
+        Poly((2, GaussianDyadic(0, Dyadic(3, 1)))), Poly((GaussianDyadic(0, 2), 3)),
+        Poly((Dyadic(1, 1), 0, -1)), Dyadic(-3, 2)),
+}
+
+
+@pytest.mark.parametrize("x0, x1, d, p", WALK_CASES.values(), ids=WALK_CASES)
+def test_walk_matches_a_list_built_reference(x0, x1, d, p):
+    ref = [x0, x1]
+    for _ in range(29):
+        ref.append(d * ref[-1] + p * ref[-2])
+    for count in range(32):
+        assert list(itertools.islice(walk(x0, x1, d, p), count)) == ref[:count]

@@ -75,20 +75,13 @@ def test_series_index_bounds():
         s[-1]
 
 
-def test_series_truncate():
-    s = series_from_coeffs([1, 2, 3], 2)
-    assert s.truncate(1).coeffs == (GaussianDyadic(1), GaussianDyadic(2))
-    with pytest.raises(ValueError):
-        s.truncate(5)
-
-
 def test_series_arithmetic_needs_matching_orders():
     a = series_from_coeffs([1], 2)
     b = series_from_coeffs([1], 3)
     with pytest.raises(ValueError):
-        a + b
+        a * b
     with pytest.raises(TypeError):
-        a + [1, 2, 3]
+        a * [1, 2, 3]
 
 
 def test_series_cauchy_product():
@@ -97,13 +90,6 @@ def test_series_cauchy_product():
     b = series_from_coeffs([1, -1], 3)
     assert gvals(a * b) == [GaussianDyadic(1), GaussianDyadic(0),
                            GaussianDyadic(-1), GaussianDyadic(0)]
-
-
-def test_series_add_sub():
-    a = series_from_coeffs([1, 2], 1)
-    b = series_from_coeffs([3, -1], 1)
-    assert gvals(a + b) == [GaussianDyadic(4), GaussianDyadic(1)]
-    assert gvals(a - b) == [GaussianDyadic(-2), GaussianDyadic(3)]
 
 
 def test_empty_series_rejected():
@@ -449,9 +435,9 @@ def test_decompositions_match_recurrences():
     from gmlucas.sequences import gml_recurrence
 
     for n in range(21):
-        assert sym_decompose_gml(n) == gml_recurrence(n).value
-        assert sym_decompose_ml_poly(n) == ml_poly(n).value
-        assert sym_decompose_gml_poly(n) == gml_poly(n).value
+        assert sym_decompose_gml(n) == gml_recurrence(n)
+        assert sym_decompose_ml_poly(n) == ml_poly(n)
+        assert sym_decompose_gml_poly(n) == gml_poly(n)
 
 
 def test_decomposition_walks_match_single_terms():

@@ -7,6 +7,8 @@ Perturbing one term of a route the sweeps walk must make exactly the checks
 that use it fail, at that term's index.
 """
 
+import contextlib
+import io
 import re
 
 import pytest
@@ -15,6 +17,7 @@ from gmlucas import polyfam as pf
 from gmlucas import symfun as sf
 from gmlucas import verify
 from gmlucas.arith import Poly
+from gmlucas.cli import main
 from gmlucas.verify import FAULTS, CheckResult, VerifyReport, run_verify
 
 N_CHECKS = 23
@@ -121,6 +124,33 @@ def test_corrupted_route_walk_is_caught_at_its_index(monkeypatch, module, attr, 
         assert failed[name].startswith(f"n={index}:"), failed[name]
 
 
+# (series route, coefficient made one too large, the check that reads it,
+# its detail): the reference term is named by its own index, and the last
+# coefficient of the range is compared too.
+SERIES_FAULTS = (
+    ("gf_gml", 4, "genfun/gm", "n=4: coefficient=18+9i vs term=17+9i"),
+    ("gf_gml", 12, "genfun/gm", "n=12: coefficient=4098+2049i vs term=4097+2049i"),
+    ("gf_gml_even", 4, "genfun/gm-even", "n=4: coefficient=258+129i vs Gm(8)=257+129i"),
+    ("gf_gml_odd", 4, "genfun/gm-odd", "n=4: coefficient=514+257i vs Gm(9)=513+257i"),
+)
+
+
+@pytest.mark.parametrize("attr, index, check, detail", SERIES_FAULTS,
+                         ids=[f"{fault[0]}@{fault[1]}" for fault in SERIES_FAULTS])
+def test_corrupted_series_coefficient_is_reported_exactly(monkeypatch, attr, index, check,
+                                                          detail):
+    series = getattr(sf, attr)
+
+    def corrupted(order):
+        coeffs = list(series(order))
+        coeffs[index] += 1
+        return sf.PowerSeries(coeffs)
+
+    monkeypatch.setattr(sf, attr, corrupted)
+    report = run_verify(max_n=12, max_poly_n=6)
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {check: detail}
+
+
 def test_polynomial_route_sweep_is_linear(monkeypatch):
     # Counts, not timings: a sweep that reruns a recurrence from index 0 for
     # every n does about 4x the multiplications when n doubles, a single
@@ -144,3 +174,51 @@ def test_polynomial_route_sweep_is_linear(monkeypatch):
 
     small, large = muls(40), muls(80)
     assert large / small < 2.5, (small, large)
+
+
+GOLDEN_CSV = """\
+name,range,status,detail
+convolution/definition1,"200 alphabets, n<=12",pass,
+decimation/kernel-poly,0..30,pass,
+decimation/kernel-scalar,0..30,pass,
+decomposition/gm,0..12,pass,
+decomposition/gm-poly,0..6,pass,
+decomposition/m-poly,0..6,pass,
+genfun/gm,0..12,pass,
+genfun/gm-even,0..6,pass,
+genfun/gm-odd,0..6,pass,
+genfun/gm-poly,0..6,pass,
+genfun/m-poly,0..6,pass,
+kernel/explicit-poly,0..60,pass,
+kernel/explicit-scalar,0..60,pass,
+kernel/two-letter-bridge,0..60,pass,
+negative/backward-closure,-10..12,pass,
+negative/numbers,1..12,pass,
+negative/polynomials,1..6,pass,
+numeric-binet,"n<=30, x in {1, 2, 3, 5/2}",pass,
+route-agreement/numbers,0..12,pass,
+route-agreement/polynomials,0..6,pass,
+specialization/x=1,0..12,pass,
+tables/numbers,0..5,pass,
+tables/polynomials,0..5,pass,
+"""
+GOLDEN_FAULT_LINES = {
+    "m1": "route-agreement/numbers,0..12,fail,n=1: recurrence=4 binet=3 explicit=3",
+    "gm0": "route-agreement/numbers,0..12,fail,n=0: recurrence=3+3i/2 vs binet=2+3i/2",
+    "gm1": "route-agreement/numbers,0..12,fail,n=1: recurrence=4+2i vs binet=3+2i",
+}
+
+
+@pytest.mark.parametrize("fault", (None, *FAULTS))
+def test_small_csv_report_is_golden(fault):
+    argv = ["verify", "--max-n", "12", "--max-poly-n", "6", "--format", "csv"]
+    want, want_code = GOLDEN_CSV, 0
+    if fault:
+        argv += ["--inject-fault", fault]
+        want = want.replace("route-agreement/numbers,0..12,pass,",
+                            GOLDEN_FAULT_LINES[fault])
+        want_code = 1
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (want_code, want, "")
