@@ -24,8 +24,8 @@ coefficients are built only when asked for (coeffs, coeff, str, repr).
 
 Poly mul is schoolbook with one fast path, the one-term path: when the
 shorter operand is a single term c x**j, as the recurrence multipliers 3x
-and -2 and the powers d**k are, the product is the other operand scaled by
-c and shifted by j, built directly.
+and -2 and the powers d**k are, or a GaussianDyadic scalar c, the product
+is the other operand scaled by c and shifted by j, built directly.
 
 Poly evaluation at a real integer point, the real-point path, runs Horner
 on re and im as two real chains, half the big-int multiplies of the Z[i]
@@ -560,6 +560,9 @@ class Poly:
 
     def __mul__(self, other):
         if type(other) is not Poly:
+            if type(other) is GaussianDyadic:
+                # A scalar factor is one term c x**0; it never becomes a Poly.
+                return _scaled(self, other.a, other.b, 0, other.exp)
             other = Poly._coerce(other)
             if other is None:
                 return NotImplemented
@@ -573,17 +576,7 @@ class Poly:
         if not (any(a.re[:j]) or any(a.im[:j])):
             # a is one term c x**j: scale b by c and shift it by j, with no
             # zero vector to add into.
-            sr, si, pad = a.re[j], a.im[j], [0] * j
-            if not si:
-                out_re = pad + [sr * x for x in br]
-                out_im = pad + [sr * y for y in bi]
-            elif not sr:
-                out_re = pad + [-si * y for y in bi]
-                out_im = pad + [si * x for x in br]
-            else:
-                out_re = pad + [sr * x - si * y for x, y in zip(br, bi)]
-                out_im = pad + [sr * y + si * x for x, y in zip(br, bi)]
-            return _poly(out_re, out_im, a.exp + b.exp)
+            return _scaled(b, a.re[j], a.im[j], j, a.exp)
         b_real = not any(bi)
         size = len(a.re) + len(br) - 1
         out_re = [0] * size
@@ -745,6 +738,21 @@ def _poly(re: list, im: list, exp: int) -> Poly:
             im = [c >> cancel for c in im]
             exp -= cancel
     return _make_poly(tuple(re), tuple(im), exp)
+
+
+def _scaled(p: Poly, sr: int, si: int, j: int, exp: int) -> Poly:
+    """p times the one term (sr + si i) x**j / 2**exp, built directly."""
+    br, bi, pad = p.re, p.im, [0] * j
+    if not si:
+        out_re = pad + [sr * x for x in br]
+        out_im = pad + [sr * y for y in bi]
+    elif not sr:
+        out_re = pad + [-si * y for y in bi]
+        out_im = pad + [si * x for x in br]
+    else:
+        out_re = pad + [sr * x - si * y for x, y in zip(br, bi)]
+        out_im = pad + [sr * y + si * x for x, y in zip(br, bi)]
+    return _poly(out_re, out_im, p.exp + exp)
 
 
 def _poly_sum(a: Poly, b: Poly, op) -> Poly:

@@ -10,23 +10,28 @@ Everything here is ring generic: coefficients may be GaussianDyadic or Poly,
 and truncated series division only ever inverts constant terms that are
 units (in practice 1 or 2).
 
-Scalar series run on int pairs: when the coefficients are GaussianDyadic,
-series_div and the Cauchy product align each operand to one power-of-two
-denominator, carry every coefficient as a Gaussian integer (a pair of Python
-ints), and build each GaussianDyadic once, at the end.  Series over Poly
-keep the generic loop on ring elements.
+Series run on ints: when the coefficients are GaussianDyadic, series_div
+and the Cauchy product align each operand to one power-of-two denominator,
+carry every coefficient as a Gaussian integer (a pair of Python ints), and
+build each GaussianDyadic once, at the end.  series_div over Poly does the
+same with vectors of Gaussian integers and builds each Poly once; the Cauchy
+product of Poly series keeps the generic loop on ring elements.
 
-iter_kernel_explicit walks the closed binomial route: it extends its lists
-of powers of d and p by one factor per term instead of rebuilding them.
+kernel_term computes S_n by doubling on the pair (S_{j-1}, S_j), in about
+log2 n steps of three products each; it never runs the recurrence,
+which iter_kernel walks.  iter_kernel_explicit and iter_two_letter_sn walk
+their closed sums: each extends its lists of powers by one factor per term
+instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import Dyadic, GaussianDyadic, Poly, _canonical, binomial
+from .arith import Dyadic, GaussianDyadic, Poly, _canonical, _poly, binomial
 from .sequences import walk
 
 
@@ -61,6 +66,14 @@ def _align(values) -> tuple[list, list, int]:
     e = max((v.exp for v in values), default=0)
     return ([v.a << (e - v.exp) for v in values],
             [v.b << (e - v.exp) for v in values], e)
+
+
+def _align_polys(polys) -> tuple[list, list, int]:
+    """Poly values as Gaussian-integer vectors over their largest
+    denominator 2**e: value j is (re[j] + im[j] i) / 2**e, coefficientwise."""
+    e = max((q.exp for q in polys), default=0)
+    return ([[c << (e - q.exp) for c in q.re] for q in polys],
+            [[c << (e - q.exp) for c in q.im] for q in polys], e)
 
 
 class PowerSeries:
@@ -177,14 +190,7 @@ def series_div(num, den, order: int) -> PowerSeries:
         raise ValueError(f"denominator constant term is not invertible: {err}") from None
     if type(inv) is GaussianDyadic:
         return _series(_series_div_gaussian(num, den, inv, order))
-    zero = _zero_like(den[0])
-    out: list = []
-    for n in range(order + 1):
-        acc = num[n] if n < len(num) else zero
-        for k in range(1, min(n, len(den) - 1) + 1):
-            acc = acc - den[k] * out[n - k]
-        out.append(inv * acc)
-    return _series(tuple(out))
+    return _series(_series_div_poly(num, den, inv, order))
 
 
 def _series_div_gaussian(num: list, den: list, inv: GaussianDyadic, order: int) -> tuple:
@@ -217,6 +223,57 @@ def _series_div_gaussian(num: list, den: list, inv: GaussianDyadic, order: int) 
         tr.append(ar)
         ti.append(ai)
         out.append(_canonical(ar, ai, g + n * f))
+    return tuple(out)
+
+
+def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
+    """series_div's coefficients on Z[i][x] vectors.
+
+    The same scheme as _series_div_gaussian, with T_n a vector of Gaussian
+    integers: each nonzero term of D_k subtracts one shifted, scaled copy of
+    T_{n-k}, and each coefficient becomes a Poly once.
+    """
+    if inv != Poly.ONE:
+        num = [inv * c for c in num]
+        den = [inv * c for c in den]
+    nr, ni, g = _align_polys(num)
+    dr, di, f = _align_polys(den)
+    # The nonzero terms (j, re, im) of each D_k, k >= 1, times 2**((k - 1) f).
+    taps = [[(j, r << (k - 1) * f, i << (k - 1) * f)
+             for j, (r, i) in enumerate(zip(dr[k], di[k])) if r or i]
+            for k in range(1, len(den))]
+    # T_{n-1}, T_{n-2}, ...: only as many as there are taps, so the vectors
+    # held stay one per tap, not one per coefficient.
+    recent: deque = deque(maxlen=len(taps))
+    out: list = []
+    for n in range(order + 1):
+        if n < len(nr):
+            ar = [c << n * f for c in nr[n]]
+            ai = [c << n * f for c in ni[n]]
+        else:
+            ar, ai = [], []
+        for (xr, xi), terms in zip(recent, taps):
+            if not (xr and terms):
+                continue
+            grow = terms[-1][0] + len(xr) - len(ar)
+            if grow > 0:
+                ar += [0] * grow
+                ai += [0] * grow
+            x_imag = any(xi)
+            for j, cr, ci in terms:
+                end = j + len(xr)
+                if cr:
+                    ar[j:end] = [o - cr * x for o, x in zip(ar[j:end], xr)]
+                    if x_imag:
+                        ai[j:end] = [o - cr * y for o, y in zip(ai[j:end], xi)]
+                if ci:
+                    ai[j:end] = [o - ci * x for o, x in zip(ai[j:end], xr)]
+                    if x_imag:
+                        ar[j:end] = [o + ci * y for o, y in zip(ar[j:end], xi)]
+        # _poly trims trailing zeros from ar and ai in place, so T_n is kept
+        # at the length of coefficient n.
+        out.append(_poly(ar, ai, g + n * f))
+        recent.appendleft((ar, ai))
     return tuple(out)
 
 
@@ -292,6 +349,14 @@ def s_diff_convolution(lam, mu, n: int):
     return acc
 
 
+def _two_letter_sum(n: int, pows1: list, pows2: list, zero):
+    """sum_j l1**j l2**(n-j) from the powers l1**0..l1**n and l2**0..l2**n."""
+    acc = zero
+    for j in range(n + 1):
+        acc = acc + pows1[j] * pows2[n - j]
+    return acc
+
+
 def two_letter_sn(l1, l2, n: int):
     """S_n of a two-letter alphabet: sum of l1**j * l2**(n-j)."""
     if n < 0:
@@ -303,10 +368,20 @@ def two_letter_sn(l1, l2, n: int):
     for _ in range(n):
         pows1.append(pows1[-1] * l1)
         pows2.append(pows2[-1] * l2)
-    acc = _zero_like(l1)
-    for j in range(n + 1):
-        acc = acc + pows1[j] * pows2[n - j]
-    return acc
+    return _two_letter_sum(n, pows1, pows2, _zero_like(l1))
+
+
+def iter_two_letter_sn(l1, l2) -> Iterator:
+    """Yields two_letter_sn(l1, l2, 0), (1), ...: each step extends both
+    lists of powers by one factor instead of rebuilding them."""
+    l1, l2 = _common_ring([l1, l2])
+    one, zero = _one_like(l1), _zero_like(l1)
+    pows1, pows2 = [one], [one]
+    for n in itertools.count():
+        if n:
+            pows1.append(pows1[-1] * l1)
+            pows2.append(pows2[-1] * l2)
+        yield _two_letter_sum(n, pows1, pows2, zero)
 
 
 @dataclass(frozen=True)
@@ -323,13 +398,27 @@ class SymKernel:
 
 
 def kernel_term(k: SymKernel, n: int):
-    """S_n of the kernel by running its recurrence; zero for n < 0."""
-    zero = _zero_like(k.d)
+    """S_n of the kernel by doubling; zero for n < 0.
+
+    From S_{a+b} = S_a S_b + p S_{a-1} S_{b-1}, the pair (S_{j-1}, S_j)
+    gives S_{2j-1} = S_{j-1} (2 S_j - d S_{j-1}), S_{2j} = S_j**2 + p S_{j-1}**2
+    and S_{2j+1} = S_j (d S_j + 2p S_{j-1}).  Starting from (S_0, S_1) =
+    (1, d), each bit of n below the leading one moves j to 2j or 2j + 1.
+    No step of the recurrence is taken, so checking this route against the
+    iter_kernel walk compares two algorithms.
+    """
     if n < 0:
-        return zero
-    prev, cur = zero, _one_like(k.d)
-    for _ in range(n):
-        prev, cur = cur, k.d * cur + k.p * prev
+        return _zero_like(k.d)
+    if n == 0:
+        return _one_like(k.d)
+    d, p = k.d, k.p
+    two_p = 2 * p
+    prev, cur = _one_like(d), d
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            prev, cur = cur * cur + p * (prev * prev), cur * (d * cur + two_p * prev)
+        else:
+            prev, cur = prev * (2 * cur - d * prev), cur * cur + p * (prev * prev)
     return cur
 
 
@@ -418,22 +507,26 @@ def gf_gml_odd(order: int) -> PowerSeries:
     return series_div(num, den, order)
 
 
+_GF_ML_POLY_NUM = (Poly((2,)), Poly((0, -3)))
+_GF_ML_POLY_DEN = (Poly((1,)), Poly((0, -3)), Poly((2,)))
+
+
 def gf_ml_poly(order: int) -> PowerSeries:
     """Sum of m_n(x) z**n: (2 - 3x z) / (1 - 3x z + 2 z**2)."""
-    num = [Poly((2,)), Poly((0, -3))]
-    den = [Poly((1,)), Poly((0, -3)), Poly((2,))]
-    return series_div(num, den, order)
+    return series_div(_GF_ML_POLY_NUM, _GF_ML_POLY_DEN, order)
+
+
+_GF_GML_POLY_NUM = (
+    Poly((4, GaussianDyadic(0, 3))),
+    Poly((GaussianDyadic(0, 4), -6, GaussianDyadic(0, -9))),
+)
+_GF_GML_POLY_DEN = (Poly((2,)), Poly((0, -6)), Poly((4,)))
 
 
 def gf_gml_poly(order: int) -> PowerSeries:
     """Sum of Gm_n(x) z**n:
     (4 + 3ix + (i(4 - 9x**2) - 6x) z) / (2 - 6x z + 4 z**2)."""
-    num = [
-        Poly((4, GaussianDyadic(0, 3))),
-        Poly((GaussianDyadic(0, 4), -6, GaussianDyadic(0, -9))),
-    ]
-    den = [Poly((2,)), Poly((0, -6)), Poly((4,))]
-    return series_div(num, den, order)
+    return series_div(_GF_GML_POLY_NUM, _GF_GML_POLY_DEN, order)
 
 
 # Decompositions of the families over their kernels, c0 S_n +- c1 S_{n-1}.

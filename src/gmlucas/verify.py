@@ -377,7 +377,7 @@ def run_verify(
         _check_kernel_explicit(kernel_num, "scalar"),
         _check_kernel_explicit(kernel_poly, "poly"),
         _check_stream("kernel/two-letter-bridge", 60,
-                      lambda: (sf.two_letter_sn(2, 1, n) for n in itertools.count()),
+                      lambda: sf.iter_two_letter_sn(2, 1),
                       lambda: sf.iter_kernel(kernel_num), "two-letter", "kernel"),
         _check_backward_closure(max_n),
         _check_negative_numbers(max_n),

@@ -718,6 +718,18 @@ def test_one_term_products_match_reference(t, b):
         assert_poly_canonical(got)
 
 
+@given(st.one_of(one_term_coeffs, st.just(GaussianDyadic.ZERO)), gaussian_polys)
+# (1 + i)/2 times a multiple of 1 + i shares a two with the denominator.
+@example(GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1)), Poly((GaussianDyadic(1, 1),)))
+def test_scalar_products_match_reference(c, b):
+    # A GaussianDyadic factor scales the Poly without becoming one.
+    want = ref_mul((c,), b.coeffs)
+    for got in (c * b, b * c):
+        assert type(got) is Poly
+        assert got.coeffs == want
+        assert_poly_canonical(got)
+
+
 @given(gaussian_polys, small_gaussians)
 def test_poly_eval_matches_reference(a, x):
     assert a(x) == ref_eval(a.coeffs, x)

@@ -27,6 +27,7 @@ from gmlucas.symfun import (
     iter_sym_decompose_gml,
     iter_sym_decompose_gml_poly,
     iter_sym_decompose_ml_poly,
+    iter_two_letter_sn,
     kernel_even_odd_series,
     kernel_series,
     kernel_term,
@@ -41,7 +42,12 @@ from gmlucas.symfun import (
     sym_decompose_ml_poly,
     two_letter_sn,
 )
-from test_arith import assert_gaussian_canonical, gaussian_parts
+from test_arith import (
+    assert_gaussian_canonical,
+    assert_poly_canonical,
+    gaussian_parts,
+    gaussian_polys,
+)
 
 I = GaussianDyadic.I
 KER_NUM = SymKernel(3, -2)
@@ -156,8 +162,22 @@ def test_division_round_trip_property(num, den_tail, den_head):
     assert series_from_coeffs(den, order) * s == series_from_coeffs(num, order)
 
 
-# Scalar series run on Gaussian-integer pairs; the same series lifted to
-# constant Polys take the generic ring loop, which is the reference here.
+# Scalar series run on Gaussian-integer pairs and Poly series on Z[i][x]
+# vectors.  The generic ring loop that series_div once ran on both is the
+# reference for division; for the Cauchy product it is the same series lifted
+# to constant Polys, which take the product's generic loop.
+
+def reference_series_div(num, den, order):
+    inv = den[0].inverse()
+    zero = 0 * den[0]
+    out = []
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else zero
+        for k in range(1, min(n, len(den) - 1) + 1):
+            acc = acc - den[k] * out[n - k]
+        out.append(inv * acc)
+    return out
+
 
 scalar_coeffs = st.builds(lambda parts: GaussianDyadic(*parts), gaussian_parts())
 UNIT_HEADS = (GaussianDyadic(1), GaussianDyadic(2), GaussianDyadic(1, 1),
@@ -168,7 +188,7 @@ def lifted(coeffs):
     return [Poly((c,)) for c in coeffs]
 
 
-def assert_scalar_matches_lifted(got, want):
+def assert_scalars_match(got, want):
     assert len(got) == len(want)
     for c, w in zip(got, want):
         assert type(c) is GaussianDyadic
@@ -184,7 +204,7 @@ def assert_scalar_matches_lifted(got, want):
 def test_scalar_division_matches_generic_path(num, head, tail, order):
     den = [head] + tail
     got = series_div(num, den, order)
-    assert_scalar_matches_lifted(got, series_div(lifted(num), lifted(den), order))
+    assert_scalars_match(got, reference_series_div(num, den, order))
     assert series_from_coeffs(den, order) * got == series_from_coeffs(num, order)
 
 
@@ -194,7 +214,28 @@ def test_scalar_division_matches_generic_path(num, head, tail, order):
 def test_scalar_cauchy_product_matches_generic_path(a, b, order):
     got = series_from_coeffs(a, order) * series_from_coeffs(b, order)
     want = series_from_coeffs(lifted(a), order) * series_from_coeffs(lifted(b), order)
-    assert_scalar_matches_lifted(got, want)
+    assert_scalars_match(got, want)
+
+
+POLY_HEADS = (1, 2, GaussianDyadic(1, 1), GaussianDyadic(0, Dyadic(1, 1)), Dyadic(-1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(gaussian_polys, max_size=4), st.sampled_from(POLY_HEADS),
+       st.lists(gaussian_polys, max_size=3), st.integers(0, 16))
+# The gm-poly generating function: constant 2, imaginary numerator terms.
+@example([Poly((4, GaussianDyadic(0, 3))),
+          Poly((GaussianDyadic(0, 4), -6, GaussianDyadic(0, -9)))],
+         2, [Poly((0, -6)), Poly((4,))], 12)
+def test_poly_division_matches_generic_loop(num, head, tail, order):
+    den = [Poly((head,))] + tail
+    got = series_div(num, den, order)
+    want = reference_series_div(num, den, order)
+    assert len(got) == order + 1
+    for c, w in zip(got, want):
+        assert type(c) is Poly
+        assert_poly_canonical(c)
+        assert c == w
 
 
 # ---------------------------------------------------------------- alphabets
@@ -286,6 +327,15 @@ def test_two_letter_with_poly_letter():
     assert two_letter_sn(Poly.X, 2, 2) == Poly((4, 2, 1))
 
 
+@pytest.mark.parametrize("l1, l2", [
+    (2, 1), (3, -1), (Dyadic(3, 1), Dyadic(-1, 2)), (2, Dyadic(1, 1)),
+    (GaussianDyadic(1, 1), GaussianDyadic(Dyadic(1, 1), -2)), (I, -I),
+])
+def test_two_letter_walk_matches_single_terms(l1, l2):
+    walk = itertools.islice(iter_two_letter_sn(l1, l2), 31)
+    assert list(walk) == [two_letter_sn(l1, l2, n) for n in range(31)]
+
+
 def test_two_letter_bridges_to_kernel():
     # letters (2, 1) have sum 3 and product 2, hence kernel (3, -2)
     for n in range(31):
@@ -334,6 +384,50 @@ def test_explicit_kernel_walk_matches_single_terms(d, p):
     kernel = SymKernel(d, p)
     walk = itertools.islice(iter_kernel_explicit(kernel), 61)
     assert list(walk) == [kernel_term_explicit(kernel, n) for n in range(61)]
+
+
+# kernel_term doubles; the reference builds S_{-1}, S_0, ... in a list, one
+# recurrence step at a time.
+
+def reference_kernel_term(k, n):
+    zero = Poly.ZERO if isinstance(k.d, Poly) else GaussianDyadic.ZERO
+    terms = [zero, zero + 1]
+    while len(terms) < n + 2:
+        terms.append(k.d * terms[-1] + k.p * terms[-2])
+    return terms[n + 1] if n >= -1 else zero
+
+
+small_poly_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Dyadic, st.integers(-3, 3), st.integers(0, 2)),
+    st.builds(GaussianDyadic, st.integers(-2, 2), st.integers(-2, 2)),
+)
+kernel_weights = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Dyadic, st.integers(-9, 9), st.integers(0, 3)),
+    scalar_coeffs,
+    st.builds(Poly, st.lists(small_poly_coeffs, min_size=2, max_size=3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_weights, kernel_weights, st.integers(-2, 130))
+@example(KER_POLY.d, KER_POLY.p, 130)
+@example(KER_NUM.d, KER_NUM.p, 129)
+@example(Poly((1, I, -2)), Poly((Dyadic(1, 1), 3)), 64)
+@example(2, 0, 7)
+def test_kernel_term_matches_reference_recurrence(d, p, n):
+    k = SymKernel(d, p)
+    got = kernel_term(k, n)
+    want = reference_kernel_term(k, n)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def test_kernel_term_at_the_caps_matches_the_walk():
+    for kernel, n in ((KER_POLY, 500), (KER_NUM, 20000)):
+        walked = next(itertools.islice(iter_kernel(kernel), n, None))
+        assert kernel_term(kernel, n) == walked
 
 
 def test_poly_kernel_small_terms():
@@ -441,7 +535,7 @@ def test_decompositions_match_recurrences():
 
 
 def test_decomposition_walks_match_single_terms():
-    # one walk of the kernel against a rerun from index 0 for every n
+    # one walk of the kernel against two doubling kernel_term calls per n
     for walk, term, hi in (
             (iter_sym_decompose_gml(), sym_decompose_gml, 60),
             (iter_sym_decompose_ml_poly(), sym_decompose_ml_poly, 40),

@@ -96,6 +96,7 @@ ROUTE_WALKS = (
     (pf, "iter_gml_poly_negative", 1, {"negative/polynomials": 3}),
     (sf, "iter_kernel_explicit", 0,
      {"kernel/explicit-scalar": 3, "kernel/explicit-poly": 3}),
+    (sf, "iter_two_letter_sn", 0, {"kernel/two-letter-bridge": 3}),
     # The decomposition walks run on the kernel walk too. S_3 is coefficient
     # 1 of the S(2n+1) series and 2 of the S(2n-1) one.
     (sf, "iter_kernel", 0,
