@@ -10,7 +10,6 @@ as a floating point cross-check.
 from gmlucas import (
     GaussianDyadic,
     binet_numeric,
-    eval_gml_poly,
     gml_poly,
     ml_binet,
     ml_poly,
@@ -42,13 +41,13 @@ for n in (0, 1, 5, 10, 50):
 print()
 print("Exact evaluation anywhere in the ring, e.g. x = 2:")
 print(f"  m_3(2)  = {poly_eval(ml_poly(3), 2)}   (27*8 - 18*2 = 180)")
-print(f"  Gm_3(2) = {eval_gml_poly(3, 2)}")
+print(f"  Gm_3(2) = {poly_eval(gml_poly(3), 2)}")
 
 print()
 print("Floating point closed form vs exact evaluation at x = 2")
 for n in (3, 10, 20):
     approx = binet_numeric(n, 2)
-    exact = complex(eval_gml_poly(n, 2))
+    exact = complex(poly_eval(gml_poly(n), 2))
     rel = abs(approx - exact) / (1 + abs(exact))
     print(f"  n={n:>2}: closed form {approx:.6g}, relative error {rel:.2e}")
     assert rel <= 1e-9

@@ -32,7 +32,6 @@ from .polyfam import (
     CharRoots,
     binet_numeric,
     char_roots,
-    eval_gml_poly,
     gml_poly,
     gml_poly_explicit,
     gml_poly_from_ml,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet", "CharRoots", "CheckResult", "Dyadic", "GaussianDyadic",
     "Poly", "PowerSeries", "SymKernel", "VerifyReport", "binet_numeric",
-    "binomial", "char_roots", "eval_gml_poly", "explicit_summand", "gf_gml",
+    "binomial", "char_roots", "explicit_summand", "gf_gml",
     "gf_gml_even", "gf_gml_odd", "gf_gml_poly", "gf_ml_poly", "gml_binet",
     "gml_explicit", "gml_from_ml", "gml_negative", "gml_poly",
     "gml_poly_explicit", "gml_poly_from_ml", "gml_poly_negative",

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import Dyadic, GaussianDyadic, Poly, poly_eval
+from .arith import Dyadic, GaussianDyadic, Poly
 from .sequences import explicit_summand, walk
 
 
@@ -168,7 +168,3 @@ def binet_numeric(n: int, x: float) -> complex:
     im = _cpow(l1, n - 1) + _cpow(l2, n - 1)
     return re + 1j * im
 
-
-def eval_gml_poly(n: int, x) -> GaussianDyadic:
-    """Exact Gm_n(x) at a dyadic point, for comparison with binet_numeric."""
-    return poly_eval(gml_poly(n), x)

@@ -10,18 +10,25 @@ Everything here is ring generic: coefficients may be GaussianDyadic or Poly,
 and truncated series division only ever inverts constant terms that are
 units (in practice 1 or 2).
 
-Series run on ints: when the coefficients are GaussianDyadic, series_div
-and the Cauchy product align each operand to one power-of-two denominator,
-carry every coefficient as a Gaussian integer (a pair of Python ints), and
-build each GaussianDyadic once, at the end.  series_div over Poly does the
-same with vectors of Gaussian integers and builds each Poly once; the Cauchy
-product of Poly series keeps the generic loop on ring elements.
+Series run on ints: when the coefficients are GaussianDyadic, series_div,
+the Cauchy product and prod(1 - letter z) of an alphabet align each operand
+to one power-of-two denominator, carry every coefficient as a Gaussian
+integer (a pair of Python ints), and build each GaussianDyadic once, at the
+end.  series_div over Poly does the same with vectors of Gaussian integers
+and builds each Poly once; the Cauchy product of Poly series and the
+alphabet product of Poly letters keep the generic loop on ring elements.
+The closed sums run on ints in every ring: the binomial sum of
+kernel_term_explicit and the two-letter sum of two_letter_sn align their
+products over one denominator, multiply them out term by term over the
+nonzero terms of each power into Gaussian-integer vectors, and build one
+GaussianDyadic or Poly per sum.
 
 kernel_term computes S_n by doubling on the pair (S_{j-1}, S_j), in about
 log2 n steps of three products each; it never runs the recurrence,
 which iter_kernel walks.  iter_kernel_explicit and iter_two_letter_sn walk
-their closed sums: each extends its lists of powers by one factor per term
-instead of rebuilding them.
+their closed sums: each extends its powers by one factor per term, keeps
+every power as its nonzero terms and exponent, and sums each term from
+those, so no summand builds a ring element.
 """
 
 from __future__ import annotations
@@ -53,7 +60,12 @@ def _zero_like(value):
 
 
 def _common_ring(entries: list) -> list:
-    """Coerce a mixed int/Dyadic/GaussianDyadic/Poly list into one ring."""
+    """Coerce a mixed int/Dyadic/GaussianDyadic/Poly list into one ring;
+    a list already in one ring comes back as it is."""
+    if entries:
+        ring = type(entries[0])
+        if (ring is GaussianDyadic or ring is Poly) and all(type(e) is ring for e in entries):
+            return entries
     entries = [_as_ring(e) for e in entries]
     if any(isinstance(e, Poly) for e in entries):
         entries = [e if isinstance(e, Poly) else Poly((e,)) for e in entries]
@@ -184,10 +196,12 @@ def series_div(num, den, order: int) -> PowerSeries:
         raise ZeroDivisionError("empty denominator")
     mixed = _common_ring(num + den)
     num, den = mixed[: len(num)], mixed[len(num):]
-    try:
-        inv = den[0].inverse()
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"denominator constant term is not invertible: {err}") from None
+    inv = den[0]
+    if inv != _one_like(inv):
+        try:
+            inv = inv.inverse()
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"denominator constant term is not invertible: {err}") from None
     if type(inv) is GaussianDyadic:
         return _series(_series_div_gaussian(num, den, inv, order))
     return _series(_series_div_poly(num, den, inv, order))
@@ -307,6 +321,18 @@ def _alphabet_poly(letters) -> list:
     """Coefficients of prod(1 - letter * z) over the letters' ring."""
     if not letters:
         return [GaussianDyadic.ONE]
+    if type(letters[0]) is GaussianDyadic:
+        # With every letter over 2**e, coefficient j is C_j / 2**(e j) for
+        # the Gaussian integers C_j of prod(1 - (letter * 2**e) z).
+        lr, li, e = _align(letters)
+        cr, ci = [1], [0]
+        for r, i in zip(lr, li):
+            nr, ni = cr + [0], ci + [0]
+            for j, (xr, xi) in enumerate(zip(cr, ci), 1):
+                nr[j] -= r * xr - i * xi
+                ni[j] -= r * xi + i * xr
+            cr, ci = nr, ni
+        return [_canonical(r, i, e * j) for j, (r, i) in enumerate(zip(cr, ci))]
     one = _one_like(letters[0])
     zero = _zero_like(letters[0])
     coeffs = [one]
@@ -349,12 +375,54 @@ def s_diff_convolution(lam, mu, n: int):
     return acc
 
 
-def _two_letter_sum(n: int, pows1: list, pows2: list, zero):
-    """sum_j l1**j l2**(n-j) from the powers l1**0..l1**n and l2**0..l2**n."""
-    acc = zero
-    for j in range(n + 1):
-        acc = acc + pows1[j] * pows2[n - j]
-    return acc
+def _terms(x) -> tuple[list, int]:
+    """The nonzero terms (j, re, im) of a GaussianDyadic or Poly, with its
+    exponent: the value is the sum of (re + im i) x**j / 2**exp over them."""
+    if type(x) is GaussianDyadic:
+        return ([(0, x.a, x.b)] if x.a or x.b else []), x.exp
+    return [(j, r, i) for j, (r, i) in enumerate(zip(x.re, x.im)) if r or i], x.exp
+
+
+def _powers(x) -> Iterator:
+    """Yields the _terms of x**0, x**1, x**2, ..., one product apart."""
+    power = _one_like(x)
+    while True:
+        yield _terms(power)
+        power = power * x
+
+
+def _first_powers(x, count: int) -> list:
+    """The _terms of x**0, x**1, ..., x**count."""
+    return list(itertools.islice(_powers(x), count + 1))
+
+
+def _product_sum(products, like):
+    """sum c u w over the products (c, u, w) of an int c and two _terms u, w,
+    as one element of like's ring.
+
+    Every product is aligned over the largest denominator 2**e among them and
+    multiplied out term by term into Gaussian-integer vectors, so the sum
+    builds one GaussianDyadic or Poly, at the end.
+    """
+    products = [(c, u, w) for c, u, w in products if u[0] and w[0]]
+    e = max((u[1] + w[1] for _, u, w in products), default=0)
+    size = max((u[0][-1][0] + w[0][-1][0] for _, u, w in products), default=0) + 1
+    re, im = [0] * size, [0] * size
+    for c, (u, ue), (w, we) in products:
+        c <<= e - ue - we
+        for j, ur, ui in u:
+            ar, ai = c * ur, c * ui
+            for k, wr, wi in w:
+                re[j + k] += ar * wr - ai * wi
+                im[j + k] += ar * wi + ai * wr
+    if type(like) is GaussianDyadic:
+        return _canonical(re[0], im[0], e)
+    return _poly(re, im, e)
+
+
+def _two_letter_sum(n: int, pows1: list, pows2: list, like):
+    """sum_j l1**j l2**(n-j) from the _terms of l1**0..l1**n and l2**0..l2**n."""
+    return _product_sum(((1, pows1[j], pows2[n - j]) for j in range(n + 1)), like)
 
 
 def two_letter_sn(l1, l2, n: int):
@@ -362,26 +430,18 @@ def two_letter_sn(l1, l2, n: int):
     if n < 0:
         raise ValueError("two_letter_sn requires n >= 0")
     l1, l2 = _common_ring([l1, l2])
-    one = _one_like(l1)
-    pows1 = [one]
-    pows2 = [one]
-    for _ in range(n):
-        pows1.append(pows1[-1] * l1)
-        pows2.append(pows2[-1] * l2)
-    return _two_letter_sum(n, pows1, pows2, _zero_like(l1))
+    return _two_letter_sum(n, _first_powers(l1, n), _first_powers(l2, n), l1)
 
 
 def iter_two_letter_sn(l1, l2) -> Iterator:
     """Yields two_letter_sn(l1, l2, 0), (1), ...: each step extends both
     lists of powers by one factor instead of rebuilding them."""
     l1, l2 = _common_ring([l1, l2])
-    one, zero = _one_like(l1), _zero_like(l1)
-    pows1, pows2 = [one], [one]
-    for n in itertools.count():
-        if n:
-            pows1.append(pows1[-1] * l1)
-            pows2.append(pows2[-1] * l2)
-        yield _two_letter_sum(n, pows1, pows2, zero)
+    pows1, pows2 = [], []
+    for n, pow1, pow2 in zip(itertools.count(), _powers(l1), _powers(l2)):
+        pows1.append(pow1)
+        pows2.append(pow2)
+        yield _two_letter_sum(n, pows1, pows2, l1)
 
 
 @dataclass(frozen=True)
@@ -427,40 +487,30 @@ def iter_kernel(k: SymKernel) -> Iterator:
     return walk(_one_like(k.d), k.d, k.d, k.p)
 
 
-def _binomial_sum(n: int, d_pows: list, p_pows: list, zero):
-    """sum_j C(n-j, j) d**(n-2j) p**j from the powers d**0..d**n and
+def _binomial_sum(n: int, d_pows: list, p_pows: list, like):
+    """sum_j C(n-j, j) d**(n-2j) p**j from the _terms of d**0..d**n and
     p**0..p**(n//2)."""
-    acc = zero
-    for j in range(n // 2 + 1):
-        acc = acc + binomial(n - j, j) * p_pows[j] * d_pows[n - 2 * j]
-    return acc
+    return _product_sum(((binomial(n - j, j), p_pows[j], d_pows[n - 2 * j])
+                         for j in range(n // 2 + 1)), like)
 
 
 def kernel_term_explicit(k: SymKernel, n: int):
     """S_n = sum_j C(n-j, j) d**(n-2j) p**j, the closed binomial route."""
     if n < 0:
         return _zero_like(k.d)
-    one = _one_like(k.d)
-    d_pows = [one]
-    for _ in range(n):
-        d_pows.append(d_pows[-1] * k.d)
-    p_pows = [one]
-    for _ in range(n // 2):
-        p_pows.append(p_pows[-1] * k.p)
-    return _binomial_sum(n, d_pows, p_pows, _zero_like(k.d))
+    return _binomial_sum(n, _first_powers(k.d, n), _first_powers(k.p, n // 2), k.d)
 
 
 def iter_kernel_explicit(k: SymKernel) -> Iterator:
     """Yields kernel_term_explicit(k, 0), (1), ...: each step extends the
     powers of d and p by one factor instead of rebuilding them."""
-    one, zero = _one_like(k.d), _zero_like(k.d)
-    d_pows, p_pows = [one], [one]
-    for n in itertools.count():
-        if n:
-            d_pows.append(d_pows[-1] * k.d)
-            if n % 2 == 0:
-                p_pows.append(p_pows[-1] * k.p)
-        yield _binomial_sum(n, d_pows, p_pows, zero)
+    d_powers, p_powers = _powers(k.d), _powers(k.p)
+    d_pows, p_pows = [], []
+    for n, d_pow in enumerate(d_powers):
+        d_pows.append(d_pow)
+        if n % 2 == 0:
+            p_pows.append(next(p_powers))
+        yield _binomial_sum(n, d_pows, p_pows, k.d)
 
 
 def kernel_series(k: SymKernel, order: int) -> PowerSeries:

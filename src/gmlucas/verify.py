@@ -262,6 +262,8 @@ def _check_convolution(seed: int) -> CheckResult:
         # Definition 1, sum_j S_{n-j}(-mu) S_j(lambda), for every n <= 12
         # at once: the Cauchy product of the two factor series.
         convolution = sf.s_neg_alphabet(mu, 12) * sf.s_diff_series(lam, (), 12)
+        if convolution.coeffs == series.coeffs:
+            continue
         for n in range(13):
             conv = convolution[n]
             if conv != series[n]:

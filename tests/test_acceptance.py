@@ -14,7 +14,6 @@ from gmlucas.arith import Dyadic, GaussianDyadic, Poly, poly_eval
 from gmlucas.cli import main as cli_main
 from gmlucas.polyfam import (
     binet_numeric,
-    eval_gml_poly,
     gml_poly,
     gml_poly_explicit,
     gml_poly_from_ml,
@@ -236,7 +235,7 @@ def test_criterion_09_numeric_closed_form():
                   (3, GaussianDyadic(3)), (2.5, GaussianDyadic(Dyadic(5, 1))))
         for n in range(31):
             for x_float, x_exact in points:
-                exact = complex(eval_gml_poly(n, x_exact))
+                exact = complex(poly_eval(gml_poly(n), x_exact))
                 approx = binet_numeric(n, x_float)
                 if x_float == 1:
                     assert approx == exact

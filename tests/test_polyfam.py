@@ -17,7 +17,6 @@ from gmlucas.polyfam import (
     CharRoots,
     binet_numeric,
     char_roots,
-    eval_gml_poly,
     gml_poly,
     gml_poly_explicit,
     gml_poly_from_ml,
@@ -115,7 +114,7 @@ def test_specialization_collapses_to_numbers():
 def test_evaluation_at_two():
     # m_3(x) = 27x^3 - 18x, so m_3(2) = 216 - 36 = 180; m_2(2) = 36 - 4 = 32
     assert poly_eval(ml_poly(3), 2) == GaussianDyadic(180)
-    assert eval_gml_poly(3, 2) == GaussianDyadic(180, 32)
+    assert poly_eval(gml_poly(3), 2) == GaussianDyadic(180, 32)
 
 
 def test_negative_polynomials():
@@ -194,7 +193,7 @@ def test_binet_numeric_spot_value():
 def test_binet_numeric_exact_at_one():
     # roots are the integers 2 and 1, so floats stay exact
     for n in range(31):
-        want = complex(eval_gml_poly(n, 1))
+        want = complex(poly_eval(gml_poly(n), 1))
         assert binet_numeric(n, 1) == want
 
 
@@ -203,7 +202,7 @@ def test_binet_numeric_tracks_exact_route():
               (2.5, GaussianDyadic(Dyadic(5, 1))))
     for n in range(31):
         for x_float, x_exact in points:
-            want = complex(eval_gml_poly(n, x_exact))
+            want = complex(poly_eval(gml_poly(n), x_exact))
             got = binet_numeric(n, x_float)
             assert abs(got - want) <= 1e-9 * (1 + abs(want))
 

@@ -12,7 +12,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gmlucas.arith import Dyadic, GaussianDyadic, Poly
+from gmlucas.arith import Dyadic, GaussianDyadic, Poly, binomial
 from gmlucas.symfun import (
     Alphabet,
     PowerSeries,
@@ -315,6 +315,34 @@ def test_convolution_identity_property(lam, mu, n):
     assert s_diff_convolution(lam, mu, n) == s_diff_series(lam, mu, n)[n]
 
 
+# Both sides of the convolution identity read prod(1 - letter z), so it is
+# checked here against the ring loop that multiplied it out before the
+# Gaussian letters ran on aligned Gaussian integers.
+
+def reference_alphabet_poly(letters):
+    coeffs = [GaussianDyadic.ONE]
+    for letter in letters:
+        nxt = coeffs + [GaussianDyadic.ZERO]
+        for j in range(len(coeffs)):
+            nxt[j + 1] = nxt[j + 1] - letter * coeffs[j]
+        coeffs = nxt
+    return coeffs
+
+
+@settings(max_examples=60)
+@given(st.lists(scalar_coeffs, max_size=4), st.lists(scalar_coeffs, max_size=4),
+       st.integers(0, 8))
+@example([GaussianDyadic(Dyadic(1, 1), Dyadic(3, 2)), GaussianDyadic(0, -1)], [], 3)
+def test_alphabet_series_match_ring_loop(lam, mu, order):
+    want_mu = reference_alphabet_poly(mu)
+    want_mu += [GaussianDyadic.ZERO] * (order + 1 - len(want_mu))
+    got_mu = s_neg_alphabet(mu, order)
+    assert_scalars_match(got_mu, want_mu[: order + 1])
+    got = s_diff_series(lam, mu, order)
+    assert_scalars_match(got, reference_series_div(reference_alphabet_poly(mu),
+                                                   reference_alphabet_poly(lam), order))
+
+
 def test_two_letter_power_sums():
     assert two_letter_sn(2, 1, 3) == GaussianDyadic(15)
     assert two_letter_sn(3, -1, 2) == GaussianDyadic(7)
@@ -428,6 +456,110 @@ def test_kernel_term_at_the_caps_matches_the_walk():
     for kernel, n in ((KER_POLY, 500), (KER_NUM, 20000)):
         walked = next(itertools.islice(iter_kernel(kernel), n, None))
         assert kernel_term(kernel, n) == walked
+
+
+# The closed sums (the binomial route and the two-letter sum) run on
+# Gaussian-integer vectors.  The ring loops they replaced are the reference:
+# powers built one product at a time, summed as ring elements.  The
+# verifier's kernels are one-term, so only these tests reach dense terms.
+
+def ring_lift(*values):
+    if any(isinstance(v, Poly) for v in values):
+        return [v if isinstance(v, Poly) else Poly((v,)) for v in values]
+    return [v if isinstance(v, GaussianDyadic) else GaussianDyadic(v) for v in values]
+
+
+def reference_powers(x, count):
+    out = [Poly.ONE if isinstance(x, Poly) else GaussianDyadic.ONE]
+    for _ in range(count):
+        out.append(out[-1] * x)
+    return out
+
+
+def reference_binomial_sums(d, p, hi):
+    d, p = ring_lift(d, p)
+    d_pows, p_pows = reference_powers(d, hi), reference_powers(p, hi // 2)
+    out = []
+    for n in range(hi + 1):
+        acc = 0 * d_pows[0]
+        for j in range(n // 2 + 1):
+            acc = acc + binomial(n - j, j) * p_pows[j] * d_pows[n - 2 * j]
+        out.append(acc)
+    return out
+
+
+def reference_two_letter_sums(l1, l2, hi):
+    l1, l2 = ring_lift(l1, l2)
+    pows1, pows2 = reference_powers(l1, hi), reference_powers(l2, hi)
+    out = []
+    for n in range(hi + 1):
+        acc = 0 * pows1[0]
+        for j in range(n + 1):
+            acc = acc + pows1[j] * pows2[n - j]
+        out.append(acc)
+    return out
+
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert type(g) is type(w), n
+        assert g == w, n
+
+
+DENSE_POLY = Poly((GaussianDyadic(Dyadic(1, 1), Dyadic(-3, 2)), 0, I, Dyadic(5, 3)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_weights, kernel_weights)
+@example(0, 3)
+@example(Poly((0, 3)), 0)
+@example(0, 0)
+@example(0, DENSE_POLY)
+@example(DENSE_POLY, GaussianDyadic(Dyadic(1, 1), Dyadic(-1, 1)))
+@example(KER_POLY.d, KER_POLY.p)
+def test_explicit_kernel_matches_ring_loop(d, p):
+    want = reference_binomial_sums(d, p, 40)
+    kernel = SymKernel(d, p)
+    assert_same_terms([kernel_term_explicit(kernel, n) for n in range(41)], want)
+    assert_same_terms(list(itertools.islice(iter_kernel_explicit(kernel), 41)), want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_weights, kernel_weights)
+@example(0, 2)
+@example(GaussianDyadic(Dyadic(3, 1), -1), 0)
+@example(Poly.X, 0)
+@example(DENSE_POLY, GaussianDyadic(0, Dyadic(1, 2)))
+@example(Poly((Dyadic(1, 1), I)), DENSE_POLY)
+def test_two_letter_sum_matches_ring_loop(l1, l2):
+    want = reference_two_letter_sums(l1, l2, 40)
+    assert_same_terms([two_letter_sn(l1, l2, n) for n in range(41)], want)
+    assert_same_terms(list(itertools.islice(iter_two_letter_sn(l1, l2), 41)), want)
+
+
+def test_closed_sums_build_no_poly_per_summand(monkeypatch):
+    # Counts, not timings: extending the powers costs at most two Poly
+    # products a term, and the sums themselves add no Poly, so a sum that
+    # went back to a ring-element accumulator fails here.
+    calls = {"add": 0, "mul": 0}
+
+    def counting(kind, op):
+        def wrapped(self, other):
+            calls[kind] += 1
+            return op(self, other)
+        return wrapped
+
+    for name, kind in (("__add__", "add"), ("__radd__", "add"), ("__sub__", "add"),
+                       ("__rsub__", "add"), ("__mul__", "mul"), ("__rmul__", "mul")):
+        monkeypatch.setattr(Poly, name, counting(kind, getattr(Poly, name)))
+    walks = (iter_kernel_explicit(KER_POLY), iter_two_letter_sn(Poly((0, 2)), Poly((1, 1))))
+    for walk in walks:
+        calls.update(add=0, mul=0)
+        terms = list(itertools.islice(walk, 61))
+        assert calls["add"] == 0
+        assert calls["mul"] <= 2 * len(terms), calls
+    assert terms[3] == Poly((1, 5, 11, 15))  # (1 + x)**3 + ... + (2x)**3
 
 
 def test_poly_kernel_small_terms():

@@ -152,6 +152,23 @@ def test_corrupted_series_coefficient_is_reported_exactly(monkeypatch, attr, ind
     assert {c.name: c.detail for c in report.checks if not c.passed} == {check: detail}
 
 
+def test_corrupted_alphabet_series_is_reported_at_its_first_mismatch(monkeypatch):
+    # The convolution check compares whole coefficient tuples first; a
+    # mismatch must still be reported at the first coefficient that differs.
+    series = sf.s_neg_alphabet
+
+    def corrupted(mu, order):
+        coeffs = list(series(mu, order))
+        coeffs[3] += 1
+        return sf.PowerSeries(coeffs)
+
+    monkeypatch.setattr(sf, "s_neg_alphabet", corrupted)
+    report = run_verify(max_n=12, max_poly_n=6)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert list(failed) == ["convolution/definition1"]
+    assert failed["convolution/definition1"].startswith("trial=0 n=3:")
+
+
 def test_polynomial_route_sweep_is_linear(monkeypatch):
     # Counts, not timings: a sweep that reruns a recurrence from index 0 for
     # every n does about 4x the multiplications when n doubles, a single
