@@ -29,9 +29,7 @@ from .sequences import (
     walk,
 )
 from .polyfam import (
-    CharRoots,
     binet_numeric,
-    char_roots,
     gml_poly,
     gml_poly_explicit,
     gml_poly_from_ml,
@@ -44,7 +42,6 @@ from .polyfam import (
     poly_recurrence_term,
 )
 from .symfun import (
-    Alphabet,
     PowerSeries,
     SymKernel,
     gf_gml,
@@ -71,17 +68,17 @@ from .verify import CheckResult, VerifyReport, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "CharRoots", "CheckResult", "Dyadic", "GaussianDyadic",
-    "Poly", "PowerSeries", "SymKernel", "VerifyReport", "binet_numeric",
-    "binomial", "char_roots", "explicit_summand", "gf_gml",
-    "gf_gml_even", "gf_gml_odd", "gf_gml_poly", "gf_ml_poly", "gml_binet",
-    "gml_explicit", "gml_from_ml", "gml_negative", "gml_poly",
-    "gml_poly_explicit", "gml_poly_from_ml", "gml_poly_negative",
-    "gml_recurrence", "iter_gml_poly", "iter_ml_poly",
-    "kernel_even_odd_series", "kernel_series", "kernel_term",
-    "kernel_term_explicit", "ml_binet", "ml_explicit", "ml_negative",
-    "ml_poly", "ml_poly_explicit", "ml_poly_negative", "ml_recurrence",
-    "poly_eval", "poly_recurrence_term", "recurrence_term", "run_verify",
+    "CheckResult", "Dyadic", "GaussianDyadic", "Poly", "PowerSeries",
+    "SymKernel", "VerifyReport", "binet_numeric", "binomial",
+    "explicit_summand", "gf_gml", "gf_gml_even", "gf_gml_odd",
+    "gf_gml_poly", "gf_ml_poly", "gml_binet", "gml_explicit",
+    "gml_from_ml", "gml_negative", "gml_poly", "gml_poly_explicit",
+    "gml_poly_from_ml", "gml_poly_negative", "gml_recurrence",
+    "iter_gml_poly", "iter_ml_poly", "kernel_even_odd_series",
+    "kernel_series", "kernel_term", "kernel_term_explicit", "ml_binet",
+    "ml_explicit", "ml_negative", "ml_poly", "ml_poly_explicit",
+    "ml_poly_negative", "ml_recurrence", "poly_eval",
+    "poly_recurrence_term", "recurrence_term", "run_verify",
     "s_diff_convolution", "s_diff_series", "s_neg_alphabet", "series_div",
     "series_from_coeffs", "sym_decompose_gml", "sym_decompose_gml_poly",
     "sym_decompose_ml_poly", "two_letter_sn", "walk",

@@ -19,20 +19,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .arith import Dyadic, GaussianDyadic, Poly
 from .sequences import explicit_summand, walk
-
-
-@dataclass(frozen=True)
-class CharRoots:
-    """Numeric characteristic roots at a real point x."""
-
-    x: float
-    lambda1: complex
-    lambda2: complex
 
 
 # Recurrence seeds.
@@ -139,13 +129,6 @@ def gml_poly_negative(n: int) -> Poly:
     return (m_n + _HALF_I * m_next).div_pow2(n)
 
 
-def char_roots(x: float) -> CharRoots:
-    """Roots of t**2 - 3x t + 2 at a real x; complex for |x| < sqrt(8)/3."""
-    x = float(x)
-    root = cmath.sqrt(complex(9.0 * x * x - 8.0))
-    return CharRoots(x, (3.0 * x + root) / 2.0, (3.0 * x - root) / 2.0)
-
-
 def _cpow(base: complex, k: int) -> complex:
     # Repeated multiplication keeps integer-valued cases exact in floats.
     if k < 0:
@@ -160,10 +143,12 @@ def binet_numeric(n: int, x: float) -> complex:
     """Floating point Gm_n(x) from the characteristic roots.
 
     This is the only inexact route in the package; it exists purely as an
-    independent numeric spot check of the exact polynomial routes.
+    independent numeric spot check of the exact polynomial routes.  The
+    roots of t**2 - 3x t + 2 are complex for |x| < sqrt(8)/3.
     """
-    roots = char_roots(x)
-    l1, l2 = roots.lambda1, roots.lambda2
+    x = float(x)
+    root = cmath.sqrt(complex(9.0 * x * x - 8.0))
+    l1, l2 = (3.0 * x + root) / 2.0, (3.0 * x - root) / 2.0
     re = _cpow(l1, n) + _cpow(l2, n)
     im = _cpow(l1, n - 1) + _cpow(l2, n - 1)
     return re + 1j * im

@@ -9,9 +9,9 @@ test suite and in the verify command.  Each route returns its term as a
 GaussianDyadic.
 
 walk is the one producer of the order-2 recurrence x_k = d x_{k-1} +
-p x_{k-2}: the recurrence routes here and in polyfam, symfun.iter_kernel,
-table 1 of the CLI and the verifier's seed sweeps all take their terms
-from it.
+p x_{k-2}: the recurrence and relation routes here and in polyfam,
+symfun.iter_kernel, table 1 of the CLI and the verifier's seed sweeps and
+backward walks all take their terms from it.
 """
 
 from __future__ import annotations
@@ -121,10 +121,15 @@ def gml_binet(n: int) -> GaussianDyadic:
 
 
 def gml_from_ml(n: int) -> GaussianDyadic:
-    """Gm_n = m_n + i m_{n-1}, valid for n >= 1."""
+    """Gm_n = m_n + i m_{n-1}, valid for n >= 1.
+
+    Both m terms come from one walk of the m recurrence, so this route
+    shares no code with gml_binet's closed form.
+    """
     if n < 1:
         raise ValueError("gml_from_ml requires n >= 1")
-    return GaussianDyadic(_ml_int(n), _ml_int(n - 1))
+    m_prev, m_n = next(itertools.islice(itertools.pairwise(walk(M0, M1, 3, -2)), n - 1, None))
+    return GaussianDyadic(m_n, m_prev)
 
 
 def gml_explicit(n: int) -> GaussianDyadic:

@@ -291,29 +291,7 @@ def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite multiset of ring letters."""
-
-    letters: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(_common_ring(list(self.letters))))
-
-    @classmethod
-    def of(cls, *letters) -> "Alphabet":
-        return cls(letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-
 def _letters(alpha) -> tuple:
-    if isinstance(alpha, Alphabet):
-        return alpha.letters
     return tuple(_common_ring(list(alpha)))
 
 

@@ -11,10 +11,17 @@ rerun from index 0 per term; the identities checked are exactly the per-term
 ones.  The iterators are looked up on their modules at call time, so a test
 can substitute a corrupted route and see the sweep catch it.
 
-A check that compares one produced stream with one reference stream, term
-by term, runs through _check_stream, which run_verify calls once per check
-name.  The seed sweeps of route-agreement/numbers walk sequences.walk; the
-backward-closure check writes out the recurrence it checks.
+A check that compares streams term by term runs through one helper,
+_check_streams: each group pairs a stream with the routes compared against
+it, each from its own first index, so a route's domain is data rather than
+a branch, and every such check reports its first mismatch in one format.
+Five checks stay hand-written: route-agreement/numbers (the seed faults land
+there, and its m line shows three routes at once), negative/backward-closure
+(a residual over k across zero), decimation/* (a kernel_term probe and three
+series), convolution/definition1 (random trials) and numeric-binet (a float
+tolerance).  The seed sweeps of route-agreement/numbers and the backward
+walks of negative/* walk sequences.walk; the backward-closure check writes
+out the recurrence it checks.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from . import polyfam as pf
 from . import symfun as sf
 
 FAULTS = ("m1", "gm0", "gm1")
+_THREE_HALVES = GaussianDyadic(Dyadic(3, 1))
+_MINUS_HALF = GaussianDyadic(Dyadic(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -75,21 +84,42 @@ _TABLE_M_POLY = (
 )
 
 
-def _check_tables_polynomials() -> CheckResult:
-    name, rng = "tables/polynomials", "0..5"
-    for n, row in enumerate(_TABLE_M_POLY):
-        want_m = Poly(row)
-        got_m = pf.ml_poly(n)
-        if got_m != want_m:
-            return _fail(name, rng, f"n={n}: m recurrence={got_m} vs table={want_m}")
-        if n == 0:
-            want_gm = Poly((2, GaussianDyadic(0, Dyadic(3, 1))))
-        else:
-            want_gm = want_m + GaussianDyadic.I * Poly(_TABLE_M_POLY[n - 1])
-        got_gm = pf.gml_poly(n)
-        if got_gm != want_gm:
-            return _fail(name, rng, f"n={n}: gm recurrence={got_gm} vs table={want_gm}")
+def _check_streams(name: str, lo: int, hi: int, *groups) -> CheckResult:
+    """Terms lo..hi of each group's stream against its others, term by term.
+
+    A group is (label, stream, others) and each other is (label, first,
+    stream): a stream is a callable that returns an iterable of terms from
+    lo (a group's own) or from first (an other's), so an other that starts
+    later joins the comparison at its first index.  The first mismatch reads
+    "n=<n>: <label>=<term> vs <label>=<term>", group first; a label may name
+    an index as {n}, {even} (2n) or {odd} (2n + 1).
+    """
+    rng = f"{lo}..{hi}"
+    walks = [(label, iter(stream()), [(other, first, iter(s())) for other, first, s in others])
+             for label, stream, others in groups]
+    for n in range(lo, hi + 1):
+        for label, stream, others in walks:
+            term = next(stream)
+            for other, first, s in others:
+                if n >= first and (other_term := next(s)) != term:
+                    at = {"n": n, "even": 2 * n, "odd": 2 * n + 1}
+                    return _fail(name, rng, f"n={n}: {label.format(**at)}={term} "
+                                            f"vs {other.format(**at)}={other_term}")
     return _ok(name, rng)
+
+
+def _terms(route, first=0, step=1):
+    """A stream of route(first), route(first + step), ..."""
+    return lambda: map(route, itertools.count(first, step))
+
+
+def _check_tables_polynomials() -> CheckResult:
+    table_m = [Poly(row) for row in _TABLE_M_POLY]
+    table_gm = [Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
+                *(m + GaussianDyadic.I * prev for prev, m in itertools.pairwise(table_m))]
+    return _check_streams("tables/polynomials", 0, 5,
+                          ("m recurrence", _terms(pf.ml_poly), (("table", 0, lambda: table_m),)),
+                          ("gm recurrence", _terms(pf.gml_poly), (("table", 0, lambda: table_gm),)))
 
 
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
@@ -106,7 +136,7 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
     m_walk = seq.walk(m0, m1, 3, -2)
     g_walk = seq.walk(g0, g1, 3, -2)
     symmetric = sf.iter_sym_decompose_gml()
-    e_prev = None
+    m_prev = e_prev = None
     for n in range(max_n + 1):
         rec = next(m_walk)
         binet = seq.ml_binet(n)
@@ -124,90 +154,49 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
                   ("symmetric", next(symmetric))]
         if n >= 1:
             routes.append(("explicit", GaussianDyadic(explicit.a, e_prev.a)))
-            routes.append(("relation", seq.gml_from_ml(n)))
+            routes.append(("relation", GaussianDyadic(rec, m_prev)))
         for label, got in routes:
             if got != grec:
                 return _fail(name, rng, f"n={n}: recurrence={grec} vs {label}={got}")
-        gbinet = routes[0][1]
-        if n >= 1 and gbinet != GaussianDyadic(b, seq.ml_binet(n - 1).a):
-            return _fail(name, rng, f"n={n}: Gm parts do not split into m terms")
-        e_prev = explicit
+        m_prev, e_prev = rec, explicit
     return _ok(name, rng)
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:
-    name, rng = "route-agreement/polynomials", f"0..{max_poly_n}"
-    ml_iter = pf.iter_ml_poly()
-    gml_iter = pf.iter_gml_poly()
-    ml_sym = sf.iter_sym_decompose_ml_poly()
-    gml_sym = sf.iter_sym_decompose_gml_poly()
-    relation = pf.iter_gml_poly_from_ml()
-    for n in range(max_poly_n + 1):
-        rec = next(ml_iter)
-        explicit = pf.ml_poly_explicit(n)
-        dec = next(ml_sym)
-        if not (rec == explicit == dec):
-            return _fail(
-                name, rng,
-                f"n={n}: m recurrence={rec} explicit={explicit} symmetric={dec}",
-            )
-        grec = next(gml_iter)
-        groutes = [("symmetric", next(gml_sym))]
-        if n >= 1:
-            groutes.append(("explicit", pf.gml_poly_explicit(n)))
-            groutes.append(("relation", next(relation)))
-        for label, got in groutes:
-            if got != grec:
-                return _fail(name, rng, f"n={n}: Gm recurrence={grec} vs {label}={got}")
-    return _ok(name, rng)
+    return _check_streams(
+        "route-agreement/polynomials", 0, max_poly_n,
+        ("m recurrence", pf.iter_ml_poly,
+         (("explicit", 0, _terms(pf.ml_poly_explicit)),
+          ("symmetric", 0, sf.iter_sym_decompose_ml_poly))),
+        ("Gm recurrence", pf.iter_gml_poly,
+         (("symmetric", 0, sf.iter_sym_decompose_gml_poly),
+          ("explicit", 1, _terms(pf.gml_poly_explicit, 1)),
+          ("relation", 1, pf.iter_gml_poly_from_ml))))
 
 
-def _check_stream(name: str, hi: int, produced, reference, what: str,
-                  against: str) -> CheckResult:
-    """Terms 0..hi of produced() against reference(); the first mismatch
-    reads "n=<n>: <what>=<term> vs <against>=<term>", where against may name
-    the reference term's own index as {even} (2n) or {odd} (2n + 1)."""
-    rng = f"0..{hi}"
-    for n, got, want in zip(range(hi + 1), produced(), reference()):
-        if got != want:
-            label = against.format(even=2 * n, odd=2 * n + 1)
-            return _fail(name, rng, f"n={n}: {what}={got} vs {label}={want}")
-    return _ok(name, rng)
+def _backward(x1, x0, d):
+    """A stream of x_{-1}, x_{-2}, ...: the walk of the recurrence run
+    backwards, x_{k-2} = (d x_{k-1} - x_k) / 2, down from (x_1, x_0)."""
+    return lambda: itertools.islice(seq.walk(x1, x0, d, _MINUS_HALF), 2, None)
 
 
 def _check_negative_numbers(max_n: int) -> CheckResult:
-    hi = min(100, max_n)
-    name, rng = "negative/numbers", f"1..{hi}"
-    half_i = GaussianDyadic(0, Dyadic(1, 1))
-    for n in range(1, hi + 1):
-        m_pos = seq.ml_binet(n)
-        m_neg = seq.ml_negative(n)
-        if m_neg.mul_pow2(n) != m_pos:
-            return _fail(name, rng, f"n={n}: 2^{n} * m(-{n}) = {m_neg.mul_pow2(n)} vs {m_pos}")
-        gm_neg = seq.gml_negative(n)
-        want = m_pos + half_i * seq.ml_binet(n + 1)
-        if gm_neg.mul_pow2(n) != want:
-            return _fail(name, rng, f"n={n}: 2^{n} * Gm(-{n}) = {gm_neg.mul_pow2(n)} vs {want}")
-    return _ok(name, rng)
+    return _check_streams(
+        "negative/numbers", 1, min(100, max_n),
+        ("m(-{n})", _terms(seq.ml_negative, 1),
+         (("backward walk", 1, _backward(seq.M1, seq.M0, _THREE_HALVES)),)),
+        ("Gm(-{n})", _terms(seq.gml_negative, 1),
+         (("backward walk", 1, _backward(seq.GM1, seq.GM0, _THREE_HALVES)),)))
 
 
 def _check_negative_polynomials(max_poly_n: int) -> CheckResult:
-    hi = min(40, max_poly_n)
-    name, rng = "negative/polynomials", f"1..{hi}"
-    half_i = GaussianDyadic(0, Dyadic(1, 1))
-    positives = itertools.pairwise(itertools.islice(pf.iter_ml_poly(), 1, None))
-    ml_neg = pf.iter_ml_poly_negative()
-    gml_neg = pf.iter_gml_poly_negative()
-    for n in range(1, hi + 1):
-        m_pos, m_next = next(positives)
-        m_neg = next(ml_neg)
-        if m_neg.mul_pow2(n) != m_pos:
-            return _fail(name, rng, f"n={n}: 2^{n} * m(-{n})(x) differs from m_{n}(x)")
-        gm_neg = next(gml_neg)
-        want = m_pos + half_i * m_next
-        if gm_neg.mul_pow2(n) != want:
-            return _fail(name, rng, f"n={n}: 2^{n} * Gm(-{n})(x) has the wrong closed form")
-    return _ok(name, rng)
+    three_halves_x = Poly((0, _THREE_HALVES))
+    return _check_streams(
+        "negative/polynomials", 1, min(40, max_poly_n),
+        ("m(-{n})(x)", pf.iter_ml_poly_negative,
+         (("backward walk", 1, _backward(pf.MP1, pf.MP0, three_halves_x)),)),
+        ("Gm(-{n})(x)", pf.iter_gml_poly_negative,
+         (("backward walk", 1, _backward(pf.GMP1, pf.GMP0, three_halves_x)),)))
 
 
 def _check_backward_closure(max_n: int) -> CheckResult:
@@ -230,19 +219,13 @@ def _check_backward_closure(max_n: int) -> CheckResult:
 
 
 def _check_specialization(max_n: int) -> CheckResult:
-    hi = min(200, max_n)
-    name, rng = "specialization/x=1", f"0..{hi}"
-    one = GaussianDyadic.ONE
-    ml_iter = pf.iter_ml_poly()
-    gml_iter = pf.iter_gml_poly()
-    for n in range(hi + 1):
-        m_val = poly_eval(next(ml_iter), one)
-        if m_val != seq.ml_binet(n):
-            return _fail(name, rng, f"n={n}: m_{n}(1)={m_val} vs m_{n}={seq.ml_binet(n)}")
-        gm_val = poly_eval(next(gml_iter), one)
-        if gm_val != seq.gml_binet(n):
-            return _fail(name, rng, f"n={n}: Gm_{n}(1)={gm_val} vs Gm_{n}={seq.gml_binet(n)}")
-    return _ok(name, rng)
+    def at_one(walk):
+        return lambda: (poly_eval(p, GaussianDyadic.ONE) for p in walk())
+
+    return _check_streams(
+        "specialization/x=1", 0, min(200, max_n),
+        ("m_{n}(1)", at_one(pf.iter_ml_poly), (("m_{n}", 0, _terms(seq.ml_binet)),)),
+        ("Gm_{n}(1)", at_one(pf.iter_gml_poly), (("Gm_{n}", 0, _terms(seq.gml_binet)),)))
 
 
 def _random_letter(rng: random.Random) -> GaussianDyadic:
@@ -275,19 +258,11 @@ def _check_convolution(seed: int) -> CheckResult:
 
 
 def _check_kernel_explicit(kernel: sf.SymKernel, which: str) -> CheckResult:
-    name, rng = f"kernel/explicit-{which}", "0..60"
-    series = sf.kernel_series(kernel, 60)
-    walk = sf.iter_kernel(kernel)
-    explicit_walk = sf.iter_kernel_explicit(kernel)
-    for n in range(61):
-        rec = next(walk)
-        explicit = next(explicit_walk)
-        if not (rec == explicit == series[n]):
-            return _fail(
-                name, rng,
-                f"n={n}: recurrence={rec} explicit={explicit} series={series[n]}",
-            )
-    return _ok(name, rng)
+    return _check_streams(
+        f"kernel/explicit-{which}", 0, 60,
+        ("recurrence", lambda: sf.iter_kernel(kernel),
+         (("explicit", 0, lambda: sf.iter_kernel_explicit(kernel)),
+          ("series", 0, lambda: sf.kernel_series(kernel, 60)))))
 
 
 def _check_decimation(kernel: sf.SymKernel, which: str) -> CheckResult:
@@ -351,36 +326,38 @@ def run_verify(
     hi_gm, hi_half = min(100, max_n), min(50, max(max_n // 2, 1))
     hi_gf_poly, hi_dec_poly = min(30, max_poly_n), min(40, max_poly_n)
 
-    def gm_binet(first=0, step=1):
-        return lambda: map(seq.gml_binet, itertools.count(first, step))
-
+    gm_binet = _terms(seq.gml_binet)
     checks = [
         _check_convolution(seed),
         _check_decimation(kernel_num, "scalar"),
         _check_decimation(kernel_poly, "poly"),
-        _check_stream("decomposition/gm", hi_gm, lambda: sf.iter_sym_decompose_gml(),
-                      gm_binet(), "decomposition", "binet"),
-        _check_stream("decomposition/gm-poly", hi_dec_poly,
-                      lambda: sf.iter_sym_decompose_gml_poly(), lambda: pf.iter_gml_poly(),
-                      "decomposition", "recurrence"),
-        _check_stream("decomposition/m-poly", hi_dec_poly,
-                      lambda: sf.iter_sym_decompose_ml_poly(), lambda: pf.iter_ml_poly(),
-                      "decomposition", "recurrence"),
-        _check_stream("genfun/gm", hi_gm, lambda: sf.gf_gml(hi_gm), gm_binet(),
-                      "coefficient", "term"),
-        _check_stream("genfun/gm-even", hi_half, lambda: sf.gf_gml_even(hi_half),
-                      gm_binet(0, 2), "coefficient", "Gm({even})"),
-        _check_stream("genfun/gm-odd", hi_half, lambda: sf.gf_gml_odd(hi_half),
-                      gm_binet(1, 2), "coefficient", "Gm({odd})"),
-        _check_stream("genfun/gm-poly", hi_gf_poly, lambda: sf.gf_gml_poly(hi_gf_poly),
-                      lambda: pf.iter_gml_poly(), "coefficient", "term"),
-        _check_stream("genfun/m-poly", hi_gf_poly, lambda: sf.gf_ml_poly(hi_gf_poly),
-                      lambda: pf.iter_ml_poly(), "coefficient", "term"),
+        _check_streams("decomposition/gm", 0, hi_gm,
+                       ("decomposition", sf.iter_sym_decompose_gml, (("binet", 0, gm_binet),))),
+        _check_streams("decomposition/gm-poly", 0, hi_dec_poly,
+                       ("decomposition", sf.iter_sym_decompose_gml_poly,
+                        (("recurrence", 0, pf.iter_gml_poly),))),
+        _check_streams("decomposition/m-poly", 0, hi_dec_poly,
+                       ("decomposition", sf.iter_sym_decompose_ml_poly,
+                        (("recurrence", 0, pf.iter_ml_poly),))),
+        _check_streams("genfun/gm", 0, hi_gm,
+                       ("coefficient", lambda: sf.gf_gml(hi_gm), (("term", 0, gm_binet),))),
+        _check_streams("genfun/gm-even", 0, hi_half,
+                       ("coefficient", lambda: sf.gf_gml_even(hi_half),
+                        (("Gm({even})", 0, _terms(seq.gml_binet, 0, 2)),))),
+        _check_streams("genfun/gm-odd", 0, hi_half,
+                       ("coefficient", lambda: sf.gf_gml_odd(hi_half),
+                        (("Gm({odd})", 0, _terms(seq.gml_binet, 1, 2)),))),
+        _check_streams("genfun/gm-poly", 0, hi_gf_poly,
+                       ("coefficient", lambda: sf.gf_gml_poly(hi_gf_poly),
+                        (("term", 0, pf.iter_gml_poly),))),
+        _check_streams("genfun/m-poly", 0, hi_gf_poly,
+                       ("coefficient", lambda: sf.gf_ml_poly(hi_gf_poly),
+                        (("term", 0, pf.iter_ml_poly),))),
         _check_kernel_explicit(kernel_num, "scalar"),
         _check_kernel_explicit(kernel_poly, "poly"),
-        _check_stream("kernel/two-letter-bridge", 60,
-                      lambda: sf.iter_two_letter_sn(2, 1),
-                      lambda: sf.iter_kernel(kernel_num), "two-letter", "kernel"),
+        _check_streams("kernel/two-letter-bridge", 0, 60,
+                       ("two-letter", lambda: sf.iter_two_letter_sn(2, 1),
+                        (("kernel", 0, lambda: sf.iter_kernel(kernel_num)),))),
         _check_backward_closure(max_n),
         _check_negative_numbers(max_n),
         _check_negative_polynomials(max_poly_n),
@@ -388,8 +365,8 @@ def run_verify(
         _check_route_numbers(max_n, inject_fault),
         _check_route_polynomials(max_poly_n),
         _check_specialization(max_n),
-        _check_stream("tables/numbers", 5, lambda: map(seq.gml_recurrence, itertools.count()),
-                      lambda: _TABLE_GM, "recurrence", "table"),
+        _check_streams("tables/numbers", 0, 5,
+                       ("recurrence", _terms(seq.gml_recurrence), (("table", 0, lambda: _TABLE_GM),))),
         _check_tables_polynomials(),
     ]
     checks.sort(key=lambda c: c.name)

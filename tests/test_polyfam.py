@@ -14,9 +14,7 @@ from hypothesis import given, strategies as st
 
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, poly_eval
 from gmlucas.polyfam import (
-    CharRoots,
     binet_numeric,
-    char_roots,
     gml_poly,
     gml_poly_explicit,
     gml_poly_from_ml,
@@ -166,22 +164,6 @@ def test_generic_poly_walker_seeds():
     # seeds 1, x: step 2 is 3x * x - 2 * 1 = 3x^2 - 2
     s2 = poly_recurrence_term(Poly.ONE, Poly.X, 2)
     assert s2 == Poly((-2, 0, 3))
-
-
-def test_char_roots_satisfy_quadratic():
-    for x in (1.0, 2.0, 3.0, 2.5, 0.5, -1.0):
-        roots = char_roots(x)
-        assert isinstance(roots, CharRoots)
-        for lam in (roots.lambda1, roots.lambda2):
-            assert abs(lam * lam - 3 * x * lam + 2) < 1e-9
-        assert abs(roots.lambda1 + roots.lambda2 - 3 * x) < 1e-12
-        assert abs(roots.lambda1 * roots.lambda2 - 2) < 1e-12
-
-
-def test_char_roots_at_one_are_integers():
-    roots = char_roots(1)
-    assert roots.lambda1 == 2.0
-    assert roots.lambda2 == 1.0
 
 
 def test_binet_numeric_spot_value():

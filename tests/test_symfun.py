@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, binomial
 from gmlucas.symfun import (
-    Alphabet,
     PowerSeries,
     SymKernel,
     gf_gml,
@@ -240,15 +239,21 @@ def test_poly_division_matches_generic_loop(num, head, tail, order):
 
 # ---------------------------------------------------------------- alphabets
 
+# An alphabet is a plain tuple of letters, lifted to one ring.
+
 def test_alphabet_container():
-    alpha = Alphabet.of(1, Dyadic(1, 1))
-    assert len(alpha) == 2
-    assert list(alpha) == [GaussianDyadic(1), GaussianDyadic(Dyadic(1, 1))]
+    # (1 - z)(1 - z/2) = 1 - (3/2)z + (1/2)z^2
+    s = s_neg_alphabet((1, Dyadic(1, 1)), 2)
+    assert gvals(s) == [GaussianDyadic(1), GaussianDyadic(Dyadic(-3, 1)),
+                        GaussianDyadic(Dyadic(1, 1))]
+    assert all(type(c) is GaussianDyadic for c in s)
 
 
 def test_alphabet_lifts_to_common_ring():
-    alpha = Alphabet.of(Poly.X, 2)
-    assert all(isinstance(letter, Poly) for letter in alpha)
+    # (1 - xz)(1 - 2z) = 1 - (2 + x)z + 2x z^2
+    s = s_neg_alphabet((Poly.X, 2), 2)
+    assert gvals(s) == [Poly((1,)), Poly((-2, -1)), Poly((0, 2))]
+    assert all(isinstance(c, Poly) for c in s)
 
 
 def test_neg_alphabet_product():

@@ -14,6 +14,7 @@ import re
 import pytest
 
 from gmlucas import polyfam as pf
+from gmlucas import sequences as seq
 from gmlucas import symfun as sf
 from gmlucas import verify
 from gmlucas.arith import Poly
@@ -123,6 +124,31 @@ def test_corrupted_route_walk_is_caught_at_its_index(monkeypatch, module, attr, 
     assert set(failed) == set(expected)
     for name, index in expected.items():
         assert failed[name].startswith(f"n={index}:"), failed[name]
+
+
+# (single-term route, {check: how its detail starts}): the negative routes
+# are compared with backward walks of the recurrence, and backward-closure
+# reads Gm_{-3} as the term k = -3.
+NEGATIVE_ROUTES = (
+    ("ml_negative", {"negative/numbers": "n=3:"}),
+    ("gml_negative", {"negative/numbers": "n=3:", "negative/backward-closure": "k=-3:"}),
+)
+
+
+@pytest.mark.parametrize("attr, expected", NEGATIVE_ROUTES,
+                         ids=[route[0] for route in NEGATIVE_ROUTES])
+def test_corrupted_negative_route_is_caught_at_its_index(monkeypatch, attr, expected):
+    route = getattr(seq, attr)
+
+    def corrupted(n):
+        return route(n) + 1 if n == 3 else route(n)
+
+    monkeypatch.setattr(seq, attr, corrupted)
+    report = run_verify(max_n=12, max_poly_n=6)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert set(failed) == set(expected)
+    for name, start in expected.items():
+        assert failed[name].startswith(start), failed[name]
 
 
 # (series route, coefficient made one too large, the check that reads it,
