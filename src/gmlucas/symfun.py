@@ -10,13 +10,12 @@ Everything here is ring generic: coefficients may be GaussianDyadic or Poly,
 and truncated series division only ever inverts constant terms that are
 units (in practice 1 or 2).
 
-Series run on ints: when the coefficients are GaussianDyadic, series_div,
-the Cauchy product and prod(1 - letter z) of an alphabet align each operand
-to one power-of-two denominator, carry every coefficient as a Gaussian
-integer (a pair of Python ints), and build each GaussianDyadic once, at the
-end.  series_div over Poly does the same with vectors of Gaussian integers
-and builds each Poly once; the Cauchy product of Poly series and the
-alphabet product of Poly letters keep the generic loop on ring elements.
+Series run on ints.  A series over GaussianDyadic is also a Poly in z (see
+PowerSeries), and the alphabet routes build only that view: prod(1 - letter
+z) multiplies linear factors over Z[i], s_diff_series divides two of them in
+series_div's integer loop, and the Cauchy product is Poly.__mul__, cut to
+the order.  series_div keeps coefficients (see PowerSeries) and over Poly
+runs on Z[i] vectors; Poly series otherwise keep the generic ring loops.
 The closed sums run on ints in every ring: the binomial sum of
 kernel_term_explicit and the two-letter sum of two_letter_sn align their
 products over one denominator, multiply them out term by term over the
@@ -89,22 +88,36 @@ def _align_polys(polys) -> tuple[list, list, int]:
 
 
 class PowerSeries:
-    """A truncated power series: coefficients 0..order, one ring throughout."""
+    """A truncated power series: coefficients 0..order, one ring throughout.
 
-    __slots__ = ("coeffs",)
+    Over GaussianDyadic it is also a Poly in z of degree at most the order;
+    either view is built from the other on first use and kept, and products
+    and equality of two such series run in z.  series_div builds coefficients
+    only: their denominators grow with n, and a shared one would double the ints.
+    """
+
+    __slots__ = ("_coeffs", "_z", "order")
 
     def __init__(self, coeffs):
         cs = tuple(_common_ring(list(coeffs)))
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        self.coeffs = cs
+        self._coeffs, self._z, self.order = cs, None, len(cs) - 1
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = self._z.coeffs + (GaussianDyadic.ZERO,) * (self.order - self._z.degree)
+        return self._coeffs
+
+    def _zview(self) -> Poly | None:
+        """The series as a Poly in z, or None if its coefficients are Polys."""
+        if self._z is None and type(self._coeffs[0]) is GaussianDyadic:
+            self._z = _poly(*_align(self._coeffs))
+        return self._z
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.order + 1
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -123,20 +136,10 @@ class PowerSeries:
     def __mul__(self, other):
         """Cauchy product truncated back to the shared order."""
         self._check_order(other)
+        z, w = self._zview(), other._zview()
+        if z is not None and w is not None:
+            return _series(None, z * w, self.order)
         size = self.order + 1
-        if type(self.coeffs[0]) is GaussianDyadic and type(other.coeffs[0]) is GaussianDyadic:
-            # Over 2**e and 2**f, every product lands over 2**(e + f).
-            ar, ai, e = _align(self.coeffs)
-            br, bi, f = _align(other.coeffs)
-            out_re = [0] * size
-            out_im = [0] * size
-            for j, (sr, si) in enumerate(zip(ar, ai)):
-                if sr or si:
-                    for k in range(size - j):
-                        x, y = br[k], bi[k]
-                        out_re[j + k] += sr * x - si * y
-                        out_im[j + k] += sr * y + si * x
-            return _series(tuple(_canonical(r, i, e + f) for r, i in zip(out_re, out_im)))
         zero = _zero_like(self.coeffs[0])
         out = [zero] * size
         for j, a in enumerate(self.coeffs):
@@ -151,7 +154,10 @@ class PowerSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        z, w = self._zview(), other._zview()
+        if z is None or w is None:
+            return self.coeffs == other.coeffs
+        return self.order == other.order and z == w
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -163,18 +169,25 @@ class PowerSeries:
         return f"PowerSeries({list(self.coeffs)!r})"
 
 
-def _series(coeffs: tuple) -> PowerSeries:
-    """A PowerSeries from coefficients the caller knows to share one ring."""
+def _series(coeffs: tuple | None, z: Poly | None = None, order: int = 0) -> PowerSeries:
+    """A PowerSeries from coefficients the caller knows to share one ring, or,
+    with coeffs None, a GaussianDyadic series from its Poly in z, cut to order."""
+    if coeffs is not None:
+        order = len(coeffs) - 1
+    elif order < 0:
+        raise ValueError("series order must be non-negative")
+    elif z.degree > order:
+        z = _poly(list(z.re[: order + 1]), list(z.im[: order + 1]), z.exp)
     out = object.__new__(PowerSeries)
-    out.coeffs = coeffs
+    out._coeffs, out._z, out.order = coeffs, z, order
     return out
 
 
 def series_from_coeffs(coeffs, order: int) -> PowerSeries:
     """Lift polynomial coefficients into a series of the given order."""
-    cs = _common_ring(list(coeffs))
-    if not cs:
-        cs = [GaussianDyadic.ZERO]
+    if order < 0:
+        raise ValueError("series order must be non-negative")
+    cs = _common_ring(list(coeffs)) or [GaussianDyadic.ZERO]
     zero = _zero_like(cs[0])
     cs = cs[: order + 1]
     cs += [zero] * (order + 1 - len(cs))
@@ -220,10 +233,14 @@ def _series_div_gaussian(num: list, den: list, inv: GaussianDyadic, order: int) 
         den = [inv * c for c in den]
     nr, ni, g = _align(num)
     dr, di, f = _align(den)
-    taps = [(dr[k] << (k - 1) * f, di[k] << (k - 1) * f) for k in range(1, len(den))]
-    tr: list = []
-    ti: list = []
-    out: list = []
+    tr, ti = _div_ints(nr, ni, dr, di, f, order)
+    return tuple(_canonical(r, i, g + n * f) for n, (r, i) in enumerate(zip(tr, ti)))
+
+
+def _div_ints(nr: list, ni: list, dr: list, di: list, f: int, order: int) -> tuple[list, list]:
+    """T_0..T_order of _series_div_gaussian from num and den over 2**g and 2**f."""
+    taps = [(dr[k] << (k - 1) * f, di[k] << (k - 1) * f) for k in range(1, len(dr))]
+    tr, ti = [], []
     for n in range(order + 1):
         if n < len(nr):
             ar, ai = nr[n] << n * f, ni[n] << n * f
@@ -236,8 +253,7 @@ def _series_div_gaussian(num: list, den: list, inv: GaussianDyadic, order: int) 
             ai -= cr * xi + ci * xr
         tr.append(ar)
         ti.append(ai)
-        out.append(_canonical(ar, ai, g + n * f))
-    return tuple(out)
+    return tr, ti
 
 
 def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
@@ -295,27 +311,29 @@ def _letters(alpha) -> tuple:
     return tuple(_common_ring(list(alpha)))
 
 
-def _alphabet_poly(letters) -> list:
-    """Coefficients of prod(1 - letter * z) over the letters' ring."""
+def _alphabet_z(letters: tuple) -> Poly | None:
+    """prod(1 - letter z) as a Poly in z, or None if the letters are Polys:
+    over 2**e, prod(2**e - (letter 2**e) z) / 2**(e k) for k letters."""
     if not letters:
-        return [GaussianDyadic.ONE]
-    if type(letters[0]) is GaussianDyadic:
-        # With every letter over 2**e, coefficient j is C_j / 2**(e j) for
-        # the Gaussian integers C_j of prod(1 - (letter * 2**e) z).
-        lr, li, e = _align(letters)
-        cr, ci = [1], [0]
-        for r, i in zip(lr, li):
-            nr, ni = cr + [0], ci + [0]
-            for j, (xr, xi) in enumerate(zip(cr, ci), 1):
-                nr[j] -= r * xr - i * xi
-                ni[j] -= r * xi + i * xr
-            cr, ci = nr, ni
-        return [_canonical(r, i, e * j) for j, (r, i) in enumerate(zip(cr, ci))]
-    one = _one_like(letters[0])
-    zero = _zero_like(letters[0])
-    coeffs = [one]
+        return Poly.ONE
+    if type(letters[0]) is not GaussianDyadic:
+        return None
+    lr, li, e = _align(letters)
+    cr, ci = [1], [0]
+    for r, i in zip(lr, li):
+        nr, ni = [c << e for c in cr] + [0], [c << e for c in ci] + [0]
+        for j, (xr, xi) in enumerate(zip(cr, ci), 1):
+            nr[j] -= r * xr - i * xi
+            ni[j] -= r * xi + i * xr
+        cr, ci = nr, ni
+    return _poly(cr, ci, e * len(letters))
+
+
+def _alphabet_poly(letters) -> list:
+    """Coefficients of prod(1 - letter * z), for the caller to lift to one ring."""
+    coeffs = [GaussianDyadic.ONE]
     for letter in letters:
-        nxt = coeffs + [zero]
+        nxt = coeffs + [GaussianDyadic.ZERO]
         for j in range(len(coeffs)):
             nxt[j + 1] = nxt[j + 1] - letter * coeffs[j]
         coeffs = nxt
@@ -324,14 +342,23 @@ def _alphabet_poly(letters) -> list:
 
 def s_neg_alphabet(mu, order: int) -> PowerSeries:
     """S_n(-mu): coefficients of prod(1 - mu_i z), zero beyond len(mu)."""
-    return series_from_coeffs(_alphabet_poly(_letters(mu)), order)
+    mu = _letters(mu)
+    if (z := _alphabet_z(mu)) is None:
+        return series_from_coeffs(_alphabet_poly(mu), order)
+    return _series(None, z, order)
 
 
 def s_diff_series(lam, mu, order: int) -> PowerSeries:
     """S_n(lambda - mu) for n = 0..order, by truncated series division."""
-    lam = _letters(lam)
-    mu = _letters(mu)
-    return series_div(_alphabet_poly(mu), _alphabet_poly(lam), order)
+    lam, mu = _letters(lam), _letters(mu)
+    num, den = _alphabet_z(mu), _alphabet_z(lam)
+    if num is None or den is None:
+        return series_div(_alphabet_poly(mu), _alphabet_poly(lam), order)
+    f = den.exp
+    tr, ti = _div_ints(num.re, num.im, den.re, den.im, f, order)
+    return _series(None, _poly([t << (order - n) * f for n, t in enumerate(tr)],
+                               [t << (order - n) * f for n, t in enumerate(ti)],
+                               num.exp + order * f), order)
 
 
 def s_diff_convolution(lam, mu, n: int):

@@ -21,7 +21,9 @@ there, and its m line shows three routes at once), negative/backward-closure
 series), convolution/definition1 (random trials) and numeric-binet (a float
 tolerance).  The seed sweeps of route-agreement/numbers and the backward
 walks of negative/* walk sequences.walk; the backward-closure check writes
-out the recurrence it checks.
+out the recurrence it checks.  convolution/definition1 compares whole
+series with ==, in z, reading coefficients only to name the first n at
+which a failing trial differs.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def _check_convolution(seed: int) -> CheckResult:
         # Definition 1, sum_j S_{n-j}(-mu) S_j(lambda), for every n <= 12
         # at once: the Cauchy product of the two factor series.
         convolution = sf.s_neg_alphabet(mu, 12) * sf.s_diff_series(lam, (), 12)
-        if convolution.coeffs == series.coeffs:
+        if convolution == series:
             continue
         for n in range(13):
             conv = convolution[n]

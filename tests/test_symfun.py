@@ -348,6 +348,81 @@ def test_alphabet_series_match_ring_loop(lam, mu, order):
                                                    reference_alphabet_poly(lam), order))
 
 
+# A Gaussian series is also a Poly in z.  The alphabet routes and the Cauchy
+# product build only that view, so each must read exactly as the series
+# built from its coefficients, which the ring loops above compute.
+
+def reference_cauchy(a, b, order):
+    return [sum((a[j] * b[n - j] for j in range(n + 1)), GaussianDyadic.ZERO)
+            for n in range(order + 1)]
+
+
+def padded(coeffs, order):
+    return (coeffs + [GaussianDyadic.ZERO] * (order + 1))[: order + 1]
+
+
+def series_built_in_z(lam, mu, order):
+    """(build, coefficients) for each route that builds the view in z."""
+    s_mu = padded(reference_alphabet_poly(mu), order)
+    s_lam = reference_series_div([GaussianDyadic.ONE], reference_alphabet_poly(lam), order)
+    return (
+        (lambda: s_neg_alphabet(mu, order), s_mu),
+        (lambda: s_diff_series(lam, mu, order),
+         reference_series_div(reference_alphabet_poly(mu), reference_alphabet_poly(lam), order)),
+        (lambda: s_neg_alphabet(mu, order) * s_diff_series(lam, (), order),
+         reference_cauchy(s_mu, s_lam, order)),
+    )
+
+
+@settings(max_examples=60)
+@given(st.lists(scalar_coeffs, max_size=4), st.lists(scalar_coeffs, max_size=4),
+       st.integers(0, 5))
+# Orders below the alphabet, a zero letter and multiples of 1 + i.
+@example([GaussianDyadic(1, 1), GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1)), GaussianDyadic(0)],
+         [GaussianDyadic(Dyadic(3, 2), Dyadic(-1, 2)), GaussianDyadic(1, -1), GaussianDyadic(2)], 1)
+@example([], [GaussianDyadic(Dyadic(1, 1)), GaussianDyadic(3, Dyadic(1, 2))], 0)
+def test_series_built_in_z_reads_as_its_coefficients(lam, mu, order):
+    for build, want in series_built_in_z(lam, mu, order):
+        ref = PowerSeries(want)
+        # A fresh series for each reading, so none sees a view another built.
+        assert build() == ref and ref == build()
+        assert build() != PowerSeries(want + [GaussianDyadic.ZERO])
+        assert hash(build()) == hash(ref)
+        assert build().order == ref.order == order
+        assert len(build()) == len(ref) == order + 1
+        assert [build()[n] for n in range(order + 1)] == want
+        assert_scalars_match(build().coeffs, lifted(want))
+        assert str(build()) == str(ref)
+        assert repr(build()) == repr(ref)
+
+
+@settings(max_examples=30)
+@given(st.lists(scalar_coeffs, max_size=3), st.lists(scalar_coeffs, max_size=3),
+       st.integers(0, 5))
+def test_series_built_in_z_meets_constant_poly_series(lam, mu, order):
+    # Against constant Polys, == compares coefficients and * takes the
+    # generic loop into Poly coefficients, as for any Gaussian series.
+    one = PowerSeries(lifted(padded([GaussianDyadic.ONE], order)))
+    for build, want in series_built_in_z(lam, mu, order):
+        as_polys = PowerSeries(lifted(want))
+        assert build() == as_polys and as_polys == build()
+        assert hash(build()) == hash(as_polys)
+        for got in (build() * one, one * build(), build() * as_polys):
+            assert all(type(c) is Poly for c in got)
+        assert build() * one == one * build() == as_polys
+        assert build() * as_polys == PowerSeries(lifted(reference_cauchy(want, want, order)))
+
+
+@pytest.mark.parametrize("mu", ((), (1, Dyadic(1, 1)), (Poly.X, 2)),
+                         ids=("empty", "gaussian", "poly"))
+def test_negative_order_is_rejected_on_every_ring_path(mu):
+    routes = (lambda: s_neg_alphabet(mu, -1), lambda: s_diff_series(mu, (), -1),
+              lambda: s_diff_series((), mu, -1), lambda: series_from_coeffs(mu or (1,), -1))
+    for route in routes:
+        with pytest.raises(ValueError, match="series order must be non-negative"):
+            route()
+
+
 def test_two_letter_power_sums():
     assert two_letter_sn(2, 1, 3) == GaussianDyadic(15)
     assert two_letter_sn(3, -1, 2) == GaussianDyadic(7)

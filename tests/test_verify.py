@@ -7,7 +7,9 @@ Perturbing one term of a route the sweeps walk must make exactly the checks
 that use it fail, at that term's index.
 """
 
+import collections
 import contextlib
+import hashlib
 import io
 import re
 
@@ -193,6 +195,66 @@ def test_corrupted_alphabet_series_is_reported_at_its_first_mismatch(monkeypatch
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert list(failed) == ["convolution/definition1"]
     assert failed["convolution/definition1"].startswith("trial=0 n=3:")
+
+
+def one_too_large_at_3(series):
+    coeffs = list(series)
+    coeffs[3] += 1
+    return sf.PowerSeries(coeffs)
+
+
+@pytest.mark.parametrize("route", ("s_diff_series", "PowerSeries.__mul__"))
+def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypatch, route):
+    if route == "s_diff_series":
+        # Only S_n(lambda - mu) is corrupted: a +1 in S_3(lambda) as well
+        # would reach the convolution at n = 3 too, times S_0(-mu) = 1.
+        series = sf.s_diff_series
+        monkeypatch.setattr(sf, "s_diff_series", lambda lam, mu, order: (
+            one_too_large_at_3(series(lam, mu, order)) if mu else series(lam, mu, order)))
+    else:
+        product = sf.PowerSeries.__mul__
+        monkeypatch.setattr(sf.PowerSeries, "__mul__",
+                            lambda a, b: one_too_large_at_3(product(a, b)))
+    report = run_verify(max_n=12, max_poly_n=6)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert list(failed) == ["convolution/definition1"]
+    assert failed["convolution/definition1"].startswith("trial=0 n=3:")
+
+
+# sha256 of the repr of the 200 (lambda, mu) draws of the convolution check.
+CONVOLUTION_DRAWS = {
+    0: "ee668a5a57c0e784db758beda286eb7aa1437ee595589768180e64d26d13c1d7",
+    1: "c42910e0388df0978a1019e476ff88d39ce862d45d270788876cd36b0e7785db",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CONVOLUTION_DRAWS))
+def test_convolution_check_does_the_same_work(monkeypatch, seed):
+    # Counts, not timings: every trial draws the same alphabets and calls
+    # the same routes, however the series are held.
+    calls = collections.Counter()
+    diff_args = []
+
+    def counting(owner, name):
+        route = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            if name == "s_diff_series":
+                diff_args.append(args)
+            return route(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(sf, "s_diff_series")
+    counting(sf, "s_neg_alphabet")
+    counting(sf.PowerSeries, "__mul__")
+    assert verify._check_convolution(seed).passed
+    assert calls == {"s_diff_series": 400, "s_neg_alphabet": 200, "__mul__": 200}
+    # Each trial asks for S(lambda - mu), then for S(lambda) alone.
+    draws = [(list(lam), list(mu)) for lam, mu, _ in diff_args[::2]]
+    assert diff_args[1::2] == [(lam, (), 12) for lam, _ in draws]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == CONVOLUTION_DRAWS[seed]
 
 
 def test_polynomial_route_sweep_is_linear(monkeypatch):
