@@ -27,6 +27,11 @@ shorter operand is a single term c x**j, as the recurrence multipliers 3x
 and -2 and the powers d**k are, or a GaussianDyadic scalar c, the product
 is the other operand scaled by c and shifted by j, built directly.
 
+linear_step(a, b, ring) fuses a x + b y for one-term a and b into one
+pass over the parts of x and y, building one element per term, and is
+a x + b y through the operators otherwise; the recurrence walks and the
+kernel decompositions take each term from it.
+
 Poly evaluation at a real integer point, the real-point path, runs Horner
 on re and im as two real chains, half the big-int multiplies of the Z[i]
 chain; at x = 1 it just sums each vector.
@@ -41,6 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 from operator import add, or_, sub
 
 
@@ -780,6 +786,94 @@ def _poly_sum(a: Poly, b: Poly, op) -> Poly:
 Poly.ZERO = _make_poly((), (), 0)
 Poly.ONE = Poly((1,))
 Poly.X = Poly((0, 1))
+
+
+def linear_step(a, b, ring):
+    """The map (x, y) -> a x + b y on elements of ring, fused into one pass
+    where a and b allow it.
+
+    The fused form needs ring Poly or GaussianDyadic and one-term
+    coefficients a and b: a scalar (int, Dyadic or GaussianDyadic), or,
+    over Poly, a Poly with at most one nonzero term c x**j.  It puts a x and
+    b y over one power-of-two denominator by shifting the coefficients, not
+    the terms, computes the real and imaginary parts by zipping the
+    Gaussian-integer parts of x and y (one pass per part when a and b are
+    real), and canonicalizes once, so it builds one ring element where
+    a x + b y builds three.  Its value and its canonical parts are those of
+    a x + b y.  For any other ring (int, say) or coefficient (a Poly of two
+    or more terms, or a Poly over GaussianDyadic) the map is a x + b y.
+    """
+    ta, tb = _one_term(a, ring), _one_term(b, ring)
+    if ta is None or tb is None:
+        return lambda x, y: a * x + b * y
+    if ring is GaussianDyadic:
+        return _gaussian_step(*ta[:3], *tb[:3])
+    return _poly_step(*ta, *tb)
+
+
+def _one_term(c, ring) -> tuple | None:
+    """c as (re, im, exp, j) for the term (re + im i) x**j / 2**exp, or None
+    if c is not one term of ring or ring is neither Poly nor GaussianDyadic."""
+    if ring is not Poly and ring is not GaussianDyadic:
+        return None
+    if type(c) is Poly:
+        j = len(c.re) - 1
+        if ring is GaussianDyadic or any(c.re[:j]) or any(c.im[:j]):
+            return None
+        return (c.re[j], c.im[j], c.exp, j) if c.re else (0, 0, 0, 0)
+    g = GaussianDyadic._coerce(c)
+    return None if g is None else (g.a, g.b, g.exp, 0)
+
+
+def _gaussian_step(ar: int, ai: int, ea: int, br: int, bi: int, eb: int):
+    def step(x: GaussianDyadic, y: GaussianDyadic) -> GaussianDyadic:
+        e, f = ea + x.exp, eb + y.exp
+        xa, xb, ya, yb = x.a, x.b, y.a, y.b
+        re, im = ar * xa - ai * xb, ar * xb + ai * xa
+        yr, yi = br * ya - bi * yb, br * yb + bi * ya
+        if e > f:
+            return _canonical(re + (yr << (e - f)), im + (yi << (e - f)), e)
+        return _canonical((re << (f - e)) + yr, (im << (f - e)) + yi, f)
+
+    return step
+
+
+def _poly_step(ar: int, ai: int, ea: int, ja: int, br: int, bi: int, eb: int, jb: int):
+    pad_a, pad_b = (0,) * ja, (0,) * jb
+    real = not (ai or bi)
+
+    def step(x: Poly, y: Poly) -> Poly:
+        e, f = ea + x.exp, eb + y.exp
+        exp = e if e > f else f
+        sr, si, tr, ti = ar << (exp - e), ai << (exp - e), br << (exp - f), bi << (exp - f)
+        xr, xi, yr, yi = pad_a + x.re, pad_a + x.im, pad_b + y.re, pad_b + y.im
+        if real:
+            # The walks' case: each part is one two-term pass, and real
+            # terms give an imaginary part of zeros.
+            re = [sr * u + tr * v for u, v in zip_longest(xr, yr, fillvalue=0)]
+            if any(xi) or any(yi):
+                im = [sr * u + tr * v for u, v in zip_longest(xi, yi, fillvalue=0)]
+            else:
+                im = [0] * len(re)
+        else:
+            size = max(len(xr), len(yr))
+            re = _combine(((sr, xr), (-si, xi), (tr, yr), (-ti, yi)), size)
+            im = _combine(((sr, xi), (si, xr), (tr, yi), (ti, yr)), size)
+        return _poly(re, im, exp)
+
+    return step
+
+
+def _combine(terms, size: int) -> list:
+    """The sum of s v over the (s, v) in terms, as a list of length size; a
+    vector reads as zero past its end, and a term with s or v zero is
+    skipped, so m(x) + i m'(x) over real m and m' takes one pass per part."""
+    out = []
+    for s, v in terms:
+        if s and any(v):
+            out = [o + s * u for o, u in zip_longest(out, v, fillvalue=0)]
+    out += [0] * (size - len(out))
+    return out
 
 
 def poly_eval(p: Poly, x) -> GaussianDyadic:

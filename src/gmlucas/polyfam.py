@@ -21,7 +21,7 @@ import cmath
 import itertools
 from typing import Iterator
 
-from .arith import Dyadic, GaussianDyadic, Poly
+from .arith import Dyadic, GaussianDyadic, Poly, linear_step
 from .sequences import explicit_summand, walk
 
 
@@ -33,6 +33,10 @@ GMP1 = Poly((GaussianDyadic(0, 2), 3))
 
 _THREE_X = Poly((0, 3))
 _HALF_I = GaussianDyadic(0, Dyadic(1, 1))
+# (m_n(x), m_{n-1}(x)) -> m_n(x) + i m_{n-1}(x), and (m_n(x), m_{n+1}(x)) ->
+# m_n(x) + (i/2) m_{n+1}(x), each in one pass.
+_PLUS_I = linear_step(1, GaussianDyadic.I, Poly)
+_PLUS_HALF_I = linear_step(1, _HALF_I, Poly)
 
 
 def poly_recurrence_term(seed0: Poly, seed1: Poly, n: int) -> Poly:
@@ -59,7 +63,7 @@ def iter_gml_poly() -> Iterator[Poly]:
 def iter_gml_poly_from_ml() -> Iterator[Poly]:
     """Yields gml_poly_from_ml(1), (2), ... from one walk of iter_ml_poly."""
     for m_prev, m_n in itertools.pairwise(iter_ml_poly()):
-        yield m_n + GaussianDyadic.I * m_prev
+        yield _PLUS_I(m_n, m_prev)
 
 
 def iter_ml_poly_negative() -> Iterator[Poly]:
@@ -72,7 +76,7 @@ def iter_gml_poly_negative() -> Iterator[Poly]:
     """Yields Gm_{-1}(x), Gm_{-2}(x), ... from one walk of iter_ml_poly."""
     pairs = itertools.pairwise(itertools.islice(iter_ml_poly(), 1, None))
     for n, (m_n, m_next) in enumerate(pairs, 1):
-        yield (m_n + _HALF_I * m_next).div_pow2(n)
+        yield _PLUS_HALF_I(m_n, m_next).div_pow2(n)
 
 
 def ml_poly(n: int) -> Poly:
@@ -92,7 +96,7 @@ def gml_poly_from_ml(n: int) -> Poly:
     if n < 1:
         raise ValueError("gml_poly_from_ml requires n >= 1")
     m_prev, m_n = _ml_poly_pair(n)
-    return m_n + GaussianDyadic.I * m_prev
+    return _PLUS_I(m_n, m_prev)
 
 
 def ml_poly_explicit(n: int) -> Poly:
@@ -126,7 +130,7 @@ def gml_poly_negative(n: int) -> Poly:
     if n < 1:
         raise ValueError("gml_poly_negative requires n >= 1")
     m_n, m_next = _ml_poly_pair(n + 1)
-    return (m_n + _HALF_I * m_next).div_pow2(n)
+    return _PLUS_HALF_I(m_n, m_next).div_pow2(n)
 
 
 def _cpow(base: complex, k: int) -> complex:

@@ -11,7 +11,9 @@ GaussianDyadic.
 walk is the one producer of the order-2 recurrence x_k = d x_{k-1} +
 p x_{k-2}: the recurrence and relation routes here and in polyfam,
 symfun.iter_kernel, table 1 of the CLI and the verifier's seed sweeps and
-backward walks all take their terms from it.
+backward walks all take their terms from it.  Over GaussianDyadic and Poly
+seeds each step is one arith.linear_step pass that builds one ring
+element; the m walks run on ints.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .arith import Dyadic, GaussianDyadic, binomial
+from .arith import Dyadic, GaussianDyadic, binomial, linear_step
 
 # Recurrence seeds.
 M0 = 2
@@ -32,12 +34,17 @@ def walk(x0, x1, d, p) -> Iterator:
     """Yields x_0, x_1, x_2, ... of x_k = d x_{k-1} + p x_{k-2}.
 
     Works over any ring whose elements support + and * (ints mix in), and
-    computes x_k only when it is asked for.
+    computes x_k only when it is asked for.  The step is
+    arith.linear_step(d, p, ring), picked once from the ring of the seeds:
+    over GaussianDyadic or Poly seeds with one-term d and p it is the fused
+    pass, and otherwise (int seeds, a d or p of several terms, or mixed
+    seeds, which name no one ring) it is d x1 + p x0.
     """
+    step = linear_step(d, p, type(x0) if type(x1) is type(x0) else None)
     yield x0
     while True:
         yield x1
-        x0, x1 = x1, d * x1 + p * x0
+        x0, x1 = x1, step(x1, x0)
 
 
 def recurrence_term(seed0, seed1, n: int):
@@ -120,6 +127,12 @@ def gml_binet(n: int) -> GaussianDyadic:
     return GaussianDyadic(Dyadic(_ml_int(n)), im)
 
 
+def iter_gml_from_ml() -> Iterator[GaussianDyadic]:
+    """Yields gml_from_ml(1), (2), ... from one walk of the m recurrence."""
+    for m_prev, m_n in itertools.pairwise(walk(M0, M1, 3, -2)):
+        yield GaussianDyadic(m_n, m_prev)
+
+
 def gml_from_ml(n: int) -> GaussianDyadic:
     """Gm_n = m_n + i m_{n-1}, valid for n >= 1.
 
@@ -128,8 +141,7 @@ def gml_from_ml(n: int) -> GaussianDyadic:
     """
     if n < 1:
         raise ValueError("gml_from_ml requires n >= 1")
-    m_prev, m_n = next(itertools.islice(itertools.pairwise(walk(M0, M1, 3, -2)), n - 1, None))
-    return GaussianDyadic(m_n, m_prev)
+    return next(itertools.islice(iter_gml_from_ml(), n - 1, None))
 
 
 def gml_explicit(n: int) -> GaussianDyadic:

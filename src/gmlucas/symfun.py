@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arith import Dyadic, GaussianDyadic, Poly, _canonical, _poly, binomial
+from .arith import Dyadic, GaussianDyadic, Poly, _canonical, _poly, binomial, linear_step
 from .sequences import walk
 
 
@@ -598,16 +598,11 @@ _GML_POLY_C0 = Poly((2, GaussianDyadic(0, Dyadic(3, 1))))
 _GML_POLY_C1 = Poly((GaussianDyadic(0, 2), -3, GaussianDyadic(0, Dyadic(-9, 1))))
 
 
-def _gml_from_kernel(s_n, s_prev) -> GaussianDyadic:
-    return _GML_C0 * s_n - _GML_C1 * s_prev
-
-
-def _ml_poly_from_kernel(s_n, s_prev) -> Poly:
-    return _ML_POLY_C0 * s_n - _ML_POLY_C1 * s_prev
-
-
-def _gml_poly_from_kernel(s_n, s_prev) -> Poly:
-    return _GML_POLY_C0 * s_n + _GML_POLY_C1 * s_prev
+# Each decomposition is one linear_step: the one-term pairs take its fused
+# pass, and _GML_POLY_C1, of three terms, the ring operators.
+_gml_from_kernel = linear_step(_GML_C0, -_GML_C1, GaussianDyadic)
+_ml_poly_from_kernel = linear_step(_ML_POLY_C0, -_ML_POLY_C1, Poly)
+_gml_poly_from_kernel = linear_step(_GML_POLY_C0, _GML_POLY_C1, Poly)
 
 
 def _iter_decompose(kernel: SymKernel, combine) -> Iterator:

@@ -20,8 +20,9 @@ there, and its m line shows three routes at once), negative/backward-closure
 (a residual over k across zero), decimation/* (a kernel_term probe and three
 series), convolution/definition1 (random trials) and numeric-binet (a float
 tolerance).  The seed sweeps of route-agreement/numbers and the backward
-walks of negative/* walk sequences.walk; the backward-closure check writes
-out the recurrence it checks.  convolution/definition1 compares whole
+walks of negative/* walk sequences.walk, and route-agreement/numbers takes
+its relation terms from sequences.iter_gml_from_ml; the backward-closure
+check writes out the recurrence it checks.  convolution/definition1 compares whole
 series with ==, in z, reading coefficients only to name the first n at
 which a failing trial differs.
 """
@@ -138,7 +139,8 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
     m_walk = seq.walk(m0, m1, 3, -2)
     g_walk = seq.walk(g0, g1, 3, -2)
     symmetric = sf.iter_sym_decompose_gml()
-    m_prev = e_prev = None
+    relation = seq.iter_gml_from_ml()
+    e_prev = None
     for n in range(max_n + 1):
         rec = next(m_walk)
         binet = seq.ml_binet(n)
@@ -156,11 +158,11 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
                   ("symmetric", next(symmetric))]
         if n >= 1:
             routes.append(("explicit", GaussianDyadic(explicit.a, e_prev.a)))
-            routes.append(("relation", GaussianDyadic(rec, m_prev)))
+            routes.append(("relation", next(relation)))
         for label, got in routes:
             if got != grec:
                 return _fail(name, rng, f"n={n}: recurrence={grec} vs {label}={got}")
-        m_prev, e_prev = rec, explicit
+        e_prev = explicit
     return _ok(name, rng)
 
 
@@ -178,7 +180,8 @@ def _check_route_polynomials(max_poly_n: int) -> CheckResult:
 
 def _backward(x1, x0, d):
     """A stream of x_{-1}, x_{-2}, ...: the walk of the recurrence run
-    backwards, x_{k-2} = (d x_{k-1} - x_k) / 2, down from (x_1, x_0)."""
+    backwards, x_{k-2} = (d x_{k-1} - x_k) / 2, down from (x_1, x_0).  The
+    walk runs in Z[1/2][i], so the seeds are given there too."""
     return lambda: itertools.islice(seq.walk(x1, x0, d, _MINUS_HALF), 2, None)
 
 
@@ -186,7 +189,8 @@ def _check_negative_numbers(max_n: int) -> CheckResult:
     return _check_streams(
         "negative/numbers", 1, min(100, max_n),
         ("m(-{n})", _terms(seq.ml_negative, 1),
-         (("backward walk", 1, _backward(seq.M1, seq.M0, _THREE_HALVES)),)),
+         (("backward walk", 1,
+           _backward(GaussianDyadic(seq.M1), GaussianDyadic(seq.M0), _THREE_HALVES)),)),
         ("Gm(-{n})", _terms(seq.gml_negative, 1),
          (("backward walk", 1, _backward(seq.GM1, seq.GM0, _THREE_HALVES)),)))
 

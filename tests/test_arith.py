@@ -15,6 +15,7 @@ from gmlucas.arith import (
     GaussianDyadic,
     Poly,
     binomial,
+    linear_step,
     poly_eval,
 )
 
@@ -806,3 +807,75 @@ def test_poly_equality_is_strict_about_type():
 def test_poly_coefficient_type_guard():
     with pytest.raises(TypeError):
         Poly((0.5,))
+
+
+# linear_step: the fused a x + b y that the recurrence walks and the one-term
+# decompositions take.  Coefficients are scalars of every type, zeros
+# included, and over Poly also one-term polys c x**j; the terms are drawn
+# with dyadic exponents, Gaussian parts and the zero polynomial.
+step_scalars = st.one_of(st.integers(-9, 9), small_dyadics, one_term_coeffs,
+                         st.just(GaussianDyadic.ZERO),
+                         st.builds(lambda parts: GaussianDyadic(*parts), gaussian_parts()))
+step_terms = st.builds(lambda parts: GaussianDyadic(*parts), gaussian_parts())
+half_unit = GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1))
+
+
+@given(step_scalars, step_scalars, step_terms, step_terms)
+# (1+i)/2 times (1+i)/2 is i/2: the product cancels a two.
+@example(half_unit, 0, half_unit, GaussianDyadic.ZERO)
+# 1/2 + 1/2 = 1: the sum cancels every two of the denominator.
+@example(Dyadic(1, 1), Dyadic(1, 1), GaussianDyadic(1), GaussianDyadic(1))
+# 3 (3/2) - 2 (9/4) = 0 over 2**2.
+@example(3, -2, GaussianDyadic(Dyadic(3, 1)), GaussianDyadic(Dyadic(9, 2)))
+def test_gaussian_linear_step_matches_operators(a, b, x, y):
+    got = linear_step(a, b, GaussianDyadic)(x, y)
+    want = a * x + b * y
+    assert type(got) is GaussianDyadic
+    assert (got.a, got.b, got.exp) == (want.a, want.b, want.exp)
+    assert_gaussian_canonical(got)
+
+
+@given(st.one_of(step_scalars, one_term_polys), st.one_of(step_scalars, one_term_polys),
+       gaussian_polys, gaussian_polys)
+@example(Poly.X * half_unit, 0, Poly((half_unit, half_unit)), Poly.ZERO)
+@example(Dyadic(1, 1), Dyadic(1, 1), Poly((1, 3)), Poly((1, -1)))
+# The recurrence taps: 3x m_1 - 2 m_0 and the backward (3x/2) x_0 - (1/2) x_1.
+@example(Poly((0, 3)), -2, Poly((0, 3)), Poly((2,)))
+@example(Poly((0, Dyadic(3, 1))), Dyadic(-1, 1), Poly((2,)), Poly((0, 3)))
+# m_n + i m_{n-1}, the relation; both terms zero.
+@example(1, GaussianDyadic.I, Poly((-4, 0, 9)), Poly((0, 3)))
+@example(Poly((0, 3)), -2, Poly.ZERO, Poly.ZERO)
+def test_poly_linear_step_matches_operators(a, b, x, y):
+    got = linear_step(a, b, Poly)(x, y)
+    want = a * x + b * y
+    assert type(got) is Poly
+    assert (got.re, got.im, got.exp) == (want.re, want.im, want.exp)
+    assert got.coeffs == ref_add(ref_mul(Poly._coerce(a).coeffs, x.coeffs),
+                                 ref_mul(Poly._coerce(b).coeffs, y.coeffs))
+    assert_poly_canonical(got)
+
+
+@pytest.mark.parametrize("a, b, x, y", (
+    (3, -2, 5, 7),                                            # the m walks stay on ints
+    (3, -2, Dyadic(3, 1), Dyadic(5, 2)),
+    (Poly((1, 1)), -2, Poly((2, 3)), Poly((0, Dyadic(1, 1)))),  # 1 + x has two terms
+    (Poly((0, 3)), Poly((GaussianDyadic.I, 1)),                    # i + x has two terms
+     Poly((1, 2)), Poly((GaussianDyadic(1, 1),))),
+    (Poly((0, 3)), -2, GaussianDyadic(1, 2), GaussianDyadic(3)),  # a Poly is no scalar
+    (Poly((3,)), -2, GaussianDyadic(1, 2), GaussianDyadic(3)),    # not even a constant one
+    (0.5, 1, Poly((1, 2)), Poly((3,))),
+    (True, 1, GaussianDyadic(1, 2), GaussianDyadic(3)),
+), ids=("int ring", "Dyadic ring", "two-term a", "two-term b", "poly over scalars",
+        "constant poly over scalars", "float", "bool"))
+def test_linear_step_falls_back_to_the_operators(a, b, x, y):
+    # Outside one-term coefficients over Poly or GaussianDyadic the step is
+    # a x + b y itself: the same value and type, or the same TypeError.
+    step = linear_step(a, b, type(x))
+    try:
+        want = a * x + b * y
+    except TypeError:
+        with pytest.raises(TypeError):
+            step(x, y)
+        return
+    got = step(x, y)
+    assert type(got) is type(want) and got == want

@@ -12,6 +12,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from gmlucas import polyfam as pf
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, poly_eval
 from gmlucas.polyfam import (
     binet_numeric,
@@ -203,25 +204,26 @@ def test_poly_walker_specializes_to_number_walker(a, b, n):
 ), ids=("gml_poly_from_ml", "gml_poly_negative"))
 def test_adjacent_term_routes_walk_once(monkeypatch, route):
     # Counts, not timings: a route that needs two adjacent terms must take
-    # both from one walk, about the multiplies of ml_poly(n), not twice that.
-    calls = 0
-    mul = Poly.__mul__
+    # both from one walk, about the steps of ml_poly(n), not twice that.
+    steps = 0
+    walk = pf.walk
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
+    def counting(*args):
+        nonlocal steps
+        for k, term in enumerate(walk(*args)):
+            if k >= 2:  # x_0 and x_1 are the seeds; each later term is a step
+                steps += 1
+            yield term
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
-    monkeypatch.setattr(Poly, "__rmul__", counting)
+    monkeypatch.setattr(pf, "walk", counting)
 
-    def muls(fn, n: int) -> int:
-        nonlocal calls
-        calls = 0
+    def walked(fn, n: int) -> int:
+        nonlocal steps
+        steps = 0
         fn(n)
-        return calls
+        return steps
 
     n = 30
-    one_walk = muls(lambda k: ml_poly(k), n)
-    assert one_walk >= 2 * (n - 1)
-    assert muls(route, n) <= one_walk + 4, (muls(route, n), one_walk)
+    one_walk = walked(ml_poly, n)
+    assert one_walk == n - 1
+    assert walked(route, n) <= one_walk + 4, (walked(route, n), one_walk)

@@ -5,11 +5,18 @@ form 2**n + 1 computed inline with shifts, and the hand-expanded binomial
 summands for small n.
 """
 
+import collections
+import contextlib
+import io
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gmlucas import cli
+from gmlucas import polyfam as pf
+from gmlucas import symfun as sf
+from gmlucas import verify
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly
 from gmlucas.sequences import (
     _ml_explicit_int,
@@ -23,6 +30,7 @@ from gmlucas.sequences import (
     gml_from_ml,
     gml_negative,
     gml_recurrence,
+    iter_gml_from_ml,
     ml_binet,
     ml_explicit,
     ml_negative,
@@ -217,6 +225,13 @@ WALK_CASES = {
     "poly seeds, mixed weights": (
         Poly((2, GaussianDyadic(0, Dyadic(3, 1)))), Poly((GaussianDyadic(0, 2), 3)),
         Poly((Dyadic(1, 1), 0, -1)), Dyadic(-3, 2)),
+    "poly seeds, backward weights": (
+        Poly((GaussianDyadic(0, 2), 3)), Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
+        Poly((0, Dyadic(3, 1))), GaussianDyadic(Dyadic(-1, 1))),
+    "poly seeds, gaussian one-term weights": (
+        Poly((1, Dyadic(1, 2))), Poly((GaussianDyadic(1, 1),)),
+        Poly((0, 0, GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1)))), GaussianDyadic(0, Dyadic(3, 1))),
+    "mixed seeds": (2, GaussianDyadic(3, 2), 3, -2),
 }
 
 
@@ -227,3 +242,61 @@ def test_walk_matches_a_list_built_reference(x0, x1, d, p):
         ref.append(d * ref[-1] + p * ref[-2])
     for count in range(32):
         assert list(itertools.islice(walk(x0, x1, d, p), count)) == ref[:count]
+
+
+def test_relation_iterator_yields_the_relation_route():
+    swept = list(itertools.islice(iter_gml_from_ml(), 40))
+    assert swept == [gml_from_ml(n) for n in range(1, 41)]
+    assert swept == [gml_binet(n) for n in range(1, 41)]
+
+
+def _table(rows: int) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["table", "1", "--rows", str(rows)]) == 0
+
+
+def _first(terms):
+    return lambda n: list(itertools.islice(terms(), n))
+
+
+# The package's walks over GaussianDyadic and Poly, forward and backward,
+# each as a run of a given length: the iterators walk that many terms, and
+# the checks sweep that far.  sym_decompose_gml_poly is left out: its
+# coefficient (i(2 - (9/2)x**2) - 3x) has three terms, so it keeps the ring
+# operators by design.
+PACKAGE_WALKS = {
+    "gml_recurrence": gml_recurrence,
+    "iter_ml_poly": _first(pf.iter_ml_poly),
+    "iter_gml_poly": _first(pf.iter_gml_poly),
+    "iter_gml_poly_from_ml": _first(pf.iter_gml_poly_from_ml),
+    "iter_gml_poly_negative": _first(pf.iter_gml_poly_negative),
+    "iter_kernel scalar": _first(lambda: sf.iter_kernel(sf.SymKernel(3, -2))),
+    "iter_kernel poly": _first(lambda: sf.iter_kernel(sf.SymKernel(Poly((0, 3)), Poly((-2,))))),
+    "iter_sym_decompose_gml": _first(sf.iter_sym_decompose_gml),
+    "iter_sym_decompose_ml_poly": _first(sf.iter_sym_decompose_ml_poly),
+    "table 1": _table,
+    "route-agreement/numbers": lambda n: verify._check_route_numbers(n, None),
+    "negative/numbers": verify._check_negative_numbers,
+    "negative/polynomials": verify._check_negative_polynomials,
+}
+RING_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+@pytest.mark.parametrize("run", PACKAGE_WALKS.values(), ids=list(PACKAGE_WALKS))
+def test_walks_call_no_ring_operator_per_step(monkeypatch, run):
+    calls = collections.Counter()
+    for cls in (GaussianDyadic, Poly):
+        for name in RING_OPERATORS:
+            def counting(self, other, op=getattr(cls, name), key=f"{cls.__name__}.{name}"):
+                calls[key] += 1
+                return op(self, other)
+
+            monkeypatch.setattr(cls, name, counting)
+
+    def count(n: int) -> collections.Counter:
+        calls.clear()
+        result = run(n)
+        assert getattr(result, "passed", True)
+        return collections.Counter(calls)
+
+    assert count(24) == count(8)

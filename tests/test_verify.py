@@ -95,6 +95,7 @@ ROUTE_WALKS = (
     (sf, "iter_sym_decompose_gml_poly", 0,
      {"decomposition/gm-poly": 3, "route-agreement/polynomials": 3}),
     (pf, "iter_gml_poly_from_ml", 1, {"route-agreement/polynomials": 3}),
+    (seq, "iter_gml_from_ml", 1, {"route-agreement/numbers": 3}),
     (pf, "iter_ml_poly_negative", 1, {"negative/polynomials": 3}),
     (pf, "iter_gml_poly_negative", 1, {"negative/polynomials": 3}),
     (sf, "iter_kernel_explicit", 0,
@@ -328,3 +329,51 @@ def test_small_csv_report_is_golden(fault):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert (code, out.getvalue(), err.getvalue()) == (want_code, want, "")
+
+
+# sha256 of `verify` stdout, with its exit code: a change that only makes
+# the checks faster must leave every report byte for byte as it is, in every
+# format, at the defaults and at a small size with and without each seed
+# fault.  A change that alters a report on purpose updates its digest here.
+VERIFY_DIGESTS = (
+    ("--format text", 0,
+     "41d42c898b532d8bc6770cb1cf6ee3bcb342f381ade809d387cb71e565d14657"),
+    ("--format json", 0,
+     "f1d4bc694277c2ca71827ced6cde83b4bd3687e588609e74a9e6b02514b9d7d2"),
+    ("--format csv", 0,
+     "bf919111df5df317913e1b3d30e31aeda6780a3f1db49f4bceb2c12235839754"),
+    ("--max-n 12 --max-poly-n 6 --format text", 0,
+     "78155f3dcea0e48a9a161c157519a6a8109a735d50bc475ac649bdaf26451aa8"),
+    ("--max-n 12 --max-poly-n 6 --format json", 0,
+     "e1377d3765526a4f452ad9334a4fa872e86b7f1213690db8a8c2a205e34eac00"),
+    ("--max-n 12 --max-poly-n 6 --format csv", 0,
+     "0b783cd3539aac876aefb73c9bfaa985f86d40dc95c498b5496a98ce696f951e"),
+    ("--max-n 12 --max-poly-n 6 --format text --inject-fault m1", 1,
+     "ace07c9715da60cda322acd018e5807bb1c17a5d1e25c34d4918ab97cf225e9b"),
+    ("--max-n 12 --max-poly-n 6 --format json --inject-fault m1", 1,
+     "ae2798a91eb791c06f3bc54e44e7ce444316b1e63381c53cf0015bae7c66be3e"),
+    ("--max-n 12 --max-poly-n 6 --format csv --inject-fault m1", 1,
+     "09679771d399b7f976011cf78ad8ee60941c8dd956188cd1cde37dae36c2dcbb"),
+    ("--max-n 12 --max-poly-n 6 --format text --inject-fault gm0", 1,
+     "72e69c04a9dfd3c51eee11df9b1c32567bb61af9547c844f86352bb1678ee2a2"),
+    ("--max-n 12 --max-poly-n 6 --format json --inject-fault gm0", 1,
+     "5abf88a771897b185c27fd5a3b6f7f37230683908bc90dc2ad42ca821fe9d1f7"),
+    ("--max-n 12 --max-poly-n 6 --format csv --inject-fault gm0", 1,
+     "12b838e4d64bf1fa2ee0cb77d7035901ede4c079277eadf2f5b64847e5ba407f"),
+    ("--max-n 12 --max-poly-n 6 --format text --inject-fault gm1", 1,
+     "49ce7674a33ca78225e133bb54d6f5e046b768d3532163e1fee6b426f17cc7fb"),
+    ("--max-n 12 --max-poly-n 6 --format json --inject-fault gm1", 1,
+     "1150ee5cc09881d6b2d2a1db829da2cc333f5e67dcd831ada908300466a71e0a"),
+    ("--max-n 12 --max-poly-n 6 --format csv --inject-fault gm1", 1,
+     "7ab49673d79dd6f84a54cb22cb962daf1c31241c4bee8c04308b5cb0f161b900"),
+)
+
+
+@pytest.mark.parametrize("args, want_code, want_digest", VERIFY_DIGESTS,
+                         ids=[case[0] for case in VERIFY_DIGESTS])
+def test_verify_output_matches_its_digest(args, want_code, want_digest):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", *args.split()])
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest, err.getvalue()) == (want_code, want_digest, "")
