@@ -14,6 +14,12 @@ so its add, sub and mul run on Python ints.  It is kept canonical (exp == 0
 or a or b odd; zero has exp == 0), so equality compares the three ints.  Its
 re and im are read-only Dyadic views, built only when asked for.
 
+Each scalar operator of Dyadic and GaussianDyadic has one plain path: align
+the exponents, combine the ints, and normalize once, through Dyadic's
+constructor or _canonical; subtraction adds the negation.  Only Poly's
+operators and linear_step keep fast paths, because the walks (over
+GaussianDyadic too), the series and the term requests run through them.
+
 Poly is not a tuple of GaussianDyadic objects either: it stores two int
 vectors over one power-of-two denominator, re, im and exp, and the
 coefficient of x**j is (re[j] + im[j] i) / 2**exp.  Its add, sub, mul and
@@ -100,44 +106,24 @@ class Dyadic:
             return Dyadic(value)
         return None
 
-    # The operators skip _coerce for exact Dyadic operands, and skip the
-    # normalizing constructor whenever parity makes the result canonical:
-    # with both exponents 0 it is an integer; with unequal exponents the
-    # odd numerator of the larger one meets an even shifted one, so the sum
-    # or difference is odd; with both exponents positive odd * odd is odd.
-
     def __add__(self, other):
         if type(other) is not Dyadic:
             other = Dyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        e, f = self.exp, other.exp
-        if e > f:
-            return _dyadic(self.num + (other.num << (e - f)), e)
-        if e < f:
-            return _dyadic((self.num << (f - e)) + other.num, f)
-        if e == 0:
-            return _dyadic(self.num + other.num, 0)
-        return Dyadic(self.num + other.num, e)
+        e = max(self.exp, other.exp)
+        return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _dyadic(-self.num, self.exp)
+        return Dyadic(-self.num, self.exp)
 
     def __sub__(self, other):
-        if type(other) is not Dyadic:
-            other = Dyadic._coerce(other)
-            if other is None:
-                return NotImplemented
-        e, f = self.exp, other.exp
-        if e > f:
-            return _dyadic(self.num - (other.num << (e - f)), e)
-        if e < f:
-            return _dyadic((self.num << (f - e)) - other.num, f)
-        if e == 0:
-            return _dyadic(self.num - other.num, 0)
-        return Dyadic(self.num - other.num, e)
+        other = Dyadic._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         other = Dyadic._coerce(other)
@@ -150,10 +136,7 @@ class Dyadic:
             other = Dyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        e, f = self.exp, other.exp
-        if (e == 0) == (f == 0):
-            return _dyadic(self.num * other.num, e + f)
-        return Dyadic(self.num * other.num, e + f)
+        return Dyadic(self.num * other.num, self.exp + other.exp)
 
     __rmul__ = __mul__
 
@@ -220,11 +203,19 @@ class Dyadic:
         return f"Dyadic({self.num}, {self.exp})"
 
 
-def _dyadic(num: int, exp: int) -> Dyadic:
-    """A Dyadic from parts the caller knows to be canonical."""
-    out = _new(Dyadic)
-    out.num = num
-    out.exp = exp
+def _power(x, k: int):
+    """x**k by square and multiply, for k >= 0; the __pow__ of
+    GaussianDyadic and Poly."""
+    if not isinstance(k, int):
+        return NotImplemented
+    if k < 0:
+        raise ValueError("negative powers need an explicit inverse()")
+    out = type(x).ONE
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
     return out
 
 
@@ -281,23 +272,14 @@ class GaussianDyadic:
             return GaussianDyadic(value)
         return None
 
-    # As for Dyadic, the operators build the result directly whenever
-    # parity makes it canonical: unequal exponents leave the odd part of the
-    # larger one odd, and equal exponents of 0 give a Gaussian integer.
-
     def __add__(self, other):
         if type(other) is not GaussianDyadic:
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        e, f = self.exp, other.exp
-        if e > f:
-            return _gaussian(self.a + (other.a << (e - f)), self.b + (other.b << (e - f)), e)
-        if e < f:
-            return _gaussian((self.a << (f - e)) + other.a, (self.b << (f - e)) + other.b, f)
-        if e == 0:
-            return _gaussian(self.a + other.a, self.b + other.b, 0)
-        return _canonical(self.a + other.a, self.b + other.b, e)
+        e = max(self.exp, other.exp)
+        s, t = e - self.exp, e - other.exp
+        return _canonical((self.a << s) + (other.a << t), (self.b << s) + (other.b << t), e)
 
     __radd__ = __add__
 
@@ -305,18 +287,10 @@ class GaussianDyadic:
         return _gaussian(-self.a, -self.b, self.exp)
 
     def __sub__(self, other):
-        if type(other) is not GaussianDyadic:
-            other = GaussianDyadic._coerce(other)
-            if other is None:
-                return NotImplemented
-        e, f = self.exp, other.exp
-        if e > f:
-            return _gaussian(self.a - (other.a << (e - f)), self.b - (other.b << (e - f)), e)
-        if e < f:
-            return _gaussian((self.a << (f - e)) - other.a, (self.b << (f - e)) - other.b, f)
-        if e == 0:
-            return _gaussian(self.a - other.a, self.b - other.b, 0)
-        return _canonical(self.a - other.a, self.b - other.b, e)
+        other = GaussianDyadic._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
         other = GaussianDyadic._coerce(other)
@@ -329,34 +303,11 @@ class GaussianDyadic:
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, e = self.a, self.b, self.exp
-        c, d, f = other.a, other.b, other.exp
-        if e and f:
-            # Each factor has an odd part, so 1+i divides it at most once,
-            # and exactly when both parts are odd: the product can share at
-            # most one two with 2**(e + f), as in (1+i)**2 = 2i.
-            if a & b & c & d & 1:
-                return _gaussian((a * c - b * d) >> 1, (a * d + b * c) >> 1, e + f - 1)
-            return _gaussian(a * c - b * d, a * d + b * c, e + f)
-        if e or f:
-            return _canonical(a * c - b * d, a * d + b * c, e + f)
-        return _gaussian(a * c - b * d, a * d + b * c, 0)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return _canonical(a * c - b * d, a * d + b * c, self.exp + other.exp)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("negative powers need an explicit inverse()")
-        out = GaussianDyadic.ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    __pow__ = _power
 
     def conj(self) -> "GaussianDyadic":
         return _gaussian(self.a, -self.b, self.exp)
@@ -378,19 +329,13 @@ class GaussianDyadic:
         """self * 2**k for k >= 0."""
         if k < 0:
             raise ValueError("use div_pow2 for negative shifts")
-        e = self.exp
-        if k <= e:
-            return _gaussian(self.a, self.b, e - k)
-        return _gaussian(self.a << (k - e), self.b << (k - e), 0)
+        return _canonical(self.a << k, self.b << k, self.exp)
 
     def div_pow2(self, k: int) -> "GaussianDyadic":
         """self / 2**k for k >= 0; always exact in this ring."""
         if k < 0:
             raise ValueError("use mul_pow2 for negative shifts")
-        if self.exp:
-            # An odd part is already present, so the result stays canonical.
-            return _gaussian(self.a, self.b, self.exp + k)
-        return _canonical(self.a, self.b, k)
+        return _canonical(self.a, self.b, self.exp + k)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -611,29 +556,13 @@ class Poly:
         return _poly(out_re, out_im, a.exp + b.exp)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("negative powers need an explicit inverse()")
-        out = Poly.ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    __pow__ = _power
 
     def mul_pow2(self, k: int) -> "Poly":
         """self * 2**k for k >= 0."""
         if k < 0:
             raise ValueError("use div_pow2 for negative shifts")
-        if k <= self.exp:
-            return _make_poly(self.re, self.im, self.exp - k)
-        k -= self.exp
-        return _make_poly(tuple(c << k for c in self.re), tuple(c << k for c in self.im), 0)
+        return _poly([c << k for c in self.re], [c << k for c in self.im], self.exp)
 
     def div_pow2(self, k: int) -> "Poly":
         """self / 2**k for k >= 0; always exact over Z[1/2][i]."""

@@ -439,6 +439,7 @@ def test_gaussian_ops_match_reference(x, y):
     ra, rb = RefGaussian(*x), RefGaussian(*y)
     assert_matches_reference(a, ra)
     for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (a ** 0, RefGaussian(1)), (a ** 3, ra * ra * ra),
                       (-a, -ra), (a.conj(), RefGaussian(ra.re, -ra.im))):
         assert_matches_reference(got, want)
     assert (a == b) == (ra == rb)
@@ -687,6 +688,9 @@ def test_poly_ops_match_reference(a, b):
         (a + b, ref_add(a.coeffs, b.coeffs)),
         (a - b, ref_add(a.coeffs, b.coeffs, -1)),
         (a * b, ref_mul(a.coeffs, b.coeffs)),
+        # The shared power must start from the ONE of its own class.
+        (a ** 0, (GaussianDyadic.ONE,)),
+        (a ** 3, ref_mul(a.coeffs, ref_mul(a.coeffs, a.coeffs))),
         (-a, tuple(-c for c in a.coeffs)),
     ):
         assert got.coeffs == want

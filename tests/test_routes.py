@@ -5,6 +5,9 @@ the gmlucas functions it enters outside the arithmetic layer are collected.
 Two routes of one family that enter a common function compute their term
 through shared code, so their agreement would check that code against
 itself.  The allow-list names the functions that may be shared, and why.
+
+The streams that each verify check compares are held to the same rule,
+outside arith and verify.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import pytest
 from gmlucas import cli
 from gmlucas import polyfam as pf
 from gmlucas import sequences as seq
+from gmlucas import verify
 
 ALLOWED = {
     # A ring constant (the one of the letters' ring), read by the symmetric
@@ -78,3 +82,45 @@ def test_wrong_walk_splits_recurrence_from_relation(monkeypatch, step):
     monkeypatch.setattr(pf, "walk", walk)
     assert any(seq.gml_recurrence(n) != seq.gml_from_ml(n) for n in (1, 2, 3))
     assert any(pf.gml_poly(n) != pf.gml_poly_from_ml(n) for n in (1, 2, 3))
+
+
+def _entered_by_stream(stream, terms: int = 4) -> set[str]:
+    """The gmlucas functions outside arith and verify that the first terms
+    of a verify stream enter."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("gmlucas.") and module not in ("gmlucas.arith", "gmlucas.verify"):
+                seen.add(f"{module}.{frame.f_code.co_qualname}")
+
+    sys.setprofile(profile)
+    try:
+        list(itertools.islice(stream(), terms))
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_streams_that_verify_compares_share_no_code(monkeypatch):
+    # Each group that verify._check_streams compares is a stream and the
+    # streams it is compared with; no two of them may share code beyond
+    # ALLOWED, or their agreement would check that code against itself.
+    calls = []
+    check_streams = verify._check_streams
+
+    def capture(name, lo, hi, *groups):
+        calls.append((name, groups))
+        return check_streams(name, lo, hi, *groups)
+
+    monkeypatch.setattr(verify, "_check_streams", capture)
+    assert verify.run_verify(max_n=12, max_poly_n=6).overall
+    assert len(calls) == 17
+    for name, groups in calls:
+        for label, stream, others in groups:
+            entered = {label: _entered_by_stream(stream)}
+            entered.update((other, _entered_by_stream(s)) for other, _, s in others)
+            for a, b in itertools.combinations(entered, 2):
+                shared = (entered[a] & entered[b]) - ALLOWED
+                assert not shared, f"{name}: {label}: {a} and {b} both enter {sorted(shared)}"
