@@ -57,7 +57,6 @@ from .symfun import (
     s_diff_series,
     s_neg_alphabet,
     series_div,
-    series_from_coeffs,
     sym_decompose_gml,
     sym_decompose_gml_poly,
     sym_decompose_ml_poly,
@@ -80,6 +79,6 @@ __all__ = [
     "ml_poly_negative", "ml_recurrence", "poly_eval",
     "poly_recurrence_term", "recurrence_term", "run_verify",
     "s_diff_convolution", "s_diff_series", "s_neg_alphabet", "series_div",
-    "series_from_coeffs", "sym_decompose_gml", "sym_decompose_gml_poly",
-    "sym_decompose_ml_poly", "two_letter_sn", "walk",
+    "sym_decompose_gml", "sym_decompose_gml_poly", "sym_decompose_ml_poly",
+    "two_letter_sn", "walk",
 ]

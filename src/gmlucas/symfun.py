@@ -6,9 +6,11 @@ case S_0 = 1, S_n = d S_{n-1} + p S_{n-2}, whose generating series is
 1 / (1 - d z - p z**2); the number families arise from (3, -2) and the
 polynomial families from (3x, -2).
 
-Everything here is ring generic: coefficients may be GaussianDyadic or Poly,
-and truncated series division only ever inverts constant terms that are
-units (in practice 1 or 2).
+Alphabets take scalar letters: int, Dyadic or GaussianDyadic, lifted to
+GaussianDyadic, and a Poly letter is a TypeError.  Kernels and series run
+over GaussianDyadic or Poly, as does the closed sum of two_letter_sn, and
+truncated series division only ever inverts constant terms that are units
+(in practice 1 or 2).
 
 Series run on ints.  A series over GaussianDyadic is also a Poly in z (see
 PowerSeries), and the alphabet routes build only that view: prod(1 - letter
@@ -183,17 +185,6 @@ def _series(coeffs: tuple | None, z: Poly | None = None, order: int = 0) -> Powe
     return out
 
 
-def series_from_coeffs(coeffs, order: int) -> PowerSeries:
-    """Lift polynomial coefficients into a series of the given order."""
-    if order < 0:
-        raise ValueError("series order must be non-negative")
-    cs = _common_ring(list(coeffs)) or [GaussianDyadic.ZERO]
-    zero = _zero_like(cs[0])
-    cs = cs[: order + 1]
-    cs += [zero] * (order + 1 - len(cs))
-    return PowerSeries(cs)
-
-
 def series_div(num, den, order: int) -> PowerSeries:
     """Unique s with den * s = num modulo z**(order+1).
 
@@ -308,16 +299,16 @@ def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
 
 
 def _letters(alpha) -> tuple:
-    return tuple(_common_ring(list(alpha)))
+    """The letters of an alphabet as GaussianDyadic values."""
+    letters = _common_ring(list(alpha))
+    if letters and type(letters[0]) is Poly:
+        raise TypeError("alphabet letters must be GaussianDyadic, Dyadic or int")
+    return tuple(letters)
 
 
-def _alphabet_z(letters: tuple) -> Poly | None:
-    """prod(1 - letter z) as a Poly in z, or None if the letters are Polys:
-    over 2**e, prod(2**e - (letter 2**e) z) / 2**(e k) for k letters."""
-    if not letters:
-        return Poly.ONE
-    if type(letters[0]) is not GaussianDyadic:
-        return None
+def _alphabet_z(letters: tuple) -> Poly:
+    """prod(1 - letter z) as a Poly in z: over 2**e,
+    prod(2**e - (letter 2**e) z) / 2**(e k) for k letters."""
     lr, li, e = _align(letters)
     cr, ci = [1], [0]
     for r, i in zip(lr, li):
@@ -329,31 +320,14 @@ def _alphabet_z(letters: tuple) -> Poly | None:
     return _poly(cr, ci, e * len(letters))
 
 
-def _alphabet_poly(letters) -> list:
-    """Coefficients of prod(1 - letter * z), for the caller to lift to one ring."""
-    coeffs = [GaussianDyadic.ONE]
-    for letter in letters:
-        nxt = coeffs + [GaussianDyadic.ZERO]
-        for j in range(len(coeffs)):
-            nxt[j + 1] = nxt[j + 1] - letter * coeffs[j]
-        coeffs = nxt
-    return coeffs
-
-
 def s_neg_alphabet(mu, order: int) -> PowerSeries:
     """S_n(-mu): coefficients of prod(1 - mu_i z), zero beyond len(mu)."""
-    mu = _letters(mu)
-    if (z := _alphabet_z(mu)) is None:
-        return series_from_coeffs(_alphabet_poly(mu), order)
-    return _series(None, z, order)
+    return _series(None, _alphabet_z(_letters(mu)), order)
 
 
 def s_diff_series(lam, mu, order: int) -> PowerSeries:
     """S_n(lambda - mu) for n = 0..order, by truncated series division."""
-    lam, mu = _letters(lam), _letters(mu)
-    num, den = _alphabet_z(mu), _alphabet_z(lam)
-    if num is None or den is None:
-        return series_div(_alphabet_poly(mu), _alphabet_poly(lam), order)
+    den, num = _alphabet_z(_letters(lam)), _alphabet_z(_letters(mu))
     f = den.exp
     tr, ti = _div_ints(num.re, num.im, den.re, den.im, f, order)
     return _series(None, _poly([t << (order - n) * f for n, t in enumerate(tr)],
@@ -361,7 +335,7 @@ def s_diff_series(lam, mu, order: int) -> PowerSeries:
                                num.exp + order * f), order)
 
 
-def s_diff_convolution(lam, mu, n: int):
+def s_diff_convolution(lam, mu, n: int) -> GaussianDyadic:
     """S_n(lambda - mu) = sum_j S_{n-j}(-mu) S_j(lambda).
 
     An independent route to the same coefficient as s_diff_series, used to
@@ -369,15 +343,9 @@ def s_diff_convolution(lam, mu, n: int):
     """
     if n < 0:
         raise ValueError("s_diff_convolution requires n >= 0")
-    lam = _letters(lam)
-    mu = _letters(mu)
     s_mu = s_neg_alphabet(mu, n).coeffs
     s_lam = s_diff_series(lam, (), n).coeffs
-    ring_probe = (list(lam) + list(mu) + [GaussianDyadic.ONE])[0]
-    acc = _zero_like(ring_probe)
-    for j in range(n + 1):
-        acc = acc + s_mu[n - j] * s_lam[j]
-    return acc
+    return sum((s_mu[n - j] * s_lam[j] for j in range(n + 1)), GaussianDyadic.ZERO)
 
 
 def _terms(x) -> tuple[list, int]:

@@ -35,7 +35,6 @@ from gmlucas.symfun import (
     s_diff_series,
     s_neg_alphabet,
     series_div,
-    series_from_coeffs,
     sym_decompose_gml,
     sym_decompose_gml_poly,
     sym_decompose_ml_poly,
@@ -58,6 +57,13 @@ FIBS = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
 
 def gvals(series):
     return [c for c in series]
+
+
+def series_from_coeffs(coeffs, order):
+    """A series of the given order from its leading coefficients, padded
+    with zeros, lifted to one ring by PowerSeries."""
+    cs = list(coeffs)[: order + 1]
+    return PowerSeries(cs + [0] * (order + 1 - len(cs)))
 
 
 # -------------------------------------------------------------- PowerSeries
@@ -250,10 +256,19 @@ def test_alphabet_container():
 
 
 def test_alphabet_lifts_to_common_ring():
-    # (1 - xz)(1 - 2z) = 1 - (2 + x)z + 2x z^2
-    s = s_neg_alphabet((Poly.X, 2), 2)
-    assert gvals(s) == [Poly((1,)), Poly((-2, -1)), Poly((0, 2))]
-    assert all(isinstance(c, Poly) for c in s)
+    # Letters are scalars: a Poly letter, alone or among scalars, is refused
+    # by every alphabet route, on either side of S_n(lambda - mu).
+    for poly_letters in ((Poly.X, 2), (Poly.X,), (1, Poly((3,)))):
+        routes = (lambda: s_neg_alphabet(poly_letters, 2),
+                  lambda: s_diff_series(poly_letters, (1,), 2),
+                  lambda: s_diff_series((1,), poly_letters, 2),
+                  lambda: s_diff_convolution(poly_letters, (), 2),
+                  lambda: s_diff_convolution((), poly_letters, 2))
+        for route in routes:
+            with pytest.raises(TypeError, match="alphabet letters must be GaussianDyadic"):
+                route()
+    with pytest.raises(TypeError, match="not a ring element"):
+        s_neg_alphabet((1, "x"), 2)
 
 
 def test_neg_alphabet_product():
@@ -416,8 +431,12 @@ def test_series_built_in_z_meets_constant_poly_series(lam, mu, order):
 @pytest.mark.parametrize("mu", ((), (1, Dyadic(1, 1)), (Poly.X, 2)),
                          ids=("empty", "gaussian", "poly"))
 def test_negative_order_is_rejected_on_every_ring_path(mu):
-    routes = (lambda: s_neg_alphabet(mu, -1), lambda: s_diff_series(mu, (), -1),
-              lambda: s_diff_series((), mu, -1), lambda: series_from_coeffs(mu or (1,), -1))
+    # A Poly alphabet is refused for its letters (above), so Poly values
+    # reach a negative order through series_div alone.
+    routes = [lambda: series_div(mu or (1,), (1, *mu), -1)]
+    if not any(isinstance(letter, Poly) for letter in mu):
+        routes += [lambda: s_neg_alphabet(mu, -1), lambda: s_diff_series(mu, (), -1),
+                   lambda: s_diff_series((), mu, -1)]
     for route in routes:
         with pytest.raises(ValueError, match="series order must be non-negative"):
             route()
