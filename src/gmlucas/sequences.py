@@ -141,7 +141,9 @@ def gml_from_ml(n: int) -> GaussianDyadic:
     """
     if n < 1:
         raise ValueError("gml_from_ml requires n >= 1")
-    return next(itertools.islice(iter_gml_from_ml(), n - 1, None))
+    pairs = itertools.pairwise(walk(M0, M1, 3, -2))
+    m_prev, m_n = next(itertools.islice(pairs, n - 1, None))
+    return GaussianDyadic(m_n, m_prev)
 
 
 def gml_explicit(n: int) -> GaussianDyadic:

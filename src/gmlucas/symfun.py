@@ -13,16 +13,21 @@ truncated series division only ever inverts constant terms that are units
 (in practice 1 or 2).
 
 Series run on ints.  A series over GaussianDyadic is also a Poly in z (see
-PowerSeries), and the alphabet routes build only that view: prod(1 - letter
-z) multiplies linear factors over Z[i], s_diff_series divides two of them in
-series_div's integer loop, and the Cauchy product is Poly.__mul__, cut to
-the order.  series_div keeps coefficients (see PowerSeries) and over Poly
-runs on Z[i] vectors; Poly series otherwise keep the generic ring loops.
-The closed sums run on ints in every ring: the binomial sum of
-kernel_term_explicit and the two-letter sum of two_letter_sn align their
-products over one denominator, multiply them out term by term over the
-nonzero terms of each power into Gaussian-integer vectors, and build one
-GaussianDyadic or Poly per sum.
+PowerSeries), and the alphabet routes build that view and nothing else, one
+Poly per series.  prod(1 - letter z) multiplies its linear factors in place
+into a Gaussian-integer vector over 2**(e k), for k letters over 2**e;
+letters that are all GaussianDyadic are read as they are.  s_neg_alphabet
+cuts that vector to the order.  s_diff_series hands two of them to
+series_div's integer loop and shifts its terms over one denominator, a shift
+it skips when lambda's letters are integers.  The Cauchy product is
+Poly.__mul__, cut to the order.  series_div keeps coefficients (see
+PowerSeries) and over Poly runs on Z[i] vectors; Poly series otherwise keep
+the generic ring loops.  The closed sums run on ints in every ring: the
+binomial sum of kernel_term_explicit and the two-letter sum of two_letter_sn
+keep their nonzero products, finding the common denominator and the degree
+in the same pass, multiply them out term by term over the nonzero terms of
+each power into Gaussian-integer vectors, and build one GaussianDyadic or
+Poly per sum.
 
 kernel_term computes S_n by doubling on the pair (S_{j-1}, S_j), in about
 log2 n steps of three products each; it never runs the recurrence,
@@ -232,18 +237,19 @@ def _div_ints(nr: list, ni: list, dr: list, di: list, f: int, order: int) -> tup
     """T_0..T_order of _series_div_gaussian from num and den over 2**g and 2**f."""
     taps = [(dr[k] << (k - 1) * f, di[k] << (k - 1) * f) for k in range(1, len(dr))]
     tr, ti = [], []
+    # T_{n-1}, T_{n-2}, ...: tap k = 1, 2, ... meets the k-th of them.
+    recent: deque = deque(maxlen=len(taps))
     for n in range(order + 1):
         if n < len(nr):
             ar, ai = nr[n] << n * f, ni[n] << n * f
         else:
             ar = ai = 0
-        # Tap k = 1, 2, ... meets T_m for m = n - k, while m >= 0.
-        for m, (cr, ci) in zip(range(n - 1, -1, -1), taps):
-            xr, xi = tr[m], ti[m]
+        for (cr, ci), (xr, xi) in zip(taps, recent):
             ar -= cr * xr - ci * xi
             ai -= cr * xi + ci * xr
         tr.append(ar)
         ti.append(ai)
+        recent.appendleft((ar, ai))
     return tr, ti
 
 
@@ -300,39 +306,52 @@ def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
 
 def _letters(alpha) -> tuple:
     """The letters of an alphabet as GaussianDyadic values."""
-    letters = _common_ring(list(alpha))
-    if letters and type(letters[0]) is Poly:
+    letters = tuple(alpha)
+    if all(type(letter) is GaussianDyadic for letter in letters):
+        return letters
+    letters = _common_ring(list(letters))
+    if type(letters[0]) is Poly:
         raise TypeError("alphabet letters must be GaussianDyadic, Dyadic or int")
     return tuple(letters)
 
 
-def _alphabet_z(letters: tuple) -> Poly:
-    """prod(1 - letter z) as a Poly in z: over 2**e,
-    prod(2**e - (letter 2**e) z) / 2**(e k) for k letters."""
-    lr, li, e = _align(letters)
+def _alphabet_z(alpha) -> tuple[list, list, int]:
+    """prod(1 - letter z) for the letters of alpha, as Gaussian-integer
+    vectors over 2**(e k) for k letters over 2**e: over 2**e the product is
+    prod(2**e - (letter 2**e) z), so coefficient 0 is 2**(e k)."""
+    lr, li, e = _align(_letters(alpha))
     cr, ci = [1], [0]
-    for r, i in zip(lr, li):
-        nr, ni = [c << e for c in cr] + [0], [c << e for c in ci] + [0]
-        for j, (xr, xi) in enumerate(zip(cr, ci), 1):
-            nr[j] -= r * xr - i * xi
-            ni[j] -= r * xi + i * xr
-        cr, ci = nr, ni
-    return _poly(cr, ci, e * len(letters))
+    for a, b in zip(lr, li):
+        # Times 2**e - (a + b i) z, in place: c_j becomes
+        # c_j 2**e - (a + b i) c_{j-1}, from the top down, so that c_{j-1}
+        # is still the old one.
+        cr.append(0)
+        ci.append(0)
+        for j in range(len(cr) - 1, 0, -1):
+            xr, xi = cr[j - 1], ci[j - 1]
+            cr[j] = (cr[j] << e) - (a * xr - b * xi)
+            ci[j] = (ci[j] << e) - (a * xi + b * xr)
+        cr[0] <<= e
+    return cr, ci, e * len(lr)
 
 
 def s_neg_alphabet(mu, order: int) -> PowerSeries:
     """S_n(-mu): coefficients of prod(1 - mu_i z), zero beyond len(mu)."""
-    return _series(None, _alphabet_z(_letters(mu)), order)
+    cr, ci, e = _alphabet_z(mu)
+    return _series(None, _poly(cr[: order + 1], ci[: order + 1], e), order)
 
 
 def s_diff_series(lam, mu, order: int) -> PowerSeries:
     """S_n(lambda - mu) for n = 0..order, by truncated series division."""
-    den, num = _alphabet_z(_letters(lam)), _alphabet_z(_letters(mu))
-    f = den.exp
-    tr, ti = _div_ints(num.re, num.im, den.re, den.im, f, order)
-    return _series(None, _poly([t << (order - n) * f for n, t in enumerate(tr)],
-                               [t << (order - n) * f for n, t in enumerate(ti)],
-                               num.exp + order * f), order)
+    dr, di, f = _alphabet_z(lam)
+    nr, ni, g = _alphabet_z(mu)
+    tr, ti = _div_ints(nr, ni, dr, di, f, order)
+    # Coefficient n is T_n / 2**(g + n f): over 2**(g + order f), T_n moves
+    # up by (order - n) f, which is no move at all when f = 0.
+    if f:
+        tr = [t << (order - n) * f for n, t in enumerate(tr)]
+        ti = [t << (order - n) * f for n, t in enumerate(ti)]
+    return _series(None, _poly(tr, ti, g + order * f), order)
 
 
 def s_diff_convolution(lam, mu, n: int) -> GaussianDyadic:
@@ -377,12 +396,20 @@ def _product_sum(products, like):
     multiplied out term by term into Gaussian-integer vectors, so the sum
     builds one GaussianDyadic or Poly, at the end.
     """
-    products = [(c, u, w) for c, u, w in products if u[0] and w[0]]
-    e = max((u[1] + w[1] for _, u, w in products), default=0)
-    size = max((u[0][-1][0] + w[0][-1][0] for _, u, w in products), default=0) + 1
-    re, im = [0] * size, [0] * size
+    # One pass keeps the nonzero products, each with its exponent, and
+    # finds the largest exponent and the highest power of x among them.
+    kept, e, top = [], 0, 0
     for c, (u, ue), (w, we) in products:
-        c <<= e - ue - we
+        if u and w:
+            uw = ue + we
+            kept.append((c, u, w, uw))
+            if uw > e:
+                e = uw
+            if u[-1][0] + w[-1][0] > top:
+                top = u[-1][0] + w[-1][0]
+    re, im = [0] * (top + 1), [0] * (top + 1)
+    for c, u, w, uw in kept:
+        c <<= e - uw
         for j, ur, ui in u:
             ar, ai = c * ur, c * ui
             for k, wr, wi in w:

@@ -235,18 +235,20 @@ def _check_specialization(max_n: int) -> CheckResult:
 
 
 def _random_letter(rng: random.Random) -> GaussianDyadic:
-    def part() -> Dyadic:
-        return Dyadic(rng.randint(-3, 3), rng.randint(0, 1))
-
-    return GaussianDyadic(part(), part())
+    """(a / 2**ea) + (b / 2**eb) i for a, b in -3..3 and ea, eb in 0..1,
+    built over 2 as one GaussianDyadic.  Python defines randint(lo, hi) as
+    randrange(lo, hi + 1), so these are the draws of randint(-3, 3) and
+    randint(0, 1)."""
+    a, ea, b, eb = rng.randrange(-3, 4), rng.randrange(2), rng.randrange(-3, 4), rng.randrange(2)
+    return GaussianDyadic(a << (1 - ea), b << (1 - eb)).div_pow2(1)
 
 
 def _check_convolution(seed: int) -> CheckResult:
     name, rng_text = "convolution/definition1", "200 alphabets, n<=12"
     rng = random.Random(seed)
     for trial in range(200):
-        lam = [_random_letter(rng) for _ in range(rng.randint(0, 3))]
-        mu = [_random_letter(rng) for _ in range(rng.randint(0, 3))]
+        lam = [_random_letter(rng) for _ in range(rng.randrange(4))]
+        mu = [_random_letter(rng) for _ in range(rng.randrange(4))]
         series = sf.s_diff_series(lam, mu, 12)
         # Definition 1, sum_j S_{n-j}(-mu) S_j(lambda), for every n <= 12
         # at once: the Cauchy product of the two factor series.

@@ -250,6 +250,24 @@ def test_relation_iterator_yields_the_relation_route():
     assert swept == [gml_binet(n) for n in range(1, 41)]
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 500))
+def test_relation_route_builds_one_gaussian(monkeypatch, n):
+    # Counts, not timings: the route walks the m recurrence on ints and
+    # builds Gm_n alone, not a GaussianDyadic for every index below n.
+    want = gml_binet(n)
+    built = 0
+    init = GaussianDyadic.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianDyadic, "__init__", counting)
+    assert gml_from_ml(n) == want
+    assert built == 1
+
+
 def _table(rows: int) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["table", "1", "--rows", str(rows)]) == 0

@@ -349,10 +349,29 @@ def reference_alphabet_poly(letters):
     return coeffs
 
 
+# The convolution check's own shape, order 12 and up to three letters a
+# side: half-integer letters on each side, so both products run over 2**3;
+# an all-integer lambda, over 2**0, whose series skips the final shift; and
+# an empty lambda.
+_HALVES = [GaussianDyadic(Dyadic(1, 1), Dyadic(3, 1)), GaussianDyadic(Dyadic(-3, 1), 1),
+           GaussianDyadic(2, Dyadic(-1, 1))]
+_HALVES_MU = [GaussianDyadic(Dyadic(-1, 1), Dyadic(1, 1)), GaussianDyadic(0, Dyadic(5, 1)),
+              GaussianDyadic(Dyadic(3, 1), -2)]
+_INTEGERS = [GaussianDyadic(1, 1), GaussianDyadic(2, -1), GaussianDyadic(-3)]
+VERIFY_SHAPES = ((_HALVES, _HALVES_MU), (_INTEGERS, _HALVES_MU), ([], _HALVES_MU))
+
+
+def at_verify_shapes(test):
+    for lam, mu in VERIFY_SHAPES:
+        test = example(lam, mu, 12)(test)
+    return test
+
+
 @settings(max_examples=60)
 @given(st.lists(scalar_coeffs, max_size=4), st.lists(scalar_coeffs, max_size=4),
        st.integers(0, 8))
 @example([GaussianDyadic(Dyadic(1, 1), Dyadic(3, 2)), GaussianDyadic(0, -1)], [], 3)
+@at_verify_shapes
 def test_alphabet_series_match_ring_loop(lam, mu, order):
     want_mu = reference_alphabet_poly(mu)
     want_mu += [GaussianDyadic.ZERO] * (order + 1 - len(want_mu))
@@ -396,6 +415,7 @@ def series_built_in_z(lam, mu, order):
 @example([GaussianDyadic(1, 1), GaussianDyadic(Dyadic(1, 1), Dyadic(1, 1)), GaussianDyadic(0)],
          [GaussianDyadic(Dyadic(3, 2), Dyadic(-1, 2)), GaussianDyadic(1, -1), GaussianDyadic(2)], 1)
 @example([], [GaussianDyadic(Dyadic(1, 1)), GaussianDyadic(3, Dyadic(1, 2))], 0)
+@at_verify_shapes
 def test_series_built_in_z_reads_as_its_coefficients(lam, mu, order):
     for build, want in series_built_in_z(lam, mu, order):
         ref = PowerSeries(want)

@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+from gmlucas import arith
 from gmlucas import polyfam as pf
 from gmlucas import sequences as seq
 from gmlucas import symfun as sf
@@ -256,6 +257,25 @@ def test_convolution_check_does_the_same_work(monkeypatch, seed):
     draws = [(list(lam), list(mu)) for lam, mu, _ in diff_args[::2]]
     assert diff_args[1::2] == [(lam, (), 12) for lam, _ in draws]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == CONVOLUTION_DRAWS[seed]
+
+
+def test_convolution_trial_builds_few_polys(monkeypatch):
+    # Counts, not timings: a trial holds its four series as Polys in z, and
+    # the Cauchy product may cut its own back to the order, so five Polys a
+    # trial at most.  The products of the alphabets stay Gaussian-integer
+    # vectors and build none.
+    calls = 0
+    poly = arith._poly
+
+    def counting(re, im, exp):
+        nonlocal calls
+        calls += 1
+        return poly(re, im, exp)
+
+    monkeypatch.setattr(arith, "_poly", counting)
+    monkeypatch.setattr(sf, "_poly", counting)
+    assert verify._check_convolution(0).passed
+    assert calls <= 5 * 200, calls
 
 
 def test_polynomial_route_sweep_is_linear(monkeypatch):
