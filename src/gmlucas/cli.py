@@ -5,11 +5,10 @@ rows of both reference tables), series (generating function expansions),
 and verify (the full cross-method check suite).  Exit codes: 0 success,
 1 verification failure or route disagreement, 2 usage error.
 
-term reads one table per family, _TERM_ROUTES: its routes as (method,
-first valid n, compute) in the order auto runs them, and its route for
-negative n.  The table decides which methods are valid at n, computes the
-term, and picks the usage message for a refused method.  Every subcommand
-prints through _emit, once per format.
+term reads the route table verify.ROUTES, which also gives FAMILIES and
+METHODS: it decides which methods are valid at n, computes the term by each
+of them, and picks the usage message for a refused method.  Every
+subcommand prints through _emit, once per format.
 
 Sizes are capped before any work starts, and a request over a cap is a
 usage error: |n| <= 20000 for the number families and 500 for the
@@ -45,8 +44,8 @@ from . import sequences as seq
 from . import symfun as sf
 from . import verify as ver
 
-FAMILIES = ("m", "gm", "mpoly", "gmpoly")
-METHODS = ("recurrence", "binet", "explicit", "symmetric", "genfun", "relation")
+FAMILIES = tuple(ver.ROUTES)
+METHODS = tuple(dict.fromkeys(r.method for routes, _ in ver.ROUTES.values() for r in routes))
 SERIES_KINDS = ("gm", "gm-even", "gm-odd", "mpoly", "gmpoly", "kernel")
 
 # A number term has about n bits and a polynomial term about n**2, so the
@@ -125,46 +124,14 @@ def _usage_error(message: str) -> int:
 
 # --------------------------------------------------------------------- term
 
-# Each family's term routes as (method, first valid n, compute), in the
-# order `auto` runs them, then its route for negative n.  Negative indices
-# exist only through the negative extension: the closed form for the number
-# families, the backward recurrence for the polynomial families.  Each
-# compute looks its route up on the module at call time, so a patched or
-# traced route is the one that runs.
-_TERM_ROUTES = {
-    "m": ((("recurrence", 0, lambda n: seq.ml_recurrence(n)),
-           ("binet", 0, lambda n: seq.ml_binet(n)),
-           ("explicit", 0, lambda n: seq.ml_explicit(n))),
-          ("binet", lambda n: seq.ml_negative(-n))),
-    "gm": ((("recurrence", 0, lambda n: seq.gml_recurrence(n)),
-            ("binet", 0, lambda n: seq.gml_binet(n)),
-            ("symmetric", 0, lambda n: sf.sym_decompose_gml(n)),
-            ("genfun", 0, lambda n: sf.gf_gml(n)[n]),
-            ("explicit", 1, lambda n: seq.gml_explicit(n)),
-            ("relation", 1, lambda n: seq.gml_from_ml(n))),
-           ("binet", lambda n: seq.gml_negative(-n))),
-    "mpoly": ((("recurrence", 0, lambda n: pf.ml_poly(n)),
-               ("explicit", 0, lambda n: pf.ml_poly_explicit(n)),
-               ("symmetric", 0, lambda n: sf.sym_decompose_ml_poly(n)),
-               ("genfun", 0, lambda n: sf.gf_ml_poly(n)[n])),
-              ("recurrence", lambda n: pf.ml_poly_negative(-n))),
-    "gmpoly": ((("recurrence", 0, lambda n: pf.gml_poly(n)),
-                ("symmetric", 0, lambda n: sf.sym_decompose_gml_poly(n)),
-                ("genfun", 0, lambda n: sf.gf_gml_poly(n)[n]),
-                ("explicit", 1, lambda n: pf.gml_poly_explicit(n)),
-                ("relation", 1, lambda n: pf.gml_poly_from_ml(n))),
-               ("recurrence", lambda n: pf.gml_poly_negative(-n))),
-}
-
-
 def _refusal(family: str, method: str, n: int) -> str:
-    routes, (negative, _) = _TERM_ROUTES[family]
+    routes, negative = ver.ROUTES[family]
     if n < 0:
         return (f"negative indices come only from the negative extension; "
-                f"use method '{negative}' or 'auto' for family '{family}'")
-    for label, first, _ in routes:
-        if label == method:
-            return f"method '{method}' requires n >= {first} for family '{family}'"
+                f"use method '{negative.method}' or 'auto' for family '{family}'")
+    for route in routes:
+        if route.method == method:
+            return f"method '{method}' requires n >= {route.first} for family '{family}'"
     if method == "binet":
         return ("method 'binet' is only a floating point spot check for the "
                 "polynomial families (see gmlucas.polyfam.binet_numeric), "
@@ -176,14 +143,13 @@ def cmd_term(family: str, n: int, method: str, fmt: str) -> int:
     cap = MAX_POLY_N if family in ("mpoly", "gmpoly") else MAX_NUMBER_N
     if abs(n) > cap:
         return _usage_error(f"|n| must be at most {cap} for family '{family}'")
-    routes, negative = _TERM_ROUTES[family]
-    valid = [negative] if n < 0 else [(label, compute) for label, first, compute in routes
-                                      if n >= first]
+    routes, negative = ver.ROUTES[family]
+    valid = [negative] if n < 0 else [route for route in routes if n >= route.first]
     if method != "auto":
-        valid = [route for route in valid if route[0] == method]
+        valid = [route for route in valid if route.method == method]
         if not valid:
             return _usage_error(_refusal(family, method, n))
-    (first_label, value), *others = [(label, compute(n)) for label, compute in valid]
+    (first_label, value), *others = [(route.method, route.term(n)) for route in valid]
     for label, other in others:
         if other != value:
             print(

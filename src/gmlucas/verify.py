@@ -11,10 +11,13 @@ rerun from index 0 per term; the identities checked are exactly the per-term
 ones.  The iterators are looked up on their modules at call time, so a test
 can substitute a corrupted route and see the sweep catch it.
 
-A check that compares streams term by term runs through one helper,
-_check_streams: each group pairs a stream with the routes compared against
-it, each from its own first index, so a route's domain is data rather than
-a branch, and every such check reports its first mismatch in one format.
+ROUTES is the one table of each family's routes: method, first valid n,
+single-term function and, where a check walks one, stream.  `term` runs it,
+and route-agreement/polynomials and negative/* compare its routes.  A check
+that compares streams term by term runs through one helper, _check_streams:
+each group pairs a stream with the routes compared against it, each from
+its own first index, so a route's domain is data, and every such check
+reports its first mismatch in one format.
 Five checks stay hand-written: route-agreement/numbers (the seed faults land
 there, and its m line shows three routes at once), negative/backward-closure
 (a residual over k across zero), decimation/* (a kernel_term probe and three
@@ -32,6 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .arith import Dyadic, GaussianDyadic, Poly, poly_eval
 from . import sequences as seq
@@ -41,6 +45,49 @@ from . import symfun as sf
 FAULTS = ("m1", "gm0", "gm1")
 _THREE_HALVES = GaussianDyadic(Dyadic(3, 1))
 _MINUS_HALF = GaussianDyadic(Dyadic(-1, 1))
+
+
+class Route(NamedTuple):
+    """A route: its --method, first n, term(n), and the stream from first that a check walks."""
+    method: str
+    first: int
+    term: Callable
+    stream: Callable | None = None
+
+
+# Each family's routes in `term --method auto` order, then its route for
+# negative n, which answers from n = -1 down: the closed form for numbers,
+# the backward recurrence for polynomials.  Terms and streams look their
+# function up on its module at call time, so a patched or traced route runs.
+ROUTES = {
+    "m": ((Route("recurrence", 0, lambda n: seq.ml_recurrence(n)),
+           Route("binet", 0, lambda n: seq.ml_binet(n)),
+           Route("explicit", 0, lambda n: seq.ml_explicit(n))),
+          Route("binet", -1, lambda n: seq.ml_negative(-n))),
+    "gm": ((Route("recurrence", 0, lambda n: seq.gml_recurrence(n)),
+            Route("binet", 0, lambda n: seq.gml_binet(n)),
+            Route("symmetric", 0, lambda n: sf.sym_decompose_gml(n)),
+            Route("genfun", 0, lambda n: sf.gf_gml(n)[n]),
+            Route("explicit", 1, lambda n: seq.gml_explicit(n)),
+            Route("relation", 1, lambda n: seq.gml_from_ml(n))),
+           Route("binet", -1, lambda n: seq.gml_negative(-n))),
+    "mpoly": ((Route("recurrence", 0, lambda n: pf.ml_poly(n), lambda: pf.iter_ml_poly()),
+               Route("explicit", 0, lambda n: pf.ml_poly_explicit(n)),
+               Route("symmetric", 0, lambda n: sf.sym_decompose_ml_poly(n),
+                     lambda: sf.iter_sym_decompose_ml_poly()),
+               Route("genfun", 0, lambda n: sf.gf_ml_poly(n)[n])),
+              Route("recurrence", -1, lambda n: pf.ml_poly_negative(-n),
+                    lambda: pf.iter_ml_poly_negative())),
+    "gmpoly": ((Route("recurrence", 0, lambda n: pf.gml_poly(n), lambda: pf.iter_gml_poly()),
+                Route("symmetric", 0, lambda n: sf.sym_decompose_gml_poly(n),
+                      lambda: sf.iter_sym_decompose_gml_poly()),
+                Route("genfun", 0, lambda n: sf.gf_gml_poly(n)[n]),
+                Route("explicit", 1, lambda n: pf.gml_poly_explicit(n)),
+                Route("relation", 1, lambda n: pf.gml_poly_from_ml(n),
+                      lambda: pf.iter_gml_poly_from_ml())),
+               Route("recurrence", -1, lambda n: pf.gml_poly_negative(-n),
+                     lambda: pf.iter_gml_poly_negative())),
+}
 
 
 @dataclass(frozen=True)
@@ -116,6 +163,11 @@ def _terms(route, first=0, step=1):
     return lambda: map(route, itertools.count(first, step))
 
 
+def _stream(route: Route, step: int = 1):
+    """The route's own stream, or one of its single-term function."""
+    return route.stream or _terms(route.term, route.first, step)
+
+
 def _check_tables_polynomials() -> CheckResult:
     table_m = [Poly(row) for row in _TABLE_M_POLY]
     table_gm = [Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
@@ -167,15 +219,12 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:
-    return _check_streams(
-        "route-agreement/polynomials", 0, max_poly_n,
-        ("m recurrence", pf.iter_ml_poly,
-         (("explicit", 0, _terms(pf.ml_poly_explicit)),
-          ("symmetric", 0, sf.iter_sym_decompose_ml_poly))),
-        ("Gm recurrence", pf.iter_gml_poly,
-         (("symmetric", 0, sf.iter_sym_decompose_gml_poly),
-          ("explicit", 1, _terms(pf.gml_poly_explicit, 1)),
-          ("relation", 1, pf.iter_gml_poly_from_ml))))
+    """Each polynomial family's first route against its other routes, each
+    from its first index; genfun/* compares the genfun routes in full."""
+    groups = [(f"{label} {head.method}", _stream(head),
+               [(r.method, r.first, _stream(r)) for r in rest if r.method != "genfun"])
+              for label, (head, *rest) in (("m", ROUTES["mpoly"][0]), ("Gm", ROUTES["gmpoly"][0]))]
+    return _check_streams("route-agreement/polynomials", 0, max_poly_n, *groups)
 
 
 def _backward(x1, x0, d):
@@ -185,24 +234,24 @@ def _backward(x1, x0, d):
     return lambda: itertools.islice(seq.walk(x1, x0, d, _MINUS_HALF), 2, None)
 
 
+def _check_negative(name: str, hi: int, d, *families) -> CheckResult:
+    """Each family's negative route against the backward walk from the
+    family's seeds x_1, x_0, at indices -1..-hi, reported as n = 1..hi."""
+    return _check_streams(name, 1, hi, *(
+        (label, _stream(ROUTES[family][1], -1), (("backward walk", 1, _backward(x1, x0, d)),))
+        for label, family, x1, x0 in families))
+
+
 def _check_negative_numbers(max_n: int) -> CheckResult:
-    return _check_streams(
-        "negative/numbers", 1, min(100, max_n),
-        ("m(-{n})", _terms(seq.ml_negative, 1),
-         (("backward walk", 1,
-           _backward(GaussianDyadic(seq.M1), GaussianDyadic(seq.M0), _THREE_HALVES)),)),
-        ("Gm(-{n})", _terms(seq.gml_negative, 1),
-         (("backward walk", 1, _backward(seq.GM1, seq.GM0, _THREE_HALVES)),)))
+    return _check_negative("negative/numbers", min(100, max_n), _THREE_HALVES,
+                           ("m(-{n})", "m", GaussianDyadic(seq.M1), GaussianDyadic(seq.M0)),
+                           ("Gm(-{n})", "gm", seq.GM1, seq.GM0))
 
 
 def _check_negative_polynomials(max_poly_n: int) -> CheckResult:
-    three_halves_x = Poly((0, _THREE_HALVES))
-    return _check_streams(
-        "negative/polynomials", 1, min(40, max_poly_n),
-        ("m(-{n})(x)", pf.iter_ml_poly_negative,
-         (("backward walk", 1, _backward(pf.MP1, pf.MP0, three_halves_x)),)),
-        ("Gm(-{n})(x)", pf.iter_gml_poly_negative,
-         (("backward walk", 1, _backward(pf.GMP1, pf.GMP0, three_halves_x)),)))
+    return _check_negative("negative/polynomials", min(40, max_poly_n), Poly((0, _THREE_HALVES)),
+                           ("m(-{n})(x)", "mpoly", pf.MP1, pf.MP0),
+                           ("Gm(-{n})(x)", "gmpoly", pf.GMP1, pf.GMP0))
 
 
 def _check_backward_closure(max_n: int) -> CheckResult:

@@ -1,7 +1,8 @@
 """The routes of a family must be independent in fact, not only in name.
 
-Each route that `term` lists for a family is run under sys.setprofile, and
-the gmlucas functions it enters outside the arithmetic layer are collected.
+Each route of a family in verify.ROUTES, the table that `term` runs, is
+run under sys.setprofile, and the gmlucas functions it enters outside the
+arithmetic layer are collected.
 Two routes of one family that enter a common function compute their term
 through shared code, so their agreement would check that code against
 itself.  The allow-list names the functions that may be shared, and why.
@@ -15,7 +16,6 @@ import sys
 
 import pytest
 
-from gmlucas import cli
 from gmlucas import polyfam as pf
 from gmlucas import sequences as seq
 from gmlucas import verify
@@ -48,12 +48,11 @@ def _entered(compute, n: int) -> set[str]:
     return seen
 
 
-@pytest.mark.parametrize("family", sorted(cli._TERM_ROUTES))
+@pytest.mark.parametrize("family", sorted(verify.ROUTES))
 def test_routes_of_a_family_share_no_code(family):
-    routes, _ = cli._TERM_ROUTES[family]
+    routes, _ = verify.ROUTES[family]
     for n in (1, 3, 9):
-        entered = {method: _entered(compute, n)
-                   for method, first, compute in routes if n >= first}
+        entered = {route.method: _entered(route.term, n) for route in routes if n >= route.first}
         for a, b in itertools.combinations(entered, 2):
             shared = (entered[a] & entered[b]) - ALLOWED
             assert not shared, f"{family} n={n}: {a} and {b} both enter {sorted(shared)}"
