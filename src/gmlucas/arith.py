@@ -338,7 +338,8 @@ class GaussianDyadic:
         return _canonical(self.a, self.b, self.exp + k)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # Int true division is correctly rounded, as Dyadic.__float__ is.
+        return complex(self.a / (1 << self.exp), self.b / (1 << self.exp))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0

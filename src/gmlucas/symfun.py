@@ -17,9 +17,10 @@ PowerSeries), and the alphabet routes build that view and nothing else, one
 Poly per series.  prod(1 - letter z) multiplies its linear factors in place
 into a Gaussian-integer vector over 2**(e k), for k letters over 2**e;
 letters that are all GaussianDyadic are read as they are.  s_neg_alphabet
-cuts that vector to the order.  s_diff_series hands two of them to
-series_div's integer loop and shifts its terms over one denominator, a shift
-it skips when lambda's letters are integers.  The Cauchy product is
+cuts that vector to the order.  s_diff_series expands mu's product alone and
+divides it by lambda's factors one at a time, each a running sum on Gaussian
+integers that shares no code with series_div, then shifts its terms over one
+denominator unless lambda's letters are integers.  The Cauchy product is
 Poly.__mul__, cut to the order.  series_div keeps coefficients (see
 PowerSeries) and over Poly runs on Z[i] vectors; Poly series otherwise keep
 the generic ring loops.  The closed sums run on ints in every ring: the
@@ -229,14 +230,8 @@ def _series_div_gaussian(num: list, den: list, inv: GaussianDyadic, order: int) 
         den = [inv * c for c in den]
     nr, ni, g = _align(num)
     dr, di, f = _align(den)
-    tr, ti = _div_ints(nr, ni, dr, di, f, order)
-    return tuple(_canonical(r, i, g + n * f) for n, (r, i) in enumerate(zip(tr, ti)))
-
-
-def _div_ints(nr: list, ni: list, dr: list, di: list, f: int, order: int) -> tuple[list, list]:
-    """T_0..T_order of _series_div_gaussian from num and den over 2**g and 2**f."""
     taps = [(dr[k] << (k - 1) * f, di[k] << (k - 1) * f) for k in range(1, len(dr))]
-    tr, ti = [], []
+    out = []
     # T_{n-1}, T_{n-2}, ...: tap k = 1, 2, ... meets the k-th of them.
     recent: deque = deque(maxlen=len(taps))
     for n in range(order + 1):
@@ -247,10 +242,9 @@ def _div_ints(nr: list, ni: list, dr: list, di: list, f: int, order: int) -> tup
         for (cr, ci), (xr, xi) in zip(taps, recent):
             ar -= cr * xr - ci * xi
             ai -= cr * xi + ci * xr
-        tr.append(ar)
-        ti.append(ai)
+        out.append(_canonical(ar, ai, g + n * f))
         recent.appendleft((ar, ai))
-    return tr, ti
+    return tuple(out)
 
 
 def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
@@ -342,16 +336,35 @@ def s_neg_alphabet(mu, order: int) -> PowerSeries:
 
 
 def s_diff_series(lam, mu, order: int) -> PowerSeries:
-    """S_n(lambda - mu) for n = 0..order, by truncated series division."""
-    dr, di, f = _alphabet_z(lam)
+    """S_n(lambda - mu) for n = 0..order: prod(1 - mu_j z) divided by the
+    factors 1 - lambda_i z one at a time.
+
+    With lambda's letters c_i / 2**e over one denominator, z = 2**e y makes
+    each factor 1 - c_i y, and dividing by it is the running sum
+    T_n += c_i T_{n-1} on Gaussian integers, with no shifts.  prod(1 - mu_j z)
+    is over 2**g, so coefficient n is T_n / 2**(g + n e).
+    """
+    if order < 0:
+        raise ValueError("series order must be non-negative")
+    lr, li, e = _align(_letters(lam))
     nr, ni, g = _alphabet_z(mu)
-    tr, ti = _div_ints(nr, ni, dr, di, f, order)
-    # Coefficient n is T_n / 2**(g + n f): over 2**(g + order f), T_n moves
-    # up by (order - n) f, which is no move at all when f = 0.
-    if f:
-        tr = [t << (order - n) * f for n, t in enumerate(tr)]
-        ti = [t << (order - n) * f for n, t in enumerate(ti)]
-    return _series(None, _poly(tr, ti, g + order * f), order)
+    size = order + 1
+    pad = [0] * (size - len(nr))
+    tr = [c << n * e for n, c in enumerate(nr[:size])] + pad
+    ti = [c << n * e for n, c in enumerate(ni[:size])] + pad
+    for a, b in zip(lr, li):
+        # Divide by 1 - (a + b i) y in place: T_n becomes T_n + c T_{n-1},
+        # from the bottom up, so that T_{n-1} is already the new one.
+        xr = xi = 0
+        for n in range(size):
+            xr, xi = tr[n] + a * xr - b * xi, ti[n] + a * xi + b * xr
+            tr[n], ti[n] = xr, xi
+    # Over 2**(g + order e), T_n moves up by (order - n) e, which is no
+    # move at all when e = 0.
+    if e:
+        tr = [t << (order - n) * e for n, t in enumerate(tr)]
+        ti = [t << (order - n) * e for n, t in enumerate(ti)]
+    return _series(None, _poly(tr, ti, g + order * e), order)
 
 
 def s_diff_convolution(lam, mu, n: int) -> GaussianDyadic:

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .arith import Dyadic, GaussianDyadic, Poly, poly_eval
+from .arith import Dyadic, GaussianDyadic, Poly, _canonical, poly_eval
 from . import sequences as seq
 from . import polyfam as pf
 from . import symfun as sf
@@ -289,7 +289,7 @@ def _random_letter(rng: random.Random) -> GaussianDyadic:
     randrange(lo, hi + 1), so these are the draws of randint(-3, 3) and
     randint(0, 1)."""
     a, ea, b, eb = rng.randrange(-3, 4), rng.randrange(2), rng.randrange(-3, 4), rng.randrange(2)
-    return GaussianDyadic(a << (1 - ea), b << (1 - eb)).div_pow2(1)
+    return _canonical(a << (1 - ea), b << (1 - eb), 1)
 
 
 def _check_convolution(seed: int) -> CheckResult:

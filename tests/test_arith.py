@@ -295,6 +295,18 @@ def test_complex_conversion_matches_float_arithmetic(a, b, c, d):
     assert complex(x + y) == complex(x) + complex(y)
 
 
+@given(st.integers(-2**80, 2**80), st.integers(-2**80, 2**80), st.integers(0, 1100))
+@example(3, -5, 1)
+@example(2**1000 + 1, -(2**900) - 1, 0)
+@example(1, -3, 1074)
+@example(2**1100 + 1, 2**1090 - 1, 1080)
+def test_complex_conversion_is_correctly_rounded(a, b, exp):
+    # Small, large (past 2**53, so rounded), subnormal and high-exponent
+    # values each round as the Fraction of each part does.
+    x = GaussianDyadic(Dyadic(a, exp), Dyadic(b, exp))
+    assert complex(x) == complex(float(Fraction(a, 2**exp)), float(Fraction(b, 2**exp)))
+
+
 def test_gaussian_text():
     assert str(GaussianDyadic(2, Dyadic(3, 1))) == "2+3i/2"
     assert str(GaussianDyadic(3, -2)) == "3-2i"

@@ -7,7 +7,9 @@ Independent oracles used here:
   * alphabet products expanded by hand
 """
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -382,6 +384,45 @@ def test_alphabet_series_match_ring_loop(lam, mu, order):
                                                    reference_alphabet_poly(lam), order))
 
 
+# The ring loops above divide as series_div does.  These closed routes
+# share no code with the alphabet path: with mu empty, S_n of one letter is
+# l**n, and of two letters two_letter_sn, summed through _product_sum, and
+# kernel_term's doubling over (l1 + l2, -l1 l2), whose series is
+# 1 / ((1 - l1 z)(1 - l2 z)).  A nonempty mu multiplies each by
+# prod(1 - mu_j z), whose coefficient k is (-1)**k e_k(mu), the products of
+# k distinct letters summed.
+
+def elementary(mu, k):
+    return sum((functools.reduce(operator.mul, letters, GaussianDyadic.ONE)
+                for letters in itertools.combinations(mu, k)), GaussianDyadic.ZERO)
+
+
+_QUARTERS = (GaussianDyadic(Dyadic(1, 2), Dyadic(-3, 1)), GaussianDyadic(Dyadic(-5, 2), 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalar_coeffs, scalar_coeffs, st.lists(scalar_coeffs, max_size=3), st.integers(0, 12))
+# The convolution check's shape: order 12 with letters over 2, a zero
+# letter, letters over 4 (e = 2), and mu longer than order + 1.
+@example(_HALVES[0], _HALVES[1], [], 12)
+@example(GaussianDyadic(0), _HALVES[2], [], 12)
+@example(*_QUARTERS, [], 12)
+@example(_HALVES[0], _QUARTERS[1], _HALVES_MU + [GaussianDyadic(1, -1)], 2)
+def test_diff_series_matches_closed_routes(l1, l2, mu, order):
+    neg_mu = [(-1) ** k * elementary(mu, k) for k in range(order + 1)]
+
+    def times_neg_mu(closed):
+        return [sum((neg_mu[k] * closed[n - k] for k in range(n + 1)), GaussianDyadic.ZERO)
+                for n in range(order + 1)]
+
+    kernel = SymKernel(l1 + l2, -(l1 * l2))
+    two = s_diff_series((l1, l2), mu, order)
+    assert list(two) == times_neg_mu([two_letter_sn(l1, l2, n) for n in range(order + 1)])
+    assert list(two) == times_neg_mu([kernel_term(kernel, n) for n in range(order + 1)])
+    assert list(s_diff_series((l1,), mu, order)) == times_neg_mu([l1**n for n in range(order + 1)])
+    assert list(s_diff_series((), mu, order)) == neg_mu
+
+
 # A Gaussian series is also a Poly in z.  The alphabet routes and the Cauchy
 # product build only that view, so each must read exactly as the series
 # built from its coefficients, which the ring loops above compute.
@@ -452,14 +493,17 @@ def test_series_built_in_z_meets_constant_poly_series(lam, mu, order):
                          ids=("empty", "gaussian", "poly"))
 def test_negative_order_is_rejected_on_every_ring_path(mu):
     # A Poly alphabet is refused for its letters (above), so Poly values
-    # reach a negative order through series_div alone.
-    routes = [lambda: series_div(mu or (1,), (1, *mu), -1)]
-    if not any(isinstance(letter, Poly) for letter in mu):
-        routes += [lambda: s_neg_alphabet(mu, -1), lambda: s_diff_series(mu, (), -1),
-                   lambda: s_diff_series((), mu, -1)]
-    for route in routes:
-        with pytest.raises(ValueError, match="series order must be non-negative"):
-            route()
+    # reach a negative order through series_div alone.  Below -1, a
+    # half-integer lambda would shift terms by a negative count.
+    for order in (-1, -2):
+        routes = [lambda: series_div(mu or (1,), (1, *mu), order)]
+        if not any(isinstance(letter, Poly) for letter in mu):
+            routes += [lambda: s_neg_alphabet(mu, order), lambda: s_diff_series(mu, (), order),
+                       lambda: s_diff_series((), mu, order),
+                       lambda: s_diff_series((Dyadic(1, 1),), mu, order)]
+        for route in routes:
+            with pytest.raises(ValueError, match="series order must be non-negative"):
+                route()
 
 
 def test_two_letter_power_sums():
