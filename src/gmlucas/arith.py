@@ -14,9 +14,11 @@ so its add, sub and mul run on Python ints.  It is kept canonical (exp == 0
 or a or b odd; zero has exp == 0), so equality compares the three ints.  Its
 re and im are read-only Dyadic views, built only when asked for.
 
-Each scalar operator of Dyadic and GaussianDyadic has one plain path: align
-the exponents, combine the ints, and normalize once, through Dyadic's
-constructor or _canonical; subtraction adds the negation.  Only Poly's
+Dyadic is the real value that constructors take and that .re, .im and
+norm() return, for rendering and for GaussianDyadic.inverse; the package
+computes in GaussianDyadic and Poly.  Each scalar operator of GaussianDyadic
+has one plain path: align the exponents, combine the ints, and normalize
+once through _canonical; subtraction adds the negation.  Only Poly's
 operators and linear_step keep fast paths, because the walks (over
 GaussianDyadic too), the series and the term requests run through them.
 
@@ -50,7 +52,6 @@ types, so a constant Poly equals the scalar it holds.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from operator import add, or_, sub
@@ -73,7 +74,9 @@ def _den_text(exp: int) -> str:
 
 
 class Dyadic:
-    """A rational num / 2**exp, kept normalized.
+    """A real dyadic num / 2**exp, kept normalized: what constructors take
+    and what GaussianDyadic's re, im and norm() return.  Arithmetic belongs
+    to GaussianDyadic.
 
     Normalized means exp == 0, or num is odd; num == 0 forces exp == 0.
     Instances are treated as immutable.
@@ -106,6 +109,8 @@ class Dyadic:
             return Dyadic(value)
         return None
 
+    # Nothing in the package adds or multiplies Dyadic values; these stay
+    # because perfbench's tracer patches them by name.
     def __add__(self, other):
         if type(other) is not Dyadic:
             other = Dyadic._coerce(other)
@@ -116,21 +121,6 @@ class Dyadic:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __sub__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other):
-        other = Dyadic._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if type(other) is not Dyadic:
             other = Dyadic._coerce(other)
@@ -139,18 +129,6 @@ class Dyadic:
         return Dyadic(self.num * other.num, self.exp + other.exp)
 
     __rmul__ = __mul__
-
-    def mul_pow2(self, k: int) -> "Dyadic":
-        """self * 2**k for k >= 0."""
-        if k < 0:
-            raise ValueError("use div_pow2 for negative shifts")
-        return Dyadic(self.num << k, self.exp)
-
-    def div_pow2(self, k: int) -> "Dyadic":
-        """self / 2**k for k >= 0; always exact in this ring."""
-        if k < 0:
-            raise ValueError("use mul_pow2 for negative shifts")
-        return Dyadic(self.num, self.exp + k)
 
     def inverse(self) -> "Dyadic":
         """Multiplicative inverse, defined only for +-2**t / 2**exp."""
@@ -163,22 +141,14 @@ class Dyadic:
         sign = 1 if self.num > 0 else -1
         return Dyadic(sign << self.exp, t)
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def __int__(self) -> int:
         if self.exp:
             raise ValueError(f"{self} is not an integer")
         return self.num
 
-    def as_pair(self) -> tuple[int, int]:
-        return (self.num, self.exp)
-
     def __float__(self) -> float:
-        # Fraction conversion stays correctly rounded even for huge num.
-        if self.exp == 0:
-            return float(self.num)
-        return float(Fraction(self.num, 1 << self.exp))
+        # Int true division is correctly rounded, even for huge num.
+        return self.num / (1 << self.exp)
 
     def __bool__(self) -> bool:
         return self.num != 0

@@ -14,7 +14,8 @@ Sizes are capped before any work starts, and a request over a cap is a
 usage error: |n| <= 20000 for the number families and 500 for the
 polynomial families (term), the same caps on table rows and series order,
 and verify --max-n <= 2000, --max-poly-n <= 200.  The kernel series also
-needs order times the bit size of its larger weight to be at most 40000.
+needs order times the bit size of its larger weight to be at most 40000,
+counting order 0 as 1, since even its one coefficient aligns the weights.
 
 The argparse parser is built once per process, on the first main() call,
 and reused by every later call: each parse returns a fresh Namespace, and
@@ -210,7 +211,7 @@ def cmd_series(which: str, order: int, d: Dyadic | None, p: Dyadic | None,
         if d is None or p is None:
             return _usage_error("the kernel series needs both --d and --p")
         bits = max(abs(w.num).bit_length() + w.exp for w in (d, p))
-        if order * bits > MAX_KERNEL_BITS:
+        if max(order, 1) * bits > MAX_KERNEL_BITS:
             return _usage_error(
                 f"series order times the weight size ({bits} bits) must be "
                 f"at most {MAX_KERNEL_BITS}")

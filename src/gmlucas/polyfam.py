@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .arith import Dyadic, GaussianDyadic, Poly, linear_step
 from .sequences import explicit_summand, walk

@@ -19,7 +19,7 @@ element; the m walks run on ints.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .arith import Dyadic, GaussianDyadic, binomial, linear_step
 

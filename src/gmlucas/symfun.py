@@ -41,9 +41,8 @@ those, so no summand builds a ring element.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from collections import deque, namedtuple
+from collections.abc import Iterator
 
 from .arith import Dyadic, GaussianDyadic, Poly, _canonical, _poly, binomial, linear_step
 from .sequences import walk
@@ -457,17 +456,13 @@ def iter_two_letter_sn(l1, l2) -> Iterator:
         yield _two_letter_sum(n, pows1, pows2, l1)
 
 
-@dataclass(frozen=True)
-class SymKernel:
+class SymKernel(namedtuple("SymKernel", "d p")):
     """The weight pair (d, p) of S_0 = 1, S_n = d S_{n-1} + p S_{n-2}."""
 
-    d: object
-    p: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, p = _common_ring([self.d, self.p])
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "p", p)
+    def __new__(cls, d, p):
+        return super().__new__(cls, *_common_ring([d, p]))
 
 
 def kernel_term(k: SymKernel, n: int):

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .arith import Dyadic, GaussianDyadic, Poly, _canonical, poly_eval
 from . import sequences as seq
@@ -47,12 +46,9 @@ _THREE_HALVES = GaussianDyadic(Dyadic(3, 1))
 _MINUS_HALF = GaussianDyadic(Dyadic(-1, 1))
 
 
-class Route(NamedTuple):
+class Route(namedtuple("Route", "method first term stream", defaults=(None,))):
     """A route: its --method, first n, term(n), and the stream from first that a check walks."""
-    method: str
-    first: int
-    term: Callable
-    stream: Callable | None = None
+    __slots__ = ()
 
 
 # Each family's routes in `term --method auto` order, then its route for
@@ -90,17 +86,12 @@ ROUTES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    range: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name range passed detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...]
+class VerifyReport(namedtuple("VerifyReport", "checks")):
+    """The checks of one run, a tuple of CheckResult, in report order."""
+    __slots__ = ()
 
     @property
     def overall(self) -> bool:

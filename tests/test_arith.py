@@ -1,8 +1,8 @@
 """Arithmetic kernel tests: dyadics, Gaussian dyadics, polynomials.
 
 The Fraction-based cross-checks are the independent oracle here: every
-Dyadic operation must agree with exact rational arithmetic done by the
-standard library.
+Dyadic and GaussianDyadic operation must agree with exact rational
+arithmetic done by the standard library.
 """
 
 from fractions import Fraction
@@ -45,8 +45,8 @@ def frac(d: Dyadic) -> Fraction:
 
 def assert_canonical(d: Dyadic) -> None:
     # Equality compares (num, exp) pairs, so every result must be canonical.
-    assert d.exp == 0 or d.num % 2 == 1, d.as_pair()
-    assert d.num != 0 or d.exp == 0, d.as_pair()
+    assert d.exp == 0 or d.num % 2 == 1, (d.num, d.exp)
+    assert d.num != 0 or d.exp == 0, (d.num, d.exp)
 
 
 # ------------------------------------------------------------------ binomial
@@ -71,15 +71,15 @@ def test_binomial_negative_n_rejected():
 # -------------------------------------------------------------------- Dyadic
 
 def test_normalization_cancels_shared_twos():
-    assert Dyadic(6, 1).as_pair() == (3, 0)
-    assert Dyadic(12, 2).as_pair() == (3, 0)
-    assert Dyadic(12, 5).as_pair() == (3, 3)
-    assert Dyadic(5, 0).as_pair() == (5, 0)
+    for d, pair in ((Dyadic(6, 1), (3, 0)), (Dyadic(12, 2), (3, 0)),
+                    (Dyadic(12, 5), (3, 3)), (Dyadic(5, 0), (5, 0))):
+        assert (d.num, d.exp) == pair
 
 
 def test_zero_normalizes_to_exponent_zero():
-    assert Dyadic(0, 7).as_pair() == (0, 0)
-    assert not Dyadic(0, 7)
+    d = Dyadic(0, 7)
+    assert (d.num, d.exp) == (0, 0)
+    assert not d
 
 
 def test_negative_exponent_rejected():
@@ -101,12 +101,6 @@ def test_add_matches_fractions(a, b):
 
 
 @given(dyadic_operands, dyadic_operands)
-def test_sub_matches_fractions(a, b):
-    assert frac(a - b) == frac(a) - frac(b)
-    assert_canonical(a - b)
-
-
-@given(dyadic_operands, dyadic_operands)
 def test_mul_matches_fractions(a, b):
     assert frac(a * b) == frac(a) * frac(b)
     assert_canonical(a * b)
@@ -121,34 +115,17 @@ def test_dyadic_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + Dyadic(0) == a
     assert a * Dyadic(1) == a
-    assert a + (-a) == Dyadic(0)
 
 
 def test_int_coercion_in_ops():
     assert Dyadic(3, 1) + 1 == Dyadic(5, 1)
     assert 2 * Dyadic(3, 1) == 3
-    assert 1 - Dyadic(1, 1) == Dyadic(1, 1)
-    assert Dyadic(7) - 3 == 4
 
 
 def test_foreign_types_are_not_implemented():
     with pytest.raises(TypeError):
         Dyadic(1) + 0.5
     assert Dyadic(1).__eq__("1") is NotImplemented
-
-
-@given(dyadics, st.integers(0, 20))
-def test_pow2_shifts_round_trip(d, k):
-    assert d.div_pow2(k).mul_pow2(k) == d
-    assert frac(d.mul_pow2(k)) == frac(d) * 2**k
-    assert frac(d.div_pow2(k)) == frac(d) / 2**k
-
-
-def test_pow2_shift_sign_guard():
-    with pytest.raises(ValueError):
-        Dyadic(1).mul_pow2(-1)
-    with pytest.raises(ValueError):
-        Dyadic(1).div_pow2(-1)
 
 
 def test_inverse_of_power_of_two():
@@ -175,9 +152,7 @@ def test_inverse_rejects_non_units():
 
 
 def test_integer_protocol():
-    assert Dyadic(7).is_integer()
     assert int(Dyadic(7)) == 7
-    assert not Dyadic(1, 1).is_integer()
     with pytest.raises(ValueError):
         int(Dyadic(1, 1))
 
@@ -186,6 +161,23 @@ def test_float_conversion():
     assert float(Dyadic(3, 1)) == 1.5
     assert float(Dyadic(-9, 3)) == -1.125
     assert float(Dyadic(2**200 + 1, 1)) == pytest.approx(2.0**199)
+
+
+@given(st.integers(-2**1100, 2**1100), st.integers(0, 1200))
+@example(2**1100 + 1, 0)   # past the float range: both raise OverflowError
+@example(2**1100 + 1, 3)
+@example(1, 1100)          # below the least subnormal: 0.0
+@example(1, 1075)          # half the least subnormal: a tie, rounded to 0.0
+@example(3, 1075)          # 1.5 subnormal units: a tie, rounded to even
+def test_float_matches_fraction(num, exp):
+    d = Dyadic(num, exp)
+    try:
+        want = float(Fraction(num, 2**exp))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(d)
+    else:
+        assert float(d) == want
 
 
 def test_hash_agrees_with_equal_ints():
@@ -344,20 +336,32 @@ def test_bools_are_rejected():
         assert value not in (True, False)
 
 
-# The two-Dyadic GaussianDyadic that the flat (a, b, exp) class replaced,
-# kept as the reference: each part is its own normalized Dyadic, and every
-# operation is done part by part in Dyadic arithmetic.
+# The reference Gaussian: each part is its own Fraction, and every
+# operation is done part by part in Fraction arithmetic.  Text, repr and
+# hash are spelled out from each part's (num, exp), read off the Fraction.
 
 def ref_den_text(exp: int) -> str:
     return "2" if exp == 1 else f"2^{exp}"
+
+
+def ref_pair(f: Fraction) -> tuple:
+    """(num, exp) with f == num / 2**exp, num odd or exp == 0."""
+    exp = f.denominator.bit_length() - 1
+    assert f.denominator == 1 << exp, f
+    return f.numerator, exp
+
+
+def ref_part_text(f: Fraction) -> str:
+    num, exp = ref_pair(f)
+    return str(num) if exp == 0 else f"{num}/{ref_den_text(exp)}"
 
 
 class RefGaussian:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Dyadic) else Dyadic(re)
-        self.im = im if isinstance(im, Dyadic) else Dyadic(im)
+        self.re = frac(re) if isinstance(re, Dyadic) else Fraction(re)
+        self.im = frac(im) if isinstance(im, Dyadic) else Fraction(im)
 
     def __add__(self, other):
         return RefGaussian(self.re + other.re, self.im + other.im)
@@ -373,38 +377,46 @@ class RefGaussian:
         return RefGaussian(a * c - b * d, a * d + b * c)
 
     def mul_pow2(self, k):
-        return RefGaussian(self.re.mul_pow2(k), self.im.mul_pow2(k))
+        return RefGaussian(self.re * 2**k, self.im * 2**k)
 
     def div_pow2(self, k):
-        return RefGaussian(self.re.div_pow2(k), self.im.div_pow2(k))
+        return RefGaussian(self.re / 2**k, self.im / 2**k)
 
     def inverse(self):
         n = self.re * self.re + self.im * self.im
-        if n.num == 0:
+        if n == 0:
             raise ZeroDivisionError("zero")
-        if n.num & (n.num - 1):
+        if n.numerator & (n.numerator - 1):
             raise ValueError("not a unit")
-        return RefGaussian(self.re, -self.im) * RefGaussian(n.inverse())
+        return RefGaussian(self.re / n, -self.im / n)
 
     def __eq__(self, other):
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(self.re) if self.im.num == 0 else hash((self.re, self.im))
+        # A real value hashes like the int it equals, else like (num, exp);
+        # a tuple hashes by its items' hashes, so the parts enter as Dyadics.
+        num, exp = ref_pair(self.re)
+        if self.im == 0:
+            return hash(num) if exp == 0 else hash((num, exp))
+        return hash((Dyadic(num, exp), Dyadic(*ref_pair(self.im))))
 
     def __str__(self):
-        if self.im.num == 0:
-            return str(self.re)
-        mag = abs(self.im.num)
-        imag = ("-" if self.im.num < 0 else "") + ("i" if mag == 1 else f"{mag}i")
-        if self.im.exp:
-            imag += "/" + ref_den_text(self.im.exp)
-        if self.re.num == 0:
+        if self.im == 0:
+            return ref_part_text(self.re)
+        num, exp = ref_pair(self.im)
+        mag = abs(num)
+        imag = ("-" if num < 0 else "") + ("i" if mag == 1 else f"{mag}i")
+        if exp:
+            imag += "/" + ref_den_text(exp)
+        if self.re == 0:
             return imag
-        return f"{self.re}{imag}" if imag.startswith("-") else f"{self.re}+{imag}"
+        real = ref_part_text(self.re)
+        return f"{real}{imag}" if imag.startswith("-") else f"{real}+{imag}"
 
     def __repr__(self):
-        return f"GaussianDyadic({self.re!r}, {self.im!r})"
+        (a, e), (b, f) = ref_pair(self.re), ref_pair(self.im)
+        return f"GaussianDyadic(Dyadic({a}, {e}), Dyadic({b}, {f}))"
 
 
 odd_ints = st.integers(-40, 40).map(lambda k: 2 * k + 1)
@@ -438,8 +450,8 @@ def assert_gaussian_canonical(g: GaussianDyadic) -> None:
 
 def assert_matches_reference(got: GaussianDyadic, want: RefGaussian) -> None:
     assert_gaussian_canonical(got)
-    assert got.re.as_pair() == want.re.as_pair()
-    assert got.im.as_pair() == want.im.as_pair()
+    assert (got.re.num, got.re.exp) == ref_pair(want.re)
+    assert (got.im.num, got.im.exp) == ref_pair(want.im)
     assert hash(got) == hash(want)
     assert str(got) == str(want)
     assert repr(got) == repr(want)
@@ -515,7 +527,7 @@ def test_gaussian_products_cancel_shared_twos():
 def test_gaussian_storage_is_canonical():
     g = GaussianDyadic(Dyadic(3, 1), Dyadic(5, 3))
     assert (g.a, g.b, g.exp) == (12, 5, 3)
-    assert (g.re.as_pair(), g.im.as_pair()) == ((3, 1), (5, 3))
+    assert ((g.re.num, g.re.exp), (g.im.num, g.im.exp)) == ((3, 1), (5, 3))
     assert (GaussianDyadic.ZERO.a, GaussianDyadic.ZERO.b, GaussianDyadic.ZERO.exp) == (0, 0, 0)
     assert GaussianDyadic(Dyadic(4, 1), 6).exp == 0
 

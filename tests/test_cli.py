@@ -2,8 +2,9 @@
 
 Everything runs in process through cli.main so the pins really are pins;
 two subprocess tests confirm that `python -m gmlucas` and the installed
-console script work too, and the refusals of over-cap inputs run in
-subprocesses with a timeout.
+console script work too, the refusals of over-cap inputs run in
+subprocesses with a timeout, and one subprocess reads what importing the
+CLI loads.
 """
 
 import argparse
@@ -455,6 +456,7 @@ HUGE_INPUTS = (
     ("series", "mpoly", "501"),
     ("series", "kernel", "20001", "--d", "1", "--p", "1"),
     ("series", "kernel", "2000", "--d", "1/2^99", "--p", "1"),
+    ("series", "kernel", "0", "--d", "1/2^40000", "--p", "1"),
     ("verify", "--max-n", "2001"),
     ("verify", "--max-poly-n", "201"),
 )
@@ -473,6 +475,18 @@ def test_huge_inputs_are_refused(argv):
     assert "at most" in proc.stderr
 
 
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # Every run pays for what `import gmlucas.cli` loads.  -I -S keeps the
+    # environment and site hooks (some .pth files import typing) out.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gmlucas.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'typing'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_caps_are_inclusive():
     code, out, err = run_cli("term", "mpoly", "500", "--method", "explicit")
     assert (code, err) == (0, "")
@@ -480,6 +494,8 @@ def test_caps_are_inclusive():
     code, out, _ = run_cli("series", "kernel", "400", "--d", "1/2^99", "--p", "0")
     assert code == 0
     assert out.endswith(", 1/2^39600]\n")
+    # Order 0 counts as 1: the weights are still aligned for its one term.
+    assert run_cli("series", "kernel", "0", "--d", "1/2^39999", "--p", "1") == (0, "[1]\n", "")
 
 
 def test_console_script_is_installed():
