@@ -308,9 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[fmt_parent], help="run the cross-method check suite")
     p_verify.add_argument("--max-n", type=int, default=500,
-                          help="top index for number checks (default: 500)")
+                          help="top index for number checks, the kernel checks "
+                               "(at most 60) and decimation/kernel-scalar (at "
+                               "most 30) (default: 500)")
     p_verify.add_argument("--max-poly-n", type=int, default=40,
-                          help="top index for polynomial checks (default: 40)")
+                          help="top index for polynomial checks, "
+                               "decimation/kernel-poly and numeric-binet (at "
+                               "most 30); the convolution check draws 5 "
+                               "alphabets per index, at most 200 (default: 40)")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for the random-alphabet convolution check")
     p_verify.add_argument("--inject-fault", choices=ver.FAULTS, default=None,

@@ -5,6 +5,16 @@ The report is deterministic for a given (max_n, max_poly_n, seed) triple;
 the seed drives only the random-alphabet convolution check.  A fault can be
 injected into the recurrence seeds to confirm that the checks actually bite.
 
+Sizes follow the request.  run_verify derives every check's top index from
+max_n or max_poly_n in one place, and its caps keep the default report
+(500, 40) and every larger one as they are.  kernel/explicit-* and
+kernel/two-letter-bridge run 0..min(60, max_n), decimation/kernel-scalar
+0..min(30, max_n), decimation/kernel-poly 0..min(30, max_poly_n),
+numeric-binet n <= min(30, max_poly_n), and convolution/definition1 draws
+min(200, 5 max_poly_n) alphabets from one seeded stream, so a smaller run
+checks the first alphabets of a larger one.  Only tables/* read six frozen
+rows at every size.
+
 Every sweep over indices walks each recurrence once, through the iter_*
 routes of polyfam and symfun, so a sweep to n costs one pass rather than a
 rerun from index 0 per term; the identities checked are exactly the per-term
@@ -233,20 +243,19 @@ def _check_negative(name: str, hi: int, d, *families) -> CheckResult:
         for label, family, x1, x0 in families))
 
 
-def _check_negative_numbers(max_n: int) -> CheckResult:
-    return _check_negative("negative/numbers", min(100, max_n), _THREE_HALVES,
+def _check_negative_numbers(hi: int) -> CheckResult:
+    return _check_negative("negative/numbers", hi, _THREE_HALVES,
                            ("m(-{n})", "m", GaussianDyadic(seq.M1), GaussianDyadic(seq.M0)),
                            ("Gm(-{n})", "gm", seq.GM1, seq.GM0))
 
 
-def _check_negative_polynomials(max_poly_n: int) -> CheckResult:
-    return _check_negative("negative/polynomials", min(40, max_poly_n), Poly((0, _THREE_HALVES)),
+def _check_negative_polynomials(hi: int) -> CheckResult:
+    return _check_negative("negative/polynomials", hi, Poly((0, _THREE_HALVES)),
                            ("m(-{n})(x)", "mpoly", pf.MP1, pf.MP0),
                            ("Gm(-{n})(x)", "gmpoly", pf.GMP1, pf.GMP0))
 
 
-def _check_backward_closure(max_n: int) -> CheckResult:
-    hi = min(100, max_n)
+def _check_backward_closure(hi: int) -> CheckResult:
     lo = -(hi - 2)
     name, rng = "negative/backward-closure", f"{lo}..{hi}"
 
@@ -264,12 +273,12 @@ def _check_backward_closure(max_n: int) -> CheckResult:
     return _ok(name, rng)
 
 
-def _check_specialization(max_n: int) -> CheckResult:
+def _check_specialization(hi: int) -> CheckResult:
     def at_one(walk):
         return lambda: (poly_eval(p, GaussianDyadic.ONE) for p in walk())
 
     return _check_streams(
-        "specialization/x=1", 0, min(200, max_n),
+        "specialization/x=1", 0, hi,
         ("m_{n}(1)", at_one(pf.iter_ml_poly), (("m_{n}", 0, _terms(seq.ml_binet)),)),
         ("Gm_{n}(1)", at_one(pf.iter_gml_poly), (("Gm_{n}", 0, _terms(seq.gml_binet)),)))
 
@@ -283,10 +292,10 @@ def _random_letter(rng: random.Random) -> GaussianDyadic:
     return _canonical(a << (1 - ea), b << (1 - eb), 1)
 
 
-def _check_convolution(seed: int) -> CheckResult:
-    name, rng_text = "convolution/definition1", "200 alphabets, n<=12"
+def _check_convolution(seed: int, trials: int) -> CheckResult:
+    name, rng_text = "convolution/definition1", f"{trials} alphabets, n<=12"
     rng = random.Random(seed)
-    for trial in range(200):
+    for trial in range(trials):
         lam = [_random_letter(rng) for _ in range(rng.randrange(4))]
         mu = [_random_letter(rng) for _ in range(rng.randrange(4))]
         series = sf.s_diff_series(lam, mu, 12)
@@ -305,22 +314,22 @@ def _check_convolution(seed: int) -> CheckResult:
     return _ok(name, rng_text)
 
 
-def _check_kernel_explicit(kernel: sf.SymKernel, which: str) -> CheckResult:
+def _check_kernel_explicit(kernel: sf.SymKernel, which: str, hi: int) -> CheckResult:
     return _check_streams(
-        f"kernel/explicit-{which}", 0, 60,
+        f"kernel/explicit-{which}", 0, hi,
         ("recurrence", lambda: sf.iter_kernel(kernel),
          (("explicit", 0, lambda: sf.iter_kernel_explicit(kernel)),
-          ("series", 0, lambda: sf.kernel_series(kernel, 60)))))
+          ("series", 0, lambda: sf.kernel_series(kernel, hi)))))
 
 
-def _check_decimation(kernel: sf.SymKernel, which: str) -> CheckResult:
-    name, rng = f"decimation/kernel-{which}", "0..30"
-    odd_back, even, odd_fwd = sf.kernel_even_odd_series(kernel, 30)
-    # S_{-1} .. S_61
-    terms = [sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 62)]
-    if terms[31] != sf.kernel_term(kernel, 30):
+def _check_decimation(kernel: sf.SymKernel, which: str, hi: int) -> CheckResult:
+    name, rng = f"decimation/kernel-{which}", f"0..{hi}"
+    odd_back, even, odd_fwd = sf.kernel_even_odd_series(kernel, hi)
+    # S_{-1} .. S_{2hi+1}
+    terms = [sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 2 * hi + 2)]
+    if terms[hi + 1] != sf.kernel_term(kernel, hi):
         return _fail(name, rng, "recurrence walk disagrees with kernel_term")
-    for n in range(31):
+    for n in range(hi + 1):
         trio = (
             (odd_back[n], terms[2 * n], "S(2n-1)"),
             (even[n], terms[2 * n + 1], "S(2n)"),
@@ -332,12 +341,12 @@ def _check_decimation(kernel: sf.SymKernel, which: str) -> CheckResult:
     return _ok(name, rng)
 
 
-def _check_numeric_binet() -> CheckResult:
-    name, rng = "numeric-binet", "n<=30, x in {1, 2, 3, 5/2}"
+def _check_numeric_binet(hi: int) -> CheckResult:
+    name, rng = "numeric-binet", f"n<={hi}, x in {{1, 2, 3, 5/2}}"
     points = ((1, GaussianDyadic(1)), (2, GaussianDyadic(2)),
               (3, GaussianDyadic(3)), (2.5, GaussianDyadic(Dyadic(5, 1))))
     walker = pf.iter_gml_poly()
-    for n in range(31):
+    for n in range(hi + 1):
         gm = next(walker)
         for x_float, x_exact in points:
             exact = complex(poly_eval(gm, x_exact))
@@ -371,24 +380,27 @@ def run_verify(
         raise ValueError(f"unknown fault {inject_fault!r}; choose from {FAULTS}")
     kernel_num = sf.SymKernel(3, -2)
     kernel_poly = sf.SymKernel(Poly((0, 3)), Poly((-2,)))
-    hi_gm, hi_half = min(100, max_n), min(50, max(max_n // 2, 1))
-    hi_gf_poly, hi_dec_poly = min(30, max_poly_n), min(40, max_poly_n)
+    # Every capped top index, and the convolution trial count.
+    hi_num, hi_half, hi_spec = min(100, max_n), min(50, max(max_n // 2, 1)), min(200, max_n)
+    hi_kernel, hi_decimation = min(60, max_n), min(30, max_n)
+    hi_poly, hi_gf_poly = min(40, max_poly_n), min(30, max_poly_n)
+    trials = min(200, 5 * max_poly_n)
 
     gm_binet = _terms(seq.gml_binet)
     checks = [
-        _check_convolution(seed),
-        _check_decimation(kernel_num, "scalar"),
-        _check_decimation(kernel_poly, "poly"),
-        _check_streams("decomposition/gm", 0, hi_gm,
+        _check_convolution(seed, trials),
+        _check_decimation(kernel_num, "scalar", hi_decimation),
+        _check_decimation(kernel_poly, "poly", hi_gf_poly),
+        _check_streams("decomposition/gm", 0, hi_num,
                        ("decomposition", sf.iter_sym_decompose_gml, (("binet", 0, gm_binet),))),
-        _check_streams("decomposition/gm-poly", 0, hi_dec_poly,
+        _check_streams("decomposition/gm-poly", 0, hi_poly,
                        ("decomposition", sf.iter_sym_decompose_gml_poly,
                         (("recurrence", 0, pf.iter_gml_poly),))),
-        _check_streams("decomposition/m-poly", 0, hi_dec_poly,
+        _check_streams("decomposition/m-poly", 0, hi_poly,
                        ("decomposition", sf.iter_sym_decompose_ml_poly,
                         (("recurrence", 0, pf.iter_ml_poly),))),
-        _check_streams("genfun/gm", 0, hi_gm,
-                       ("coefficient", lambda: sf.gf_gml(hi_gm), (("term", 0, gm_binet),))),
+        _check_streams("genfun/gm", 0, hi_num,
+                       ("coefficient", lambda: sf.gf_gml(hi_num), (("term", 0, gm_binet),))),
         _check_streams("genfun/gm-even", 0, hi_half,
                        ("coefficient", lambda: sf.gf_gml_even(hi_half),
                         (("Gm({even})", 0, _terms(seq.gml_binet, 0, 2)),))),
@@ -401,18 +413,18 @@ def run_verify(
         _check_streams("genfun/m-poly", 0, hi_gf_poly,
                        ("coefficient", lambda: sf.gf_ml_poly(hi_gf_poly),
                         (("term", 0, pf.iter_ml_poly),))),
-        _check_kernel_explicit(kernel_num, "scalar"),
-        _check_kernel_explicit(kernel_poly, "poly"),
-        _check_streams("kernel/two-letter-bridge", 0, 60,
+        _check_kernel_explicit(kernel_num, "scalar", hi_kernel),
+        _check_kernel_explicit(kernel_poly, "poly", hi_kernel),
+        _check_streams("kernel/two-letter-bridge", 0, hi_kernel,
                        ("two-letter", lambda: sf.iter_two_letter_sn(2, 1),
                         (("kernel", 0, lambda: sf.iter_kernel(kernel_num)),))),
-        _check_backward_closure(max_n),
-        _check_negative_numbers(max_n),
-        _check_negative_polynomials(max_poly_n),
-        _check_numeric_binet(),
+        _check_backward_closure(hi_num),
+        _check_negative_numbers(hi_num),
+        _check_negative_polynomials(hi_poly),
+        _check_numeric_binet(hi_gf_poly),
         _check_route_numbers(max_n, inject_fault),
         _check_route_polynomials(max_poly_n),
-        _check_specialization(max_n),
+        _check_specialization(hi_spec),
         _check_streams("tables/numbers", 0, 5,
                        ("recurrence", _terms(seq.gml_recurrence), (("table", 0, lambda: _TABLE_GM),))),
         _check_tables_polynomials(),

@@ -84,7 +84,43 @@ def test_check_ranges_follow_bounds(small_report):
     assert by_name["route-agreement/polynomials"].range == "0..6"
     assert by_name["specialization/x=1"].range == "0..12"
     assert by_name["negative/backward-closure"].range == "-10..12"
-    assert by_name["kernel/explicit-poly"].range == "0..60"
+    assert by_name["kernel/explicit-poly"].range == "0..12"
+
+
+# (max_n, max_poly_n) -> the range of each check whose size is capped; the
+# last two are the ranges these checks had when their sizes were fixed.
+CHECK_SIZES = {
+    (6, 6): ("0..6", "0..6", "0..6", "0..6", "0..6", "n<=6", "30 alphabets"),
+    (12, 6): ("0..12", "0..12", "0..12", "0..12", "0..6", "n<=6", "30 alphabets"),
+    (500, 40): ("0..60", "0..60", "0..60", "0..30", "0..30", "n<=30", "200 alphabets"),
+    (2000, 200): ("0..60", "0..60", "0..60", "0..30", "0..30", "n<=30", "200 alphabets"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(CHECK_SIZES), ids=lambda size: "%dx%d" % size)
+def test_check_sizes_follow_the_request(size):
+    kernel_scalar, kernel_poly, bridge, dec_scalar, dec_poly, numeric, trials = CHECK_SIZES[size]
+    by_name = {c.name: c.range for c in run_verify(*size).checks}
+    assert by_name["kernel/explicit-scalar"] == kernel_scalar
+    assert by_name["kernel/explicit-poly"] == kernel_poly
+    assert by_name["kernel/two-letter-bridge"] == bridge
+    assert by_name["decimation/kernel-scalar"] == dec_scalar
+    assert by_name["decimation/kernel-poly"] == dec_poly
+    assert by_name["numeric-binet"] == f"{numeric}, x in {{1, 2, 3, 5/2}}"
+    assert by_name["convolution/definition1"] == f"{trials}, n<=12"
+
+
+# The sizes at which a corrupted route must still be caught at its index:
+# the checks sized by the request are smallest at (6, 6).
+FAULT_SIZES = ((12, 6), (6, 6))
+
+
+def at_fault_sizes(argnames, cases, ids):
+    """Parametrize over cases at each of FAULT_SIZES, passed as `size`; a
+    case keeps its own id at (12, 6) and gains a -6x6 suffix at (6, 6)."""
+    return pytest.mark.parametrize(f"{argnames}, size", [
+        pytest.param(*case, size, id=case_id if size == (12, 6) else f"{case_id}-6x6")
+        for size in FAULT_SIZES for case, case_id in zip(cases, ids)])
 
 
 # (module, iterator, index of its first term, {check: first failing index})
@@ -113,9 +149,9 @@ ROUTE_WALKS = (
 )
 
 
-@pytest.mark.parametrize("module, attr, first, expected", ROUTE_WALKS,
-                         ids=[walk[1] for walk in ROUTE_WALKS])
-def test_corrupted_route_walk_is_caught_at_its_index(monkeypatch, module, attr, first, expected):
+@at_fault_sizes("module, attr, first, expected", ROUTE_WALKS, [walk[1] for walk in ROUTE_WALKS])
+def test_corrupted_route_walk_is_caught_at_its_index(monkeypatch, module, attr, first, expected,
+                                                      size):
     walk = getattr(module, attr)
 
     def corrupted(*args):
@@ -123,7 +159,7 @@ def test_corrupted_route_walk_is_caught_at_its_index(monkeypatch, module, attr, 
             yield term + 1 if n == 3 else term
 
     monkeypatch.setattr(module, attr, corrupted)
-    report = run_verify(max_n=12, max_poly_n=6)
+    report = run_verify(*size)
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert set(failed) == set(expected)
     for name, index in expected.items():
@@ -139,16 +175,15 @@ NEGATIVE_ROUTES = (
 )
 
 
-@pytest.mark.parametrize("attr, expected", NEGATIVE_ROUTES,
-                         ids=[route[0] for route in NEGATIVE_ROUTES])
-def test_corrupted_negative_route_is_caught_at_its_index(monkeypatch, attr, expected):
+@at_fault_sizes("attr, expected", NEGATIVE_ROUTES, [route[0] for route in NEGATIVE_ROUTES])
+def test_corrupted_negative_route_is_caught_at_its_index(monkeypatch, attr, expected, size):
     route = getattr(seq, attr)
 
     def corrupted(n):
         return route(n) + 1 if n == 3 else route(n)
 
     monkeypatch.setattr(seq, attr, corrupted)
-    report = run_verify(max_n=12, max_poly_n=6)
+    report = run_verify(*size)
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert set(failed) == set(expected)
     for name, start in expected.items():
@@ -193,10 +228,11 @@ def test_corrupted_alphabet_series_is_reported_at_its_first_mismatch(monkeypatch
         return sf.PowerSeries(coeffs)
 
     monkeypatch.setattr(sf, "s_neg_alphabet", corrupted)
-    report = run_verify(max_n=12, max_poly_n=6)
-    failed = {c.name: c.detail for c in report.checks if not c.passed}
-    assert list(failed) == ["convolution/definition1"]
-    assert failed["convolution/definition1"].startswith("trial=0 n=3:")
+    for size in FAULT_SIZES:
+        report = run_verify(*size)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert list(failed) == ["convolution/definition1"], size
+        assert failed["convolution/definition1"].startswith("trial=0 n=3:"), size
 
 
 def one_too_large_at_3(series):
@@ -205,8 +241,9 @@ def one_too_large_at_3(series):
     return sf.PowerSeries(coeffs)
 
 
-@pytest.mark.parametrize("route", ("s_diff_series", "PowerSeries.__mul__"))
-def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypatch, route):
+@at_fault_sizes("route", [("s_diff_series",), ("PowerSeries.__mul__",)],
+                ["s_diff_series", "PowerSeries.__mul__"])
+def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypatch, route, size):
     if route == "s_diff_series":
         # Only S_n(lambda - mu) is corrupted: a +1 in S_3(lambda) as well
         # would reach the convolution at n = 3 too, times S_0(-mu) = 1.
@@ -217,7 +254,7 @@ def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypat
         product = sf.PowerSeries.__mul__
         monkeypatch.setattr(sf.PowerSeries, "__mul__",
                             lambda a, b: one_too_large_at_3(product(a, b)))
-    report = run_verify(max_n=12, max_poly_n=6)
+    report = run_verify(*size)
     failed = {c.name: c.detail for c in report.checks if not c.passed}
     assert list(failed) == ["convolution/definition1"]
     assert failed["convolution/definition1"].startswith("trial=0 n=3:")
@@ -233,9 +270,20 @@ CONVOLUTION_DRAWS = {
 @pytest.mark.parametrize("seed", sorted(CONVOLUTION_DRAWS))
 def test_convolution_check_does_the_same_work(monkeypatch, seed):
     # Counts, not timings: every trial draws the same alphabets and calls
-    # the same routes, however the series are held.
+    # the same routes, however the series are held, and a check of fewer
+    # trials draws the first alphabets of a longer one.
     calls = collections.Counter()
     diff_args = []
+
+    def draws_of(trials):
+        calls.clear()
+        diff_args.clear()
+        assert verify._check_convolution(seed, trials).passed
+        assert calls == {"s_diff_series": 2 * trials, "s_neg_alphabet": trials, "__mul__": trials}
+        # Each trial asks for S(lambda - mu), then for S(lambda) alone.
+        draws = [(list(lam), list(mu)) for lam, mu, _ in diff_args[::2]]
+        assert diff_args[1::2] == [(lam, (), 12) for lam, _ in draws]
+        return draws
 
     def counting(owner, name):
         route = getattr(owner, name)
@@ -251,12 +299,9 @@ def test_convolution_check_does_the_same_work(monkeypatch, seed):
     counting(sf, "s_diff_series")
     counting(sf, "s_neg_alphabet")
     counting(sf.PowerSeries, "__mul__")
-    assert verify._check_convolution(seed).passed
-    assert calls == {"s_diff_series": 400, "s_neg_alphabet": 200, "__mul__": 200}
-    # Each trial asks for S(lambda - mu), then for S(lambda) alone.
-    draws = [(list(lam), list(mu)) for lam, mu, _ in diff_args[::2]]
-    assert diff_args[1::2] == [(lam, (), 12) for lam, _ in draws]
+    draws = draws_of(200)
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == CONVOLUTION_DRAWS[seed]
+    assert draws_of(30) == draws[:30]
 
 
 def test_convolution_trial_builds_few_polys(monkeypatch):
@@ -274,8 +319,10 @@ def test_convolution_trial_builds_few_polys(monkeypatch):
 
     monkeypatch.setattr(arith, "_poly", counting)
     monkeypatch.setattr(sf, "_poly", counting)
-    assert verify._check_convolution(0).passed
-    assert calls <= 5 * 200, calls
+    for trials in (30, 200):
+        calls = 0
+        assert verify._check_convolution(0, trials).passed
+        assert calls <= 5 * trials, (trials, calls)
 
 
 def test_polynomial_route_sweep_is_linear(monkeypatch):
@@ -305,9 +352,9 @@ def test_polynomial_route_sweep_is_linear(monkeypatch):
 
 GOLDEN_CSV = """\
 name,range,status,detail
-convolution/definition1,"200 alphabets, n<=12",pass,
-decimation/kernel-poly,0..30,pass,
-decimation/kernel-scalar,0..30,pass,
+convolution/definition1,"30 alphabets, n<=12",pass,
+decimation/kernel-poly,0..6,pass,
+decimation/kernel-scalar,0..12,pass,
 decomposition/gm,0..12,pass,
 decomposition/gm-poly,0..6,pass,
 decomposition/m-poly,0..6,pass,
@@ -316,13 +363,13 @@ genfun/gm-even,0..6,pass,
 genfun/gm-odd,0..6,pass,
 genfun/gm-poly,0..6,pass,
 genfun/m-poly,0..6,pass,
-kernel/explicit-poly,0..60,pass,
-kernel/explicit-scalar,0..60,pass,
-kernel/two-letter-bridge,0..60,pass,
+kernel/explicit-poly,0..12,pass,
+kernel/explicit-scalar,0..12,pass,
+kernel/two-letter-bridge,0..12,pass,
 negative/backward-closure,-10..12,pass,
 negative/numbers,1..12,pass,
 negative/polynomials,1..6,pass,
-numeric-binet,"n<=30, x in {1, 2, 3, 5/2}",pass,
+numeric-binet,"n<=6, x in {1, 2, 3, 5/2}",pass,
 route-agreement/numbers,0..12,pass,
 route-agreement/polynomials,0..6,pass,
 specialization/x=1,0..12,pass,
@@ -363,29 +410,29 @@ VERIFY_DIGESTS = (
     ("--format csv", 0,
      "bf919111df5df317913e1b3d30e31aeda6780a3f1db49f4bceb2c12235839754"),
     ("--max-n 12 --max-poly-n 6 --format text", 0,
-     "78155f3dcea0e48a9a161c157519a6a8109a735d50bc475ac649bdaf26451aa8"),
+     "1e3c9ae585c199007ba3154ec855dd44b978180ef4cf7bda4e697df08f74c879"),
     ("--max-n 12 --max-poly-n 6 --format json", 0,
-     "e1377d3765526a4f452ad9334a4fa872e86b7f1213690db8a8c2a205e34eac00"),
+     "19199bcc14cf3fc8b5cb436a682c905ede9885c459d4cc00d5c8ce8b0114c115"),
     ("--max-n 12 --max-poly-n 6 --format csv", 0,
-     "0b783cd3539aac876aefb73c9bfaa985f86d40dc95c498b5496a98ce696f951e"),
+     "a8b3368ee1cd83b119575d5739856351de7dac4ad80b2b10db36a9a0bdda1f70"),
     ("--max-n 12 --max-poly-n 6 --format text --inject-fault m1", 1,
-     "ace07c9715da60cda322acd018e5807bb1c17a5d1e25c34d4918ab97cf225e9b"),
+     "d9777006b81ea48922df122aa25a74a22c72ba8417997bbf2482d676926324a8"),
     ("--max-n 12 --max-poly-n 6 --format json --inject-fault m1", 1,
-     "ae2798a91eb791c06f3bc54e44e7ce444316b1e63381c53cf0015bae7c66be3e"),
+     "1cf0bc4cd0f946f30bda84f97c7c08feb1f71b9b6a46a62c79050fc6eb2d3037"),
     ("--max-n 12 --max-poly-n 6 --format csv --inject-fault m1", 1,
-     "09679771d399b7f976011cf78ad8ee60941c8dd956188cd1cde37dae36c2dcbb"),
+     "00629664076c913e228034ed177f37768df34a63dbd9a9b571377b4bde1ff0e9"),
     ("--max-n 12 --max-poly-n 6 --format text --inject-fault gm0", 1,
-     "72e69c04a9dfd3c51eee11df9b1c32567bb61af9547c844f86352bb1678ee2a2"),
+     "2c675f91b569713491133918eba41e303ad2f6b4d3ac8a7f3f8a129953f8e77c"),
     ("--max-n 12 --max-poly-n 6 --format json --inject-fault gm0", 1,
-     "5abf88a771897b185c27fd5a3b6f7f37230683908bc90dc2ad42ca821fe9d1f7"),
+     "42960fc2b54f4b0d9bb618f31461e30fd7ecd8228392b936d8c26f1c868e632a"),
     ("--max-n 12 --max-poly-n 6 --format csv --inject-fault gm0", 1,
-     "12b838e4d64bf1fa2ee0cb77d7035901ede4c079277eadf2f5b64847e5ba407f"),
+     "2218914819a0a4103477567fee719b5227b2c8ce8cdd00e629629c754dfa2f06"),
     ("--max-n 12 --max-poly-n 6 --format text --inject-fault gm1", 1,
-     "49ce7674a33ca78225e133bb54d6f5e046b768d3532163e1fee6b426f17cc7fb"),
+     "c1182684bb2dbf0c65071f57e3d9418af0c1e97f3007b9686b54f9abe0fc9885"),
     ("--max-n 12 --max-poly-n 6 --format json --inject-fault gm1", 1,
-     "1150ee5cc09881d6b2d2a1db829da2cc333f5e67dcd831ada908300466a71e0a"),
+     "0f9d428f23561bbfe9820cd92776f56ae9a5fd1ced49999a4058e2e577ae3b65"),
     ("--max-n 12 --max-poly-n 6 --format csv --inject-fault gm1", 1,
-     "7ab49673d79dd6f84a54cb22cb962daf1c31241c4bee8c04308b5cb0f161b900"),
+     "c58ef4360013b0d36d823d200ccc76779fe74f950f6b8d48c9cb51f0b7dd7308"),
 )
 
 
