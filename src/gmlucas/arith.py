@@ -30,19 +30,22 @@ trailing zero coefficient; exp == 0 or some part odd; zero has exp == 0), so
 equality and hashing compare the three parts, and GaussianDyadic
 coefficients are built only when asked for (coeffs, coeff, str, repr).
 
-Poly mul is schoolbook with one fast path, the one-term path: when the
-shorter operand is a single term c x**j, as the recurrence multipliers 3x
-and -2 and the powers d**k are, or a GaussianDyadic scalar c, the product
-is the other operand scaled by c and shifted by j, built directly.
+Poly mul is schoolbook through _mac, the one loop that adds the product
+of two Z[i] vectors into an output in place; linear_step's complex step
+and series_div over Poly (in symfun) run through it too.  Poly mul keeps
+one fast path, the one-term path: when the shorter operand is a single
+term c x**j, as the recurrence multipliers 3x and -2 and the powers d**k
+are, or a GaussianDyadic scalar c, the product is the other operand scaled
+by c and shifted by j, built directly.
 
 linear_step(a, b, ring) fuses a x + b y for one-term a and b into one
-pass over the parts of x and y, building one element per term, and is
-a x + b y through the operators otherwise; the recurrence walks and the
-kernel decompositions take each term from it.
+element per term: real a and b take one two-term pass per part, and
+complex ones add a x and b y into one output through _mac.  Other
+coefficients take a x + b y through the operators.  The recurrence walks
+and the kernel decompositions take each term from it.
 
-Poly evaluation at a real integer point, the real-point path, runs Horner
-on re and im as two real chains, half the big-int multiplies of the Z[i]
-chain; at x = 1 it just sums each vector.
+Poly evaluation is one Horner chain in Z[i]; at x = 1 it just sums each
+vector.
 
 One equality rule covers int, Dyadic, GaussianDyadic and Poly: values that
 are equal in Z[1/2][i][x] compare equal and hash alike, whatever their
@@ -488,40 +491,18 @@ class Poly:
             other = Poly._coerce(other)
             if other is None:
                 return NotImplemented
-        # Schoolbook over Z[i]: each nonzero term of the shorter operand adds
-        # a scaled copy of the longer one into the output slice it covers.
+        # Schoolbook over Z[i] into one output of the product's length.
         a, b = (self, other) if len(self.re) <= len(other.re) else (other, self)
         if not a.re:
             return Poly.ZERO
-        br, bi = b.re, b.im
         j = len(a.re) - 1
         if not (any(a.re[:j]) or any(a.im[:j])):
             # a is one term c x**j: scale b by c and shift it by j, with no
             # zero vector to add into.
             return _scaled(b, a.re[j], a.im[j], j, a.exp)
-        b_real = not any(bi)
-        size = len(a.re) + len(br) - 1
-        out_re = [0] * size
-        out_im = [0] * size
-        for j, (sr, si) in enumerate(zip(a.re, a.im)):
-            end = j + len(br)
-            if b_real:
-                if sr:
-                    out_re[j:end] = [o + sr * x for o, x in zip(out_re[j:end], br)]
-                if si:
-                    out_im[j:end] = [o + si * x for o, x in zip(out_im[j:end], br)]
-            elif not si:
-                if sr:
-                    out_re[j:end] = [o + sr * x for o, x in zip(out_re[j:end], br)]
-                    out_im[j:end] = [o + sr * y for o, y in zip(out_im[j:end], bi)]
-            elif not sr:
-                out_re[j:end] = [o - si * y for o, y in zip(out_re[j:end], bi)]
-                out_im[j:end] = [o + si * x for o, x in zip(out_im[j:end], br)]
-            else:
-                out_re[j:end] = [o + sr * x - si * y
-                                 for o, x, y in zip(out_re[j:end], br, bi)]
-                out_im[j:end] = [o + sr * y + si * x
-                                 for o, x, y in zip(out_im[j:end], br, bi)]
+        size = len(a.re) + len(b.re) - 1
+        out_re, out_im = [0] * size, [0] * size
+        _mac(out_re, out_im, a.re, a.im, b.re, b.im)
         # Z[i] has no zero divisors, so the leading term survives; only
         # shared twos (such as (1+i)**2 = 2i) can need cancelling.
         return _poly(out_re, out_im, a.exp + b.exp)
@@ -558,20 +539,12 @@ class Poly:
             raise TypeError("polynomial argument must be GaussianDyadic, Dyadic or int")
         if not self.re:
             return GaussianDyadic.ZERO
-        if not (gx.b or gx.exp):
-            # A real integer point: the real and imaginary parts are two
-            # independent real Horner chains, and x = 1 just sums them.
-            xr = gx.a
-            if xr == 1:
-                return _canonical(sum(self.re), sum(self.im), self.exp)
-            ar = ai = 0
-            for c in reversed(self.re):
-                ar = ar * xr + c
-            for c in reversed(self.im):
-                ai = ai * xr + c
-            return _canonical(ar, ai, self.exp)
-        # Horner in Z[i] with x = (xr + xi i) / 2**f: the accumulator holds
-        # the partial sum times 2**shift, so coefficient c enters as c << shift.
+        if gx.a == 1 and not (gx.b or gx.exp):
+            # x = 1: the value is the sum of the coefficients, part by part.
+            return _canonical(sum(self.re), sum(self.im), self.exp)
+        # Every other point, real integers too: Horner in Z[i] with
+        # x = (xr + xi i) / 2**f.  The accumulator holds the partial sum
+        # times 2**shift, so coefficient c enters as c << shift.
         xr, xi, f = gx.a, gx.b, gx.exp
         ar = ai = 0
         shift = -f
@@ -646,6 +619,36 @@ def _poly(re: list, im: list, exp: int) -> Poly:
     return _make_poly(tuple(re), tuple(im), exp)
 
 
+def _mac(out_re: list, out_im: list, ar, ai, br, bi) -> None:
+    """Add the schoolbook product of the Z[i] vectors a and b into out, in
+    place; out must reach len(a) + len(b) - 1.  Term j of a adds
+    (ar[j] + ai[j] i) b, shifted by j.  A zero term or a zero part costs no
+    pass: a real b takes one pass per nonzero part of the term, a real or an
+    imaginary term over a complex b two, and a complex term over a complex b
+    two fused ones."""
+    b_real = not any(bi)
+    n = len(br)
+    for j, (sr, si) in enumerate(zip(ar, ai)):
+        end = j + n
+        if b_real:
+            if sr:
+                out_re[j:end] = [o + sr * x for o, x in zip(out_re[j:end], br)]
+            if si:
+                out_im[j:end] = [o + si * x for o, x in zip(out_im[j:end], br)]
+        elif not si:
+            if sr:
+                out_re[j:end] = [o + sr * x for o, x in zip(out_re[j:end], br)]
+                out_im[j:end] = [o + sr * y for o, y in zip(out_im[j:end], bi)]
+        elif not sr:
+            out_re[j:end] = [o - si * y for o, y in zip(out_re[j:end], bi)]
+            out_im[j:end] = [o + si * x for o, x in zip(out_im[j:end], br)]
+        else:
+            out_re[j:end] = [o + sr * x - si * y
+                             for o, x, y in zip(out_re[j:end], br, bi)]
+            out_im[j:end] = [o + sr * y + si * x
+                             for o, x, y in zip(out_im[j:end], br, bi)]
+
+
 def _scaled(p: Poly, sr: int, si: int, j: int, exp: int) -> Poly:
     """p times the one term (sr + si i) x**j / 2**exp, built directly."""
     br, bi, pad = p.re, p.im, [0] * j
@@ -698,10 +701,11 @@ def linear_step(a, b, ring):
     b y over one power-of-two denominator by shifting the coefficients, not
     the terms, computes the real and imaginary parts by zipping the
     Gaussian-integer parts of x and y (one pass per part when a and b are
-    real), and canonicalizes once, so it builds one ring element where
-    a x + b y builds three.  Its value and its canonical parts are those of
-    a x + b y.  For any other ring (int, say) or coefficient (a Poly of two
-    or more terms, or a Poly over GaussianDyadic) the map is a x + b y.
+    real, through _mac otherwise), and canonicalizes once, so it builds one
+    ring element where a x + b y builds three.  Its value and its canonical
+    parts are those of a x + b y.  For any other ring (int, say) or
+    coefficient (a Poly of two or more terms, or a Poly over GaussianDyadic)
+    the map is a x + b y.
     """
     ta, tb = _one_term(a, ring), _one_term(b, ring)
     if ta is None or tb is None:
@@ -757,23 +761,12 @@ def _poly_step(ar: int, ai: int, ea: int, ja: int, br: int, bi: int, eb: int, jb
                 im = [0] * len(re)
         else:
             size = max(len(xr), len(yr))
-            re = _combine(((sr, xr), (-si, xi), (tr, yr), (-ti, yi)), size)
-            im = _combine(((sr, xi), (si, xr), (tr, yi), (ti, yr)), size)
+            re, im = [0] * size, [0] * size
+            _mac(re, im, (sr,), (si,), xr, xi)
+            _mac(re, im, (tr,), (ti,), yr, yi)
         return _poly(re, im, exp)
 
     return step
-
-
-def _combine(terms, size: int) -> list:
-    """The sum of s v over the (s, v) in terms, as a list of length size; a
-    vector reads as zero past its end, and a term with s or v zero is
-    skipped, so m(x) + i m'(x) over real m and m' takes one pass per part."""
-    out = []
-    for s, v in terms:
-        if s and any(v):
-            out = [o + s * u for o, u in zip_longest(out, v, fillvalue=0)]
-    out += [0] * (size - len(out))
-    return out
 
 
 def poly_eval(p: Poly, x) -> GaussianDyadic:

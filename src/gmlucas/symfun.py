@@ -22,8 +22,9 @@ divides it by lambda's factors one at a time, each a running sum on Gaussian
 integers that shares no code with series_div, then shifts its terms over one
 denominator unless lambda's letters are integers.  The Cauchy product is
 Poly.__mul__, cut to the order.  series_div keeps coefficients (see
-PowerSeries) and over Poly runs on Z[i] vectors; Poly series otherwise keep
-the generic ring loops.  The closed sums run on ints in every ring: the
+PowerSeries) and over Poly runs on Z[i] vectors, adding each tap through
+arith._mac, the loop Poly.__mul__ runs; Poly series otherwise keep the
+generic ring loops.  The closed sums run on ints in every ring: the
 binomial sum of kernel_term_explicit and the two-letter sum of two_letter_sn
 keep their nonzero products, finding the common denominator and the degree
 in the same pass, multiply them out term by term over the nonzero terms of
@@ -44,7 +45,7 @@ import itertools
 from collections import deque, namedtuple
 from collections.abc import Iterator
 
-from .arith import Dyadic, GaussianDyadic, Poly, _canonical, _poly, binomial, linear_step
+from .arith import Dyadic, GaussianDyadic, Poly, _canonical, _mac, _poly, binomial, linear_step
 from .sequences import walk
 
 
@@ -250,17 +251,17 @@ def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
     """series_div's coefficients on Z[i][x] vectors.
 
     The same scheme as _series_div_gaussian, with T_n a vector of Gaussian
-    integers: each nonzero term of D_k subtracts one shifted, scaled copy of
-    T_{n-k}, and each coefficient becomes a Poly once.
+    integers: the taps loop is _mac, which adds the product of the tap
+    -D_k 2**((k - 1) f) and T_{n-k} into T_n, and each coefficient becomes
+    a Poly once.
     """
     if inv != Poly.ONE:
         num = [inv * c for c in num]
         den = [inv * c for c in den]
     nr, ni, g = _align_polys(num)
     dr, di, f = _align_polys(den)
-    # The nonzero terms (j, re, im) of each D_k, k >= 1, times 2**((k - 1) f).
-    taps = [[(j, r << (k - 1) * f, i << (k - 1) * f)
-             for j, (r, i) in enumerate(zip(dr[k], di[k])) if r or i]
+    # -D_k 2**((k - 1) f) for each k >= 1, as its re and im vectors.
+    taps = [([-(c << (k - 1) * f) for c in dr[k]], [-(c << (k - 1) * f) for c in di[k]])
             for k in range(1, len(den))]
     # T_{n-1}, T_{n-2}, ...: only as many as there are taps, so the vectors
     # held stay one per tap, not one per coefficient.
@@ -272,24 +273,14 @@ def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
             ai = [c << n * f for c in ni[n]]
         else:
             ar, ai = [], []
-        for (xr, xi), terms in zip(recent, taps):
-            if not (xr and terms):
+        for (xr, xi), (tr, ti) in zip(recent, taps):
+            if not (xr and tr):
                 continue
-            grow = terms[-1][0] + len(xr) - len(ar)
+            grow = len(tr) + len(xr) - 1 - len(ar)
             if grow > 0:
                 ar += [0] * grow
                 ai += [0] * grow
-            x_imag = any(xi)
-            for j, cr, ci in terms:
-                end = j + len(xr)
-                if cr:
-                    ar[j:end] = [o - cr * x for o, x in zip(ar[j:end], xr)]
-                    if x_imag:
-                        ai[j:end] = [o - cr * y for o, y in zip(ai[j:end], xi)]
-                if ci:
-                    ai[j:end] = [o - ci * x for o, x in zip(ai[j:end], xr)]
-                    if x_imag:
-                        ar[j:end] = [o + ci * y for o, y in zip(ar[j:end], xi)]
+            _mac(ar, ai, tr, ti, xr, xi)
         # _poly trims trailing zeros from ar and ai in place, so T_n is kept
         # at the length of coefficient n.
         out.append(_poly(ar, ai, g + n * f))

@@ -707,6 +707,18 @@ def assert_poly_canonical(p: Poly) -> None:
 
 
 @given(gaussian_polys, gaussian_polys)
+# Each case of the shared Z[i] loop: real times real; a real term, an
+# imaginary term and a complex term over a complex b; a zero term between
+# two nonzero ones, over a complex b and over a real one.
+@example(Poly((1, -2)), Poly((3, 0, Dyadic(5, 1))))
+@example(Poly((3, -1)), Poly((GaussianDyadic(1, 2), GaussianDyadic(0, -1), 4)))
+@example(Poly((GaussianDyadic(0, 2), GaussianDyadic(0, Dyadic(-1, 1)))),
+         Poly((GaussianDyadic(1, 2), 5, GaussianDyadic(0, 3))))
+@example(Poly((GaussianDyadic(1, 1), GaussianDyadic(2, -3))),
+         Poly((GaussianDyadic(Dyadic(1, 1), 2), GaussianDyadic(-1, 4), 7)))
+@example(Poly((1, 0, GaussianDyadic(0, 2))),
+         Poly((GaussianDyadic(1, 1), 3, GaussianDyadic(0, -1))))
+@example(Poly((GaussianDyadic(1, 1), 0, GaussianDyadic(0, 2))), Poly((3, -1, 2)))
 def test_poly_ops_match_reference(a, b):
     for got, want in (
         (a + b, ref_add(a.coeffs, b.coeffs)),
@@ -765,8 +777,8 @@ def test_poly_eval_matches_reference(a, x):
     assert poly_eval(a, 3) == ref_eval(a.coeffs, GaussianDyadic(3))
 
 
-# Real integer points take two real Horner chains (and a plain sum at
-# x = 1); the other points take the Z[i] chain.
+# x = 1 sums each part; every other point, real integers included, takes
+# the Z[i] Horner chain.
 eval_points = st.one_of(st.sampled_from((1, -1, 0, 2, 3)), st.integers(-99, 99),
                         small_dyadics, small_gaussians)
 
@@ -775,6 +787,9 @@ eval_points = st.one_of(st.sampled_from((1, -1, 0, 2, 3)), st.integers(-99, 99),
 # Odd parts over 2 whose sum (x = 1) or alternating sum (x = -1) is even.
 @example(Poly((Dyadic(1, 1), GaussianDyadic(Dyadic(3, 1), 1))), 1)
 @example(Poly((Dyadic(1, 1), Dyadic(1, 1))), -1)
+# Real integer points on a complex poly.
+@example(Poly((GaussianDyadic(1, 2), GaussianDyadic(Dyadic(3, 1), -1), GaussianDyadic(0, 5))), 2)
+@example(Poly((GaussianDyadic(1, 2), GaussianDyadic(Dyadic(3, 1), -1), GaussianDyadic(0, 5))), -3)
 def test_poly_eval_at_real_and_dyadic_points_matches_reference(a, x):
     got = a(x)
     assert_gaussian_canonical(got)
@@ -873,6 +888,9 @@ def test_gaussian_linear_step_matches_operators(a, b, x, y):
 # m_n + i m_{n-1}, the relation; both terms zero.
 @example(1, GaussianDyadic.I, Poly((-4, 0, 9)), Poly((0, 3)))
 @example(Poly((0, 3)), -2, Poly.ZERO, Poly.ZERO)
+# Complex a and b over complex x and y.
+@example(GaussianDyadic(1, 2), Poly((0, GaussianDyadic(Dyadic(3, 1), -1))),
+         Poly((GaussianDyadic(1, 1), 2)), Poly((GaussianDyadic(0, 3), GaussianDyadic(1, -1))))
 def test_poly_linear_step_matches_operators(a, b, x, y):
     got = linear_step(a, b, Poly)(x, y)
     want = a * x + b * y

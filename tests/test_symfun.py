@@ -234,6 +234,9 @@ POLY_HEADS = (1, 2, GaussianDyadic(1, 1), GaussianDyadic(0, Dyadic(1, 1)), Dyadi
 @example([Poly((4, GaussianDyadic(0, 3))),
           Poly((GaussianDyadic(0, 4), -6, GaussianDyadic(0, -9)))],
          2, [Poly((0, -6)), Poly((4,))], 12)
+# Imaginary and complex tap terms over a complex T_{n-k}.
+@example([Poly((GaussianDyadic(1, 1), 2))], 1,
+         [Poly((GaussianDyadic(0, 1), GaussianDyadic(1, 2)))], 6)
 def test_poly_division_matches_generic_loop(num, head, tail, order):
     den = [Poly((head,))] + tail
     got = series_div(num, den, order)
