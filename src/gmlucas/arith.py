@@ -375,29 +375,17 @@ GaussianDyadic.I = GaussianDyadic(0, 1)
 
 
 def _poly_term_text(c: GaussianDyadic, j: int) -> str:
-    re, im = c.re, c.im
-    if j == 0:
-        s = str(c)
-        return f"({s})" if (re.num and im.num) else s
-    base = "x" if j == 1 else f"x^{j}"
-    if re.num and im.num:
+    """c x^j as Poly.__str__ writes it: a complex c is bracketed; otherwise
+    the sign leads, and past x^0 a unit is left out and a fraction bracketed."""
+    base = "" if j == 0 else "x" if j == 1 else f"x^{j}"
+    if c.a and c.b:
         return f"({c}){base}"
-    if im.num == 0:
-        # pure real coefficient
-        if re.num == 1 and re.exp == 0:
-            return base
-        if re.num == -1 and re.exp == 0:
-            return "-" + base
-        if re.exp == 0:
-            return f"{re.num}{base}"
-        sign = "-" if re.num < 0 else ""
-        mag = Dyadic(abs(re.num), re.exp)
-        return f"{sign}({mag}){base}"
-    # pure imaginary coefficient
-    sign = "-" if im.num < 0 else ""
-    mag = Dyadic(abs(im.num), im.exp)
-    body = _imag_text(mag)
-    return f"{sign}{body}{base}" if mag.exp == 0 else f"{sign}({body}){base}"
+    sign, mag = ("-", str(-c)) if c.a < 0 or c.b < 0 else ("", str(c))
+    if base and mag == "1":
+        mag = ""
+    elif base and "/" in mag:
+        mag = f"({mag})"
+    return sign + mag + base
 
 
 class Poly:
@@ -621,11 +609,10 @@ def _poly(re: list, im: list, exp: int) -> Poly:
 
 def _mac(out_re: list, out_im: list, ar, ai, br, bi) -> None:
     """Add the schoolbook product of the Z[i] vectors a and b into out, in
-    place; out must reach len(a) + len(b) - 1.  Term j of a adds
-    (ar[j] + ai[j] i) b, shifted by j.  A zero term or a zero part costs no
-    pass: a real b takes one pass per nonzero part of the term, a real or an
-    imaginary term over a complex b two, and a complex term over a complex b
-    two fused ones."""
+    place, cut to the length of out.  Term j of a adds (ar[j] + ai[j] i) b,
+    shifted by j.  A zero term or a zero part costs no pass: a real b takes
+    one pass per nonzero part of the term, a real or an imaginary term over a
+    complex b two, and a complex term over a complex b two fused ones."""
     b_real = not any(bi)
     n = len(br)
     for j, (sr, si) in enumerate(zip(ar, ai)):

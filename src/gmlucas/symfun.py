@@ -144,10 +144,12 @@ class PowerSeries:
     def __mul__(self, other):
         """Cauchy product truncated back to the shared order."""
         self._check_order(other)
+        size = self.order + 1
         z, w = self._zview(), other._zview()
         if z is not None and w is not None:
-            return _series(None, z * w, self.order)
-        size = self.order + 1
+            re, im = [0] * size, [0] * size
+            _mac(re, im, z.re, z.im, w.re, w.im)
+            return _series(None, _poly(re, im, z.exp + w.exp), self.order)
         zero = _zero_like(self.coeffs[0])
         out = [zero] * size
         for j, a in enumerate(self.coeffs):
@@ -179,13 +181,12 @@ class PowerSeries:
 
 def _series(coeffs: tuple | None, z: Poly | None = None, order: int = 0) -> PowerSeries:
     """A PowerSeries from coefficients the caller knows to share one ring, or,
-    with coeffs None, a GaussianDyadic series from its Poly in z, cut to order."""
+    with coeffs None, a GaussianDyadic series from its Poly in z of degree at
+    most order."""
     if coeffs is not None:
         order = len(coeffs) - 1
     elif order < 0:
         raise ValueError("series order must be non-negative")
-    elif z.degree > order:
-        z = _poly(list(z.re[: order + 1]), list(z.im[: order + 1]), z.exp)
     out = object.__new__(PowerSeries)
     out._coeffs, out._z, out.order = coeffs, z, order
     return out

@@ -28,16 +28,16 @@ that compares streams term by term runs through one helper, _check_streams:
 each group pairs a stream with the routes compared against it, each from
 its own first index, so a route's domain is data, and every such check
 reports its first mismatch in one format.
-Five checks stay hand-written: route-agreement/numbers (the seed faults land
-there, and its m line shows three routes at once), negative/backward-closure
-(a residual over k across zero), decimation/* (a kernel_term probe and three
-series), convolution/definition1 (random trials) and numeric-binet (a float
-tolerance).  The seed sweeps of route-agreement/numbers and the backward
-walks of negative/* walk sequences.walk, and route-agreement/numbers takes
-its relation terms from sequences.iter_gml_from_ml; the backward-closure
-check writes out the recurrence it checks.  convolution/definition1 compares whole
-series with ==, in z, reading coefficients only to name the first n at
-which a failing trial differs.
+route-agreement/numbers writes out only its m line (three routes at once,
+and m_n = 1 + a power of two); its Gm walk, from the seeds a fault may
+perturb, runs through _check_streams up to the m line's first failure, so
+the first counterexample is still named by index, m before Gm at one n.
+decimation/* probes kernel_term by hand first.  Three checks stay
+hand-written: negative/backward-closure (a residual over k across zero,
+which writes out the recurrence it checks), convolution/definition1 (random
+trials, compared as whole series with ==, in z, reading coefficients only
+to name the first n at which a failing trial differs) and numeric-binet (a
+float tolerance).
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ def _check_tables_polynomials() -> CheckResult:
 
 
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
-    """Every number route must agree at every index up to max_n."""
+    """Every number route must agree at every index up to max_n: the m line,
+    then the Gm routes below its first failure."""
     name, rng = "route-agreement/numbers", f"0..{max_n}"
     m0, m1 = seq.M0, seq.M1
     g0, g1 = seq.GM0, seq.GM1
@@ -189,34 +190,27 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         g0 = g0 + 1
     elif fault == "gm1":
         g1 = g1 + 1
-    m_walk = seq.walk(m0, m1, 3, -2)
-    g_walk = seq.walk(g0, g1, 3, -2)
-    symmetric = sf.iter_sym_decompose_gml()
-    relation = seq.iter_gml_from_ml()
-    e_prev = None
-    for n in range(max_n + 1):
-        rec = next(m_walk)
+    m_detail, sums = None, []
+    for n, rec in zip(range(max_n + 1), seq.walk(m0, m1, 3, -2)):
         binet = seq.ml_binet(n)
         explicit = seq.ml_explicit(n)
         if not (GaussianDyadic(rec) == binet == explicit):
-            return _fail(
-                name, rng,
-                f"n={n}: recurrence={rec} binet={binet} explicit={explicit}",
-            )
+            m_detail = f"n={n}: recurrence={rec} binet={binet} explicit={explicit}"
+            break
         b = binet.a  # binet equals the integer rec here
         if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
-            return _fail(name, rng, f"n={n}: {b} is not 1 + a power of two")
-        grec = next(g_walk)
-        routes = [("binet", seq.gml_binet(n)),
-                  ("symmetric", next(symmetric))]
-        if n >= 1:
-            routes.append(("explicit", GaussianDyadic(explicit.a, e_prev.a)))
-            routes.append(("relation", next(relation)))
-        for label, got in routes:
-            if got != grec:
-                return _fail(name, rng, f"n={n}: recurrence={grec} vs {label}={got}")
-        e_prev = explicit
-    return _ok(name, rng)
+            m_detail = f"n={n}: {b} is not 1 + a power of two"
+            break
+        sums.append(explicit.a)
+    gm = _check_streams(name, 0, len(sums) - 1, (
+        "recurrence", lambda: seq.walk(g0, g1, 3, -2),
+        (("binet", 0, _terms(seq.gml_binet)),
+         ("symmetric", 0, sf.iter_sym_decompose_gml),
+         ("explicit", 1, lambda: (GaussianDyadic(e, e_prev) for e_prev, e in itertools.pairwise(sums))),
+         ("relation", 1, seq.iter_gml_from_ml))))
+    if m_detail is None or not gm.passed:
+        return gm._replace(range=rng)
+    return _fail(name, rng, m_detail)
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:
@@ -323,22 +317,16 @@ def _check_kernel_explicit(kernel: sf.SymKernel, which: str, hi: int) -> CheckRe
 
 
 def _check_decimation(kernel: sf.SymKernel, which: str, hi: int) -> CheckResult:
-    name, rng = f"decimation/kernel-{which}", f"0..{hi}"
+    name = f"decimation/kernel-{which}"
     odd_back, even, odd_fwd = sf.kernel_even_odd_series(kernel, hi)
     # S_{-1} .. S_{2hi+1}
     terms = [sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 2 * hi + 2)]
     if terms[hi + 1] != sf.kernel_term(kernel, hi):
-        return _fail(name, rng, "recurrence walk disagrees with kernel_term")
-    for n in range(hi + 1):
-        trio = (
-            (odd_back[n], terms[2 * n], "S(2n-1)"),
-            (even[n], terms[2 * n + 1], "S(2n)"),
-            (odd_fwd[n], terms[2 * n + 2], "S(2n+1)"),
-        )
-        for got, want, label in trio:
-            if got != want:
-                return _fail(name, rng, f"n={n}: {label} coefficient={got} vs term={want}")
-    return _ok(name, rng)
+        return _fail(name, f"0..{hi}", "recurrence walk disagrees with kernel_term")
+    return _check_streams(name, 0, hi,
+                          ("S(2n-1) coefficient", lambda: odd_back, (("term", 0, lambda: terms[0::2]),)),
+                          ("S(2n) coefficient", lambda: even, (("term", 0, lambda: terms[1::2]),)),
+                          ("S(2n+1) coefficient", lambda: odd_fwd, (("term", 0, lambda: terms[2::2]),)))
 
 
 def _check_numeric_binet(hi: int) -> CheckResult:

@@ -102,6 +102,36 @@ def _entered_by_stream(stream, terms: int = 4) -> set[str]:
     return seen
 
 
+# The checks whose comparisons run through verify._check_streams, once each
+# in a clean run; a check that compares routes in a loop of its own fails
+# the guard by name.  decimation/* builds its three series and its term list
+# before the call, as tables/* builds its rows, so the guard sees no route
+# code behind those streams, and neither does it behind the explicit Gm
+# stream of route-agreement/numbers, built from the m line's sums.
+STREAM_CHECKS = (
+    "decimation/kernel-poly",
+    "decimation/kernel-scalar",
+    "decomposition/gm",
+    "decomposition/gm-poly",
+    "decomposition/m-poly",
+    "genfun/gm",
+    "genfun/gm-even",
+    "genfun/gm-odd",
+    "genfun/gm-poly",
+    "genfun/m-poly",
+    "kernel/explicit-poly",
+    "kernel/explicit-scalar",
+    "kernel/two-letter-bridge",
+    "negative/numbers",
+    "negative/polynomials",
+    "route-agreement/numbers",
+    "route-agreement/polynomials",
+    "specialization/x=1",
+    "tables/numbers",
+    "tables/polynomials",
+)
+
+
 def test_streams_that_verify_compares_share_no_code(monkeypatch):
     # Each group that verify._check_streams compares is a stream and the
     # streams it is compared with; no two of them may share code beyond
@@ -115,7 +145,7 @@ def test_streams_that_verify_compares_share_no_code(monkeypatch):
 
     monkeypatch.setattr(verify, "_check_streams", capture)
     assert verify.run_verify(max_n=12, max_poly_n=6).overall
-    assert len(calls) == 17
+    assert sorted(name for name, _ in calls) == list(STREAM_CHECKS)
     for name, groups in calls:
         for label, stream, others in groups:
             entered = {label: _entered_by_stream(stream)}

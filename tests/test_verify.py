@@ -217,6 +217,83 @@ def test_corrupted_series_coefficient_is_reported_exactly(monkeypatch, attr, ind
     assert {c.name: c.detail for c in report.checks if not c.passed} == {check: detail}
 
 
+# (the coefficient made one too large in the S(2n-1), S(2n) and S(2n+1)
+# series of kernel_even_odd_series, the detail of decimation/kernel-scalar,
+# the detail of decimation/kernel-poly): the first n wins, and at one n the
+# series are compared in that order.
+DECIMATION_FAULTS = (
+    ((2, 3, 3), "n=2: S(2n-1) coefficient=16 vs term=15",
+     "n=2: S(2n-1) coefficient=1 - 12x + 27x^3 vs term=-12x + 27x^3"),
+    ((3, 2, 2), "n=2: S(2n) coefficient=32 vs term=31",
+     "n=2: S(2n) coefficient=5 - 54x^2 + 81x^4 vs term=4 - 54x^2 + 81x^4"),
+    ((3, 3, 2), "n=2: S(2n+1) coefficient=64 vs term=63",
+     "n=2: S(2n+1) coefficient=1 + 36x - 216x^3 + 243x^5 vs term=36x - 216x^3 + 243x^5"),
+)
+
+
+@at_fault_sizes("indices, scalar, poly", DECIMATION_FAULTS,
+                ["S(2n-1)", "S(2n)", "S(2n+1)"])
+def test_corrupted_decimation_series_is_reported_exactly(monkeypatch, indices, scalar, poly,
+                                                         size):
+    series = sf.kernel_even_odd_series
+
+    def corrupted(kernel, order):
+        out = []
+        for part, index in zip(series(kernel, order), indices):
+            coeffs = list(part)
+            coeffs[index] += 1
+            out.append(sf.PowerSeries(coeffs))
+        return tuple(out)
+
+    monkeypatch.setattr(sf, "kernel_even_odd_series", corrupted)
+    report = run_verify(*size)
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+        "decimation/kernel-scalar": scalar, "decimation/kernel-poly": poly}
+
+
+def route_one_too_large_at(module, attr, first, index):
+    """Replace a single-term route (first None) or a stream from first by
+    one whose term at index is one too large."""
+    route = getattr(module, attr)
+    if first is None:
+        return lambda n: route(n) + 1 if n == index else route(n)
+
+    def corrupted(*args):
+        for n, term in enumerate(route(*args), first):
+            yield term + 1 if n == index else term
+
+    return corrupted
+
+
+# (module, route, first index of its stream or None, the detail of
+# route-agreement/numbers when the route is one too large at n = 3): a Gm
+# route is named against the Gm walk, and a wrong m explicit sum, which the
+# Gm explicit route reads too, fails the m line first.
+ROUTE_NUMBER_FAULTS = (
+    (seq, "gml_binet", None, "n=3: recurrence=9+5i vs binet=10+5i"),
+    (sf, "iter_sym_decompose_gml", 0, "n=3: recurrence=9+5i vs symmetric=10+5i"),
+    (seq, "iter_gml_from_ml", 1, "n=3: recurrence=9+5i vs relation=10+5i"),
+    (seq, "ml_explicit", None, "n=3: recurrence=9 binet=9 explicit=10"),
+)
+
+
+@pytest.mark.parametrize("module, attr, first, detail", ROUTE_NUMBER_FAULTS,
+                         ids=[fault[1] for fault in ROUTE_NUMBER_FAULTS])
+def test_corrupted_number_route_is_reported_exactly(monkeypatch, module, attr, first, detail):
+    monkeypatch.setattr(module, attr, route_one_too_large_at(module, attr, first, 3))
+    failed = {c.name: c.detail for c in run_verify(max_n=12, max_poly_n=6).checks if not c.passed}
+    assert failed["route-agreement/numbers"] == detail
+
+
+def test_number_routes_report_the_first_index_of_two_faults(monkeypatch):
+    # The m line is checked first at each n, but a Gm failure at a lower n
+    # is the first counterexample.
+    monkeypatch.setattr(seq, "gml_binet", route_one_too_large_at(seq, "gml_binet", None, 2))
+    monkeypatch.setattr(seq, "ml_binet", route_one_too_large_at(seq, "ml_binet", None, 4))
+    failed = {c.name: c.detail for c in run_verify(max_n=12, max_poly_n=6).checks if not c.passed}
+    assert failed["route-agreement/numbers"] == "n=2: recurrence=5+3i vs binet=6+3i"
+
+
 def test_corrupted_alphabet_series_is_reported_at_its_first_mismatch(monkeypatch):
     # The convolution check compares whole coefficient tuples first; a
     # mismatch must still be reported at the first coefficient that differs.
@@ -306,8 +383,8 @@ def test_convolution_check_does_the_same_work(monkeypatch, seed):
 
 def test_convolution_trial_builds_few_polys(monkeypatch):
     # Counts, not timings: a trial holds its four series as Polys in z, and
-    # the Cauchy product may cut its own back to the order, so five Polys a
-    # trial at most.  The products of the alphabets stay Gaussian-integer
+    # the Cauchy product adds into a vector cut to the order, so four Polys
+    # a trial at most.  The products of the alphabets stay Gaussian-integer
     # vectors and build none.
     calls = 0
     poly = arith._poly
@@ -322,7 +399,7 @@ def test_convolution_trial_builds_few_polys(monkeypatch):
     for trials in (30, 200):
         calls = 0
         assert verify._check_convolution(0, trials).passed
-        assert calls <= 5 * trials, (trials, calls)
+        assert calls <= 4 * trials, (trials, calls)
 
 
 def test_polynomial_route_sweep_is_linear(monkeypatch):
