@@ -707,6 +707,9 @@ def _one_term(c, ring) -> tuple | None:
     if c is not one term of ring or ring is neither Poly nor GaussianDyadic."""
     if ring is not Poly and ring is not GaussianDyadic:
         return None
+    if type(c) is int:
+        # The walks' constant weights, such as 3 and -2, build nothing.
+        return (c, 0, 0, 0)
     if type(c) is Poly:
         j = len(c.re) - 1
         if ring is GaussianDyadic or any(c.re[:j]) or any(c.im[:j]):

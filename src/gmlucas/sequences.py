@@ -6,7 +6,7 @@ with seeds Gm_0 = 2 + (3/2)i and Gm_1 = 3 + 2i, and satisfies
 Gm_n = m_n + i m_{n-1} for n >= 1.  Every term can be produced by several
 independent routes which must agree exactly; the cross-checks live in the
 test suite and in the verify command.  Each route returns its term as a
-GaussianDyadic.
+GaussianDyadic; the closed forms build theirs straight from ints.
 
 walk is the one producer of the order-2 recurrence x_k = d x_{k-1} +
 p x_{k-2}: the recurrence and relation routes here and in polyfam,
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .arith import Dyadic, GaussianDyadic, binomial, linear_step
+from .arith import Dyadic, GaussianDyadic, _canonical, binomial, linear_step
 
 # Recurrence seeds.
 M0 = 2
@@ -110,7 +110,7 @@ def ml_negative(n: int) -> GaussianDyadic:
     """m_{-n} = m_n / 2**n for n >= 1, the backward closure of the recurrence."""
     if n < 1:
         raise ValueError("ml_negative requires n >= 1")
-    return GaussianDyadic(Dyadic(_ml_int(n), n))
+    return _canonical(_ml_int(n), 0, n)
 
 
 def gml_recurrence(n: int) -> GaussianDyadic:
@@ -123,8 +123,9 @@ def gml_binet(n: int) -> GaussianDyadic:
     """Gm_n = (2**n + 1) + i (2**(n-1) + 1), with the n = 0 imaginary part 3/2."""
     if n < 0:
         raise ValueError("gml_binet requires n >= 0; use gml_negative below zero")
-    im = Dyadic(_ml_int(n - 1)) if n >= 1 else Dyadic(3, 1)
-    return GaussianDyadic(Dyadic(_ml_int(n)), im)
+    if n == 0:
+        return _canonical(4, 3, 1)
+    return _canonical(_ml_int(n), _ml_int(n - 1), 0)
 
 
 def iter_gml_from_ml() -> Iterator[GaussianDyadic]:
@@ -157,4 +158,4 @@ def gml_negative(n: int) -> GaussianDyadic:
     """Gm_{-n} = (m_n + (i/2) m_{n+1}) / 2**n for n >= 1."""
     if n < 1:
         raise ValueError("gml_negative requires n >= 1")
-    return GaussianDyadic(Dyadic(_ml_int(n), n), Dyadic(_ml_int(n + 1), n + 1))
+    return _canonical(_ml_int(n) << 1, _ml_int(n + 1), n + 1)

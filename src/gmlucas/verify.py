@@ -13,7 +13,10 @@ kernel/two-letter-bridge run 0..min(60, max_n), decimation/kernel-scalar
 numeric-binet n <= min(30, max_poly_n), and convolution/definition1 draws
 min(200, 5 max_poly_n) alphabets from one seeded stream, so a smaller run
 checks the first alphabets of a larger one.  Only tables/* read six frozen
-rows at every size.
+rows at every size.  Each draw is the one random.Random.randrange would
+make, read straight from getrandbits by CPython's rule (k = n.bit_length()
+bits, drawn again while n or more), so the alphabets are randrange's
+without its call layers.
 
 Every sweep over indices walks each recurrence once, through the iter_*
 routes of polyfam and symfun, so a sweep to n costs one pass rather than a
@@ -29,9 +32,10 @@ each group pairs a stream with the routes compared against it, each from
 its own first index, so a route's domain is data, and every such check
 reports its first mismatch in one format.
 route-agreement/numbers writes out only its m line (three routes at once,
-and m_n = 1 + a power of two); its Gm walk, from the seeds a fault may
-perturb, runs through _check_streams up to the m line's first failure, so
-the first counterexample is still named by index, m before Gm at one n.
+and m_n = 1 + a power of two).  Its Gm walk, from the seeds a fault may
+perturb, runs through _check_streams and takes each term only once the m
+line holds at that n, so the first counterexample is still named by index,
+m before Gm at one n, and no m explicit sum is computed past it.
 decimation/* probes kernel_term by hand first.  Three checks stay
 hand-written: negative/backward-closure (a residual over k across zero,
 which writes out the recurrence it checks), convolution/definition1 (random
@@ -125,14 +129,17 @@ _TABLE_GM = (
     GaussianDyadic(17, 9),
     GaussianDyadic(33, 17),
 )
-_TABLE_M_POLY = (
+_TABLE_M_POLY = tuple(map(Poly, (
     (2,),
     (0, 3),
     (-4, 0, 9),
     (0, -18, 0, 27),
     (8, 0, -72, 0, 81),
     (0, 60, 0, -270, 0, 243),
-)
+)))
+# Gm_n(x) = m_n(x) + i m_{n-1}(x) for n >= 1, from the m rows.
+_TABLE_GM_POLY = (Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
+                  *(m + GaussianDyadic.I * prev for prev, m in itertools.pairwise(_TABLE_M_POLY)))
 
 
 def _check_streams(name: str, lo: int, hi: int, *groups) -> CheckResult:
@@ -170,17 +177,15 @@ def _stream(route: Route, step: int = 1):
 
 
 def _check_tables_polynomials() -> CheckResult:
-    table_m = [Poly(row) for row in _TABLE_M_POLY]
-    table_gm = [Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
-                *(m + GaussianDyadic.I * prev for prev, m in itertools.pairwise(table_m))]
     return _check_streams("tables/polynomials", 0, 5,
-                          ("m recurrence", _terms(pf.ml_poly), (("table", 0, lambda: table_m),)),
-                          ("gm recurrence", _terms(pf.gml_poly), (("table", 0, lambda: table_gm),)))
+                          ("m recurrence", _terms(pf.ml_poly), (("table", 0, lambda: _TABLE_M_POLY),)),
+                          ("gm recurrence", _terms(pf.gml_poly), (("table", 0, lambda: _TABLE_GM_POLY),)))
 
 
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
-    """Every number route must agree at every index up to max_n: the m line,
-    then the Gm routes below its first failure."""
+    """Every number route must agree at every index up to max_n: at each n
+    the m line, then the Gm routes, so that no m sum is computed past the
+    first counterexample."""
     name, rng = "route-agreement/numbers", f"0..{max_n}"
     m0, m1 = seq.M0, seq.M1
     g0, g1 = seq.GM0, seq.GM1
@@ -191,26 +196,39 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
     elif fault == "gm1":
         g1 = g1 + 1
     m_detail, sums = None, []
-    for n, rec in zip(range(max_n + 1), seq.walk(m0, m1, 3, -2)):
-        binet = seq.ml_binet(n)
-        explicit = seq.ml_explicit(n)
-        if not (GaussianDyadic(rec) == binet == explicit):
-            m_detail = f"n={n}: recurrence={rec} binet={binet} explicit={explicit}"
-            break
-        b = binet.a  # binet equals the integer rec here
-        if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
-            m_detail = f"n={n}: {b} is not 1 + a power of two"
-            break
-        sums.append(explicit.a)
-    gm = _check_streams(name, 0, len(sums) - 1, (
-        "recurrence", lambda: seq.walk(g0, g1, 3, -2),
-        (("binet", 0, _terms(seq.gml_binet)),
-         ("symmetric", 0, sf.iter_sym_decompose_gml),
-         ("explicit", 1, lambda: (GaussianDyadic(e, e_prev) for e_prev, e in itertools.pairwise(sums))),
-         ("relation", 1, seq.iter_gml_from_ml))))
-    if m_detail is None or not gm.passed:
-        return gm._replace(range=rng)
-    return _fail(name, rng, m_detail)
+
+    def gm_walk():
+        # The Gm walk from the seeds a fault may perturb.  Before it yields
+        # term n it checks the m line at n and keeps that n's explicit sum,
+        # so an m failure ends the walk, and the comparison, at n.
+        nonlocal m_detail
+        walks = zip(range(max_n + 1), seq.walk(m0, m1, 3, -2), seq.walk(g0, g1, 3, -2))
+        for n, rec, gm in walks:
+            binet = seq.ml_binet(n)
+            explicit = seq.ml_explicit(n)
+            if not (GaussianDyadic(rec) == binet == explicit):
+                m_detail = f"n={n}: recurrence={rec} binet={binet} explicit={explicit}"
+                return
+            b = binet.a  # binet equals the integer rec here
+            if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
+                m_detail = f"n={n}: {b} is not 1 + a power of two"
+                return
+            sums.append(explicit.a)
+            yield gm
+
+    walk = gm_walk()
+    try:
+        return _check_streams(name, 0, max_n, (
+            "recurrence", lambda: walk,
+            (("binet", 0, _terms(seq.gml_binet)),
+             ("symmetric", 0, sf.iter_sym_decompose_gml),
+             ("explicit", 1, lambda: (GaussianDyadic(e, e_prev)
+                                      for e_prev, e in itertools.pairwise(sums))),
+             ("relation", 1, seq.iter_gml_from_ml))))
+    except StopIteration:
+        if m_detail is None:
+            raise
+        return _fail(name, rng, m_detail)
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:
@@ -277,21 +295,35 @@ def _check_specialization(hi: int) -> CheckResult:
         ("Gm_{n}(1)", at_one(pf.iter_gml_poly), (("Gm_{n}", 0, _terms(seq.gml_binet)),)))
 
 
-def _random_letter(rng: random.Random) -> GaussianDyadic:
+def _below(bits, n: int) -> int:
+    """The draw of rng.randrange(n), taken from bits = rng.getrandbits by the
+    rule of CPython's Random._randbelow_with_getrandbits: draw k =
+    n.bit_length() bits, and draw again while the result is n or more."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_letter(bits) -> GaussianDyadic:
     """(a / 2**ea) + (b / 2**eb) i for a, b in -3..3 and ea, eb in 0..1,
-    built over 2 as one GaussianDyadic.  Python defines randint(lo, hi) as
-    randrange(lo, hi + 1), so these are the draws of randint(-3, 3) and
-    randint(0, 1)."""
-    a, ea, b, eb = rng.randrange(-3, 4), rng.randrange(2), rng.randrange(-3, 4), rng.randrange(2)
+    built over 2 as one GaussianDyadic.  These are the draws of
+    randint(-3, 3), randint(0, 1), randint(-3, 3) and randint(0, 1):
+    Python defines randint(lo, hi) as randrange(lo, hi + 1), which draws
+    lo + _randbelow(hi + 1 - lo)."""
+    a, ea, b, eb = _below(bits, 7) - 3, _below(bits, 2), _below(bits, 7) - 3, _below(bits, 2)
     return _canonical(a << (1 - ea), b << (1 - eb), 1)
 
 
 def _check_convolution(seed: int, trials: int) -> CheckResult:
     name, rng_text = "convolution/definition1", f"{trials} alphabets, n<=12"
-    rng = random.Random(seed)
+    # Each draw is the one rng.randrange would make, read straight from
+    # the generator's bits.
+    bits = random.Random(seed).getrandbits
     for trial in range(trials):
-        lam = [_random_letter(rng) for _ in range(rng.randrange(4))]
-        mu = [_random_letter(rng) for _ in range(rng.randrange(4))]
+        lam = [_random_letter(bits) for _ in range(_below(bits, 4))]
+        mu = [_random_letter(bits) for _ in range(_below(bits, 4))]
         series = sf.s_diff_series(lam, mu, 12)
         # Definition 1, sum_j S_{n-j}(-mu) S_j(lambda), for every n <= 12
         # at once: the Cauchy product of the two factor series.
@@ -366,8 +398,7 @@ def run_verify(
         raise ValueError("max_poly_n must be at least 6 to cover the reference tables")
     if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; choose from {FAULTS}")
-    kernel_num = sf.SymKernel(3, -2)
-    kernel_poly = sf.SymKernel(Poly((0, 3)), Poly((-2,)))
+    kernel_num, kernel_poly = sf._KERNEL_NUM, sf._KERNEL_POLY
     # Every capped top index, and the convolution trial count.
     hi_num, hi_half, hi_spec = min(100, max_n), min(50, max(max_n // 2, 1)), min(200, max_n)
     hi_kernel, hi_decimation = min(60, max_n), min(30, max_n)

@@ -211,6 +211,29 @@ def test_negative_index_against_closed_form(n):
     assert gml_negative(n) == want
 
 
+def test_closed_forms_match_values_built_from_dyadic_parts():
+    # gml_binet, ml_negative and gml_negative build their values from ints;
+    # each must have the canonical parts of the value built from Dyadic parts.
+    def parts(g):
+        return g.a, g.b, g.exp
+
+    for n in range(2001):
+        m = (1 << n) + 1
+        im = Dyadic((1 << (n - 1)) + 1) if n else Dyadic(3, 1)
+        assert parts(gml_binet(n)) == parts(GaussianDyadic(Dyadic(m), im))
+        if n:
+            assert parts(ml_negative(n)) == parts(GaussianDyadic(Dyadic(m, n)))
+            assert parts(gml_negative(n)) == parts(
+                GaussianDyadic(Dyadic(m, n), Dyadic((1 << (n + 1)) + 1, n + 1)))
+    refusals = ((gml_binet, -1, "gml_binet requires n >= 0; use gml_negative below zero"),
+                (ml_negative, 0, "ml_negative requires n >= 1"),
+                (gml_negative, 0, "gml_negative requires n >= 1"))
+    for route, first_bad, message in refusals:
+        for n in (first_bad, first_bad - 1, -100):
+            with pytest.raises(ValueError) as refused:
+                route(n)
+            assert str(refused.value) == message
+
 WALK_CASES = {
     "int seeds, int weights": (2, 3, 3, -2),
     "int seeds, dyadic weights": (1, -2, Dyadic(3, 1), Dyadic(-5, 2)),
@@ -242,6 +265,19 @@ def test_walk_matches_a_list_built_reference(x0, x1, d, p):
         ref.append(d * ref[-1] + p * ref[-2])
     for count in range(32):
         assert list(itertools.islice(walk(x0, x1, d, p), count)) == ref[:count]
+
+
+def test_walk_over_int_seeds_takes_the_ring_of_its_weights():
+    # 3 == GaussianDyadic(3), so no step may be shared between int and
+    # GaussianDyadic weights: int seeds give int terms under int weights and
+    # GaussianDyadic terms under GaussianDyadic ones, in either order.
+    want = [2, 3, 5, 9, 17, 33, 65, 129]
+    for _ in range(2):
+        ints = list(itertools.islice(walk(2, 3, 3, -2), 8))
+        gaussians = list(itertools.islice(walk(2, 3, GaussianDyadic(3), GaussianDyadic(-2)), 8))
+        assert ints == gaussians == want
+        assert {type(x) for x in ints} == {int}
+        assert {type(x) for x in gaussians[2:]} == {GaussianDyadic}
 
 
 def test_relation_iterator_yields_the_relation_route():

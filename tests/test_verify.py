@@ -11,6 +11,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import random
 import re
 
 import pytest
@@ -20,7 +21,7 @@ from gmlucas import polyfam as pf
 from gmlucas import sequences as seq
 from gmlucas import symfun as sf
 from gmlucas import verify
-from gmlucas.arith import Poly
+from gmlucas.arith import Dyadic, GaussianDyadic, Poly
 from gmlucas.cli import main
 from gmlucas.verify import FAULTS, CheckResult, VerifyReport, run_verify
 
@@ -337,6 +338,28 @@ def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypat
     assert failed["convolution/definition1"].startswith("trial=0 n=3:")
 
 
+def test_number_routes_compute_each_m_sum_once_as_needed(monkeypatch):
+    # Counts, not timings: the m line is checked at each n just before the
+    # Gm routes, so a Gm seed fault at a large max_n stops it at the fault's
+    # index, and a clean run computes each m explicit sum once.
+    sums = []
+    explicit = seq._ml_explicit_int
+
+    def counting(n):
+        sums.append(n)
+        return explicit(n)
+
+    monkeypatch.setattr(seq, "_ml_explicit_int", counting)
+    for fault, detail in (("gm0", "n=0: recurrence=3+3i/2 vs binet=2+3i/2"),
+                          ("gm1", "n=1: recurrence=4+2i vs binet=3+2i")):
+        sums.clear()
+        assert verify._check_route_numbers(500, fault) == CheckResult(
+            "route-agreement/numbers", "0..500", False, detail)
+        assert len(sums) <= 3, (fault, sums)
+    sums.clear()
+    assert verify._check_route_numbers(500, None).passed
+    assert sums == list(range(501))
+
 # sha256 of the repr of the 200 (lambda, mu) draws of the convolution check.
 CONVOLUTION_DRAWS = {
     0: "ee668a5a57c0e784db758beda286eb7aa1437ee595589768180e64d26d13c1d7",
@@ -379,6 +402,21 @@ def test_convolution_check_does_the_same_work(monkeypatch, seed):
     draws = draws_of(200)
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == CONVOLUTION_DRAWS[seed]
     assert draws_of(30) == draws[:30]
+
+
+def test_letter_draws_are_the_draws_of_randrange():
+    # The convolution check draws through _below, which reads getrandbits by
+    # the rule of CPython's Random._randbelow_with_getrandbits.  Should that
+    # rule change, this test names it before CONVOLUTION_DRAWS fails.
+    for seed in range(20):
+        for n in (2, 4, 7):
+            rng, bits = random.Random(seed), random.Random(seed).getrandbits
+            assert [verify._below(bits, n) for _ in range(1000)] == [
+                rng.randrange(n) for _ in range(1000)], (seed, n)
+        rng, bits = random.Random(seed), random.Random(seed).getrandbits
+        for _ in range(1000):
+            a, ea, b, eb = rng.randint(-3, 3), rng.randint(0, 1), rng.randint(-3, 3), rng.randint(0, 1)
+            assert verify._random_letter(bits) == GaussianDyadic(Dyadic(a, ea), Dyadic(b, eb))
 
 
 def test_convolution_trial_builds_few_polys(monkeypatch):
