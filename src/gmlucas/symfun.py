@@ -14,15 +14,16 @@ truncated series division only ever inverts constant terms that are units
 
 Series run on ints.  A series over GaussianDyadic is also a Poly in z (see
 PowerSeries), and the alphabet routes build that view and nothing else, one
-Poly per series.  Each alphabet route reads the letters once, as
-Gaussian-integer pairs over their largest denominator 2**e, shifted only
-when e is not zero; letters that are all GaussianDyadic are read as they
-are.  prod(1 - letter z) multiplies its linear factors in place into a
-Gaussian-integer vector over 2**(e k), for k letters over 2**e, and
-s_neg_alphabet cuts that vector to the order.  s_diff_series expands mu's
-product alone and divides it by lambda's factors one at a time, each a
-running sum on Gaussian integers that shares no code with series_div, then
-shifts its terms over one denominator unless lambda's letters are integers.
+Poly per series.  Each alphabet route reads the letters once through
+_align, the aligner of the z view and series_div too, as Gaussian-integer
+pairs over their largest denominator 2**e, shifted only when e is not zero;
+letters that are all GaussianDyadic are read as they are.  prod(1 - letter
+z) multiplies its linear factors in place into a Gaussian-integer vector
+over 2**(e k), for k letters over 2**e, and s_neg_alphabet cuts that vector
+to the order.  s_diff_series expands mu's product alone and divides it by
+lambda's factors one at a time, each a running sum on Gaussian integers
+that shares no code with series_div, then shifts its terms over one
+denominator unless lambda's letters are integers.
 The Cauchy product is Poly.__mul__, cut to the order.  series_div keeps
 coefficients (see PowerSeries) and over Poly runs on Z[i] vectors, adding
 each tap through arith._mac, the loop Poly.__mul__ runs; Poly series
@@ -83,10 +84,19 @@ def _common_ring(entries: list) -> list:
 
 def _align(values) -> tuple[list, list, int]:
     """GaussianDyadic values as Gaussian integers over their largest
-    denominator 2**e: value j is (re[j] + im[j] i) / 2**e."""
-    e = max((v.exp for v in values), default=0)
-    return ([v.a << (e - v.exp) for v in values],
-            [v.b << (e - v.exp) for v in values], e)
+    denominator 2**e: value j is (re[j] + im[j] i) / 2**e.  With e = 0 they
+    are the values' own ints, unshifted."""
+    re, im, e = [], [], 0
+    for v in values:
+        re.append(v.a)
+        im.append(v.b)
+        if v.exp > e:
+            e = v.exp
+    if e:
+        for j, v in enumerate(values):
+            re[j] <<= e - v.exp
+            im[j] <<= e - v.exp
+    return re, im, e
 
 
 def _align_polys(polys) -> tuple[list, list, int]:
@@ -291,31 +301,27 @@ def _series_div_poly(num: list, den: list, inv: Poly, order: int) -> tuple:
     return tuple(out)
 
 
-def _letter_pairs(alpha) -> tuple[list, int]:
-    """The letters of alpha as Gaussian-integer pairs (a, b) over their
-    largest denominator 2**e: letter j is (a_j + b_j i) / 2**e.  With
-    e = 0 the pairs are the letters' own ints, unshifted."""
-    letters, e = tuple(alpha), 0
+def _letters(alpha) -> tuple:
+    """The letters of an alphabet as GaussianDyadic values."""
+    letters = tuple(alpha)
     for letter in letters:
         if type(letter) is not GaussianDyadic:
-            lifted = _common_ring(list(letters))
-            if type(lifted[0]) is Poly:
-                raise TypeError("alphabet letters must be GaussianDyadic, Dyadic or int")
-            return _letter_pairs(lifted)
-        if letter.exp > e:
-            e = letter.exp
-    if e:
-        return [(v.a << (e - v.exp), v.b << (e - v.exp)) for v in letters], e
-    return [(v.a, v.b) for v in letters], 0
+            break
+    else:
+        return letters
+    letters = _common_ring(list(letters))
+    if type(letters[0]) is Poly:
+        raise TypeError("alphabet letters must be GaussianDyadic, Dyadic or int")
+    return tuple(letters)
 
 
 def _alphabet_z(alpha) -> tuple[list, list, int]:
     """prod(1 - letter z) for the letters of alpha, as Gaussian-integer
     vectors over 2**(e k) for k letters over 2**e: over 2**e the product is
     prod(2**e - (letter 2**e) z), so coefficient 0 is 2**(e k)."""
-    letters, e = _letter_pairs(alpha)
+    lr, li, e = _align(_letters(alpha))
     cr, ci = [1], [0]
-    for a, b in letters:
+    for a, b in zip(lr, li):
         # Times 2**e - (a + b i) z, in place: c_j becomes
         # c_j 2**e - (a + b i) c_{j-1}, from the top down, so that c_{j-1}
         # is still the old one.
@@ -326,7 +332,7 @@ def _alphabet_z(alpha) -> tuple[list, list, int]:
             cr[j] = (cr[j] << e) - (a * xr - b * xi)
             ci[j] = (ci[j] << e) - (a * xi + b * xr)
         cr[0] <<= e
-    return cr, ci, e * len(letters)
+    return cr, ci, e * len(lr)
 
 
 def s_neg_alphabet(mu, order: int) -> PowerSeries:
@@ -346,7 +352,7 @@ def s_diff_series(lam, mu, order: int) -> PowerSeries:
     """
     if order < 0:
         raise ValueError("series order must be non-negative")
-    letters, e = _letter_pairs(lam)
+    lr, li, e = _align(_letters(lam))
     nr, ni, g = _alphabet_z(mu)
     size = order + 1
     pad = [0] * (size - len(nr))
@@ -355,7 +361,7 @@ def s_diff_series(lam, mu, order: int) -> PowerSeries:
     if e:
         tr = [c << n * e for n, c in enumerate(tr)]
         ti = [c << n * e for n, c in enumerate(ti)]
-    for a, b in letters:
+    for a, b in zip(lr, li):
         # Divide by 1 - (a + b i) y in place: T_n becomes T_n + c T_{n-1},
         # from the bottom up, so that T_{n-1} is already the new one.
         xr = xi = 0

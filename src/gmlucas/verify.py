@@ -32,10 +32,11 @@ each group pairs a stream with the routes compared against it, each from
 its own first index, so a route's domain is data, and every such check
 reports its first mismatch in one format.
 route-agreement/numbers writes out only its m line (three routes at once,
-and m_n = 1 + a power of two).  Its Gm walk, from the seeds a fault may
-perturb, runs through _check_streams and takes each term only once the m
-line holds at that n, so the first counterexample is still named by index,
-m before Gm at one n, and no m explicit sum is computed past it.
+and m_n = 1 + a power of two).  Its Gm routes, from the seeds a fault may
+perturb, run through _check_streams first, the explicit one computing each
+m explicit sum as it needs it; the m line then runs only up to the index of
+the Gm failure, reusing those sums, so the first counterexample is still
+named by index, m before Gm at one n, and no sum is computed twice.
 decimation/* probes kernel_term by hand first.  Three checks stay
 hand-written: negative/backward-closure (a residual over k across zero,
 which writes out the recurrence it checks), convolution/definition1 (random
@@ -183,9 +184,10 @@ def _check_tables_polynomials() -> CheckResult:
 
 
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
-    """Every number route must agree at every index up to max_n: at each n
-    the m line, then the Gm routes, so that no m sum is computed past the
-    first counterexample."""
+    """Every number route must agree at every index up to max_n.  The Gm
+    routes run first, each m explicit sum computed once as they pull it;
+    the m line then runs up to the Gm failure, and its own failure at or
+    before that index wins."""
     name, rng = "route-agreement/numbers", f"0..{max_n}"
     m0, m1 = seq.M0, seq.M1
     g0, g1 = seq.GM0, seq.GM1
@@ -195,40 +197,31 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         g0 = g0 + 1
     elif fault == "gm1":
         g1 = g1 + 1
-    m_detail, sums = None, []
+    sums = {}
 
-    def gm_walk():
-        # The Gm walk from the seeds a fault may perturb.  Before it yields
-        # term n it checks the m line at n and keeps that n's explicit sum,
-        # so an m failure ends the walk, and the comparison, at n.
-        nonlocal m_detail
-        walks = zip(range(max_n + 1), seq.walk(m0, m1, 3, -2), seq.walk(g0, g1, 3, -2))
-        for n, rec, gm in walks:
-            binet = seq.ml_binet(n)
-            explicit = seq.ml_explicit(n)
-            if not (GaussianDyadic(rec) == binet == explicit):
-                m_detail = f"n={n}: recurrence={rec} binet={binet} explicit={explicit}"
-                return
-            b = binet.a  # binet equals the integer rec here
-            if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
-                m_detail = f"n={n}: {b} is not 1 + a power of two"
-                return
-            sums.append(explicit.a)
-            yield gm
+    def m_explicit(n: int) -> GaussianDyadic:
+        if n not in sums:
+            sums[n] = seq.ml_explicit(n)
+        return sums[n]
 
-    walk = gm_walk()
-    try:
-        return _check_streams(name, 0, max_n, (
-            "recurrence", lambda: walk,
-            (("binet", 0, _terms(seq.gml_binet)),
-             ("symmetric", 0, sf.iter_sym_decompose_gml),
-             ("explicit", 1, lambda: (GaussianDyadic(e, e_prev)
-                                      for e_prev, e in itertools.pairwise(sums))),
-             ("relation", 1, seq.iter_gml_from_ml))))
-    except StopIteration:
-        if m_detail is None:
-            raise
-        return _fail(name, rng, m_detail)
+    gm = _check_streams(name, 0, max_n, (
+        "recurrence", lambda: seq.walk(g0, g1, 3, -2),
+        (("binet", 0, _terms(seq.gml_binet)),
+         ("symmetric", 0, sf.iter_sym_decompose_gml),
+         ("explicit", 1, lambda: (GaussianDyadic(e.a, e_prev.a) for e_prev, e
+                                  in itertools.pairwise(map(m_explicit, itertools.count())))),
+         ("relation", 1, seq.iter_gml_from_ml))))
+    # A failure's detail opens with "n=<n>:", the index the m line runs to.
+    last = max_n if gm.passed else int(gm.detail[2:gm.detail.index(":")])
+    for n, rec in zip(range(last + 1), seq.walk(m0, m1, 3, -2)):
+        binet = seq.ml_binet(n)
+        explicit = m_explicit(n)
+        if not (GaussianDyadic(rec) == binet == explicit):
+            return _fail(name, rng, f"n={n}: recurrence={rec} binet={binet} explicit={explicit}")
+        b = binet.a  # binet equals the integer rec here
+        if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
+            return _fail(name, rng, f"n={n}: {b} is not 1 + a power of two")
+    return gm
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:

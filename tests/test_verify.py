@@ -11,6 +11,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import random
 import re
 
@@ -339,9 +340,10 @@ def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypat
 
 
 def test_number_routes_compute_each_m_sum_once_as_needed(monkeypatch):
-    # Counts, not timings: the m line is checked at each n just before the
-    # Gm routes, so a Gm seed fault at a large max_n stops it at the fault's
-    # index, and a clean run computes each m explicit sum once.
+    # Counts, not timings: the Gm routes run first and pull each m explicit
+    # sum as they need it, and the m line then runs only up to the Gm
+    # failure, so a Gm seed fault at a large max_n computes the sums up to
+    # the fault's index, and no run computes a sum twice.
     sums = []
     explicit = seq._ml_explicit_int
 
@@ -357,8 +359,33 @@ def test_number_routes_compute_each_m_sum_once_as_needed(monkeypatch):
             "route-agreement/numbers", "0..500", False, detail)
         assert len(sums) <= 3, (fault, sums)
     sums.clear()
+    assert verify._check_route_numbers(500, "m1").detail.startswith("n=1: ")
+    assert len(sums) == len(set(sums))
+    sums.clear()
     assert verify._check_route_numbers(500, None).passed
     assert sums == list(range(501))
+
+
+def test_compared_streams_replay_from_their_start(monkeypatch):
+    # The stream guard of test_routes calls each stream of a finished check
+    # again; a stream that hands back one shared, spent iterator would show
+    # it nothing.  Each call must give a fresh stream with its first terms.
+    calls = []
+    check_streams = verify._check_streams
+
+    def capture(name, lo, hi, *groups):
+        calls.append((name, lo, groups))
+        return check_streams(name, lo, hi, *groups)
+
+    monkeypatch.setattr(verify, "_check_streams", capture)
+    assert run_verify(max_n=12, max_poly_n=6).overall
+    for name, lo, groups in calls:
+        for label, stream, others in groups:
+            for other, first, s in ((label, lo, stream), *others):
+                head = list(itertools.islice(s(), 3))
+                assert head == list(itertools.islice(s(), 3)), (name, other)
+                assert len(head) == 3, (name, other)
+
 
 # sha256 of the repr of the 200 (lambda, mu) draws of the convolution check.
 CONVOLUTION_DRAWS = {
