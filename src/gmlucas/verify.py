@@ -26,17 +26,17 @@ can substitute a corrupted route and see the sweep catch it.
 
 ROUTES is the one table of each family's routes: method, first valid n,
 single-term function and, where a check walks one, stream.  `term` runs it,
-and route-agreement/polynomials and negative/* compare its routes.  A check
-that compares streams term by term runs through one helper, _check_streams:
+and route-agreement/* and negative/* compare its routes.  A check that
+compares streams term by term runs through one helper, _check_streams:
 each group pairs a stream with the routes compared against it, each from
 its own first index, so a route's domain is data, and every such check
 reports its first mismatch in one format.
-route-agreement/numbers writes out only its m line (three routes at once,
-and m_n = 1 + a power of two).  Its Gm routes, from the seeds a fault may
-perturb, run through _check_streams first, the explicit one computing each
-m explicit sum as it needs it; the m line then runs only up to the index of
-the Gm failure, reusing those sums, so the first counterexample is still
-named by index, m before Gm at one n, and no sum is computed twice.
+route-agreement/numbers compares each family's seed walk, from the seeds a
+fault may perturb, with the family's other routes but genfun, m before Gm
+at each n, and the m walk with the int 2**n + 1 too.  Its two explicit
+routes read one list of m explicit sums, each computed when a comparison
+first needs it, so a seed fault computes only the sums up to its index, and
+no sum is computed twice.
 decimation/* probes kernel_term by hand first.  Three checks stay
 hand-written: negative/backward-closure (a residual over k across zero,
 which writes out the recurrence it checks), convolution/definition1 (random
@@ -77,10 +77,11 @@ ROUTES = {
           Route("binet", -1, lambda n: seq.ml_negative(-n))),
     "gm": ((Route("recurrence", 0, lambda n: seq.gml_recurrence(n)),
             Route("binet", 0, lambda n: seq.gml_binet(n)),
-            Route("symmetric", 0, lambda n: sf.sym_decompose_gml(n)),
+            Route("symmetric", 0, lambda n: sf.sym_decompose_gml(n),
+                  lambda: sf.iter_sym_decompose_gml()),
             Route("genfun", 0, lambda n: sf.gf_gml(n)[n]),
             Route("explicit", 1, lambda n: seq.gml_explicit(n)),
-            Route("relation", 1, lambda n: seq.gml_from_ml(n))),
+            Route("relation", 1, lambda n: seq.gml_from_ml(n), lambda: seq.iter_gml_from_ml())),
            Route("binet", -1, lambda n: seq.gml_negative(-n))),
     "mpoly": ((Route("recurrence", 0, lambda n: pf.ml_poly(n), lambda: pf.iter_ml_poly()),
                Route("explicit", 0, lambda n: pf.ml_poly_explicit(n)),
@@ -183,52 +184,48 @@ def _check_tables_polynomials() -> CheckResult:
                           ("gm recurrence", _terms(pf.gml_poly), (("table", 0, lambda: _TABLE_GM_POLY),)))
 
 
+def _compared(routes, **streams) -> list:
+    """The routes but genfun, each as (method, first, stream) for
+    _check_streams: the stream given for its method, or the route's own."""
+    return [(r.method, r.first, streams.get(r.method) or _stream(r))
+            for r in routes if r.method != "genfun"]
+
+
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
-    """Every number route must agree at every index up to max_n.  The Gm
-    routes run first, each m explicit sum computed once as they pull it;
-    the m line then runs up to the Gm failure, and its own failure at or
-    before that index wins."""
-    name, rng = "route-agreement/numbers", f"0..{max_n}"
-    m0, m1 = seq.M0, seq.M1
-    g0, g1 = seq.GM0, seq.GM1
-    if fault == "m1":
-        m1 = m1 + 1
-    elif fault == "gm0":
-        g0 = g0 + 1
-    elif fault == "gm1":
-        g1 = g1 + 1
-    sums = {}
+    """Each family's seed walk, from the seeds a fault may perturb, against
+    its other routes, m before Gm at each n, and the m walk against the int
+    2**n + 1 too; genfun/gm compares the genfun route in full.  The two
+    explicit routes read one list of m explicit sums, each computed once,
+    when a comparison first needs it."""
+    seeds = {"m1": seq.M1, "gm0": seq.GM0, "gm1": seq.GM1}
+    if fault:
+        seeds[fault] += 1
+    sums = []
 
-    def m_explicit(n: int) -> GaussianDyadic:
-        if n not in sums:
-            sums[n] = seq.ml_explicit(n)
-        return sums[n]
+    def m_explicit():
+        for n in itertools.count():
+            if n == len(sums):
+                sums.append(seq.ml_explicit(n))
+            yield sums[n]
 
-    gm = _check_streams(name, 0, max_n, (
-        "recurrence", lambda: seq.walk(g0, g1, 3, -2),
-        (("binet", 0, _terms(seq.gml_binet)),
-         ("symmetric", 0, sf.iter_sym_decompose_gml),
-         ("explicit", 1, lambda: (GaussianDyadic(e.a, e_prev.a) for e_prev, e
-                                  in itertools.pairwise(map(m_explicit, itertools.count())))),
-         ("relation", 1, seq.iter_gml_from_ml))))
-    # A failure's detail opens with "n=<n>:", the index the m line runs to.
-    last = max_n if gm.passed else int(gm.detail[2:gm.detail.index(":")])
-    for n, rec in zip(range(last + 1), seq.walk(m0, m1, 3, -2)):
-        binet = seq.ml_binet(n)
-        explicit = m_explicit(n)
-        if not (GaussianDyadic(rec) == binet == explicit):
-            return _fail(name, rng, f"n={n}: recurrence={rec} binet={binet} explicit={explicit}")
-        b = binet.a  # binet equals the integer rec here
-        if n >= 1 and (b % 2 == 0 or ((b - 1) & (b - 2))):
-            return _fail(name, rng, f"n={n}: {b} is not 1 + a power of two")
-    return gm
+    def gm_explicit():
+        return (GaussianDyadic(e.a, e_prev.a) for e_prev, e in itertools.pairwise(m_explicit()))
+
+    (_, *m_routes), _ = ROUTES["m"]
+    (_, *gm_routes), _ = ROUTES["gm"]
+    return _check_streams(
+        "route-agreement/numbers", 0, max_n,
+        ("recurrence", lambda: seq.walk(seq.M0, seeds["m1"], 3, -2),
+         [*_compared(m_routes, explicit=m_explicit),
+          ("2**{n} + 1", 0, lambda: (2**n + 1 for n in itertools.count()))]),
+        ("recurrence", lambda: seq.walk(seeds["gm0"], seeds["gm1"], 3, -2),
+         _compared(gm_routes, explicit=gm_explicit)))
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:
     """Each polynomial family's first route against its other routes, each
     from its first index; genfun/* compares the genfun routes in full."""
-    groups = [(f"{label} {head.method}", _stream(head),
-               [(r.method, r.first, _stream(r)) for r in rest if r.method != "genfun"])
+    groups = [(f"{label} {head.method}", _stream(head), _compared(rest))
               for label, (head, *rest) in (("m", ROUTES["mpoly"][0]), ("Gm", ROUTES["gmpoly"][0]))]
     return _check_streams("route-agreement/polynomials", 0, max_poly_n, *groups)
 

@@ -5,6 +5,7 @@ Dyadic and GaussianDyadic operation must agree with exact rational
 arithmetic done by the standard library.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,13 @@ def test_gaussian_hash_matches_real_values():
     assert GaussianDyadic(Dyadic(3, 1)) == Dyadic(3, 1)
 
 
+def test_gaussian_equals_an_int_exactly_when_it_is_that_int():
+    for a, b, e, k in itertools.product(range(-4, 5), range(-2, 3), range(3), range(-4, 5)):
+        g = GaussianDyadic(Dyadic(a, e), Dyadic(b, e))
+        want = b == 0 and Fraction(a, 2**e) == k
+        assert (g == k, g != k, k == g, k != g) == (want, not want, want, not want), (g, k)
+
+
 def test_gaussian_part_types_guarded():
     with pytest.raises(TypeError):
         GaussianDyadic(0.5, 0)
@@ -334,6 +342,15 @@ def test_bools_are_rejected():
     for value in (Dyadic(1), GaussianDyadic(1), Poly((1,)), Poly.ZERO):
         assert value != True and not value == True
         assert value not in (True, False)
+
+
+def test_non_int_numerators_are_rejected():
+    # Dyadic(2.5) printed "2.5", and Dyadic(5.0, 1) failed inside its
+    # normalization with an unrelated TypeError about &.
+    for build in (lambda: Dyadic(2.5), lambda: Dyadic(5.0, 1), lambda: Dyadic(Fraction(1, 2)),
+                  lambda: GaussianDyadic(Dyadic(2.5))):
+        with pytest.raises(TypeError, match="^Dyadic numerator must be an int, not "):
+            build()
 
 
 # The reference Gaussian: each part is its own Fraction, and every

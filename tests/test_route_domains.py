@@ -114,3 +114,20 @@ def test_verify_compares_each_polynomial_route_from_its_first_index(monkeypatch)
             got = list(itertools.islice(walk(), 4))
             want = [route.term(n) for n in range(route.first, route.first + 4)]
             assert got == want, f"{label}: {route.method}"
+
+
+@pytest.mark.parametrize("family, detail", [("m", "n=3: recurrence=9 vs added=10"),
+                                            ("gm", "n=3: recurrence=9+5i vs added=10+5i")])
+def test_verify_compares_each_number_route_from_the_table(monkeypatch, family, detail):
+    # route-agreement/numbers reads its routes from verify.ROUTES, so a
+    # route added to a family's row, wrong at n = 3, fails it there by name.
+    routes, negative = verify.ROUTES[family]
+    right = routes[1].term
+
+    def added(n):
+        return right(n) + 1 if n == 3 else right(n)
+
+    monkeypatch.setitem(verify.ROUTES, family, ((*routes, verify.Route("added", 0, added)), negative))
+    failed = {c.name: c.detail for c in verify.run_verify(max_n=12, max_poly_n=6).checks
+              if not c.passed}
+    assert failed == {"route-agreement/numbers": detail}

@@ -18,12 +18,14 @@ import pytest
 
 from gmlucas import polyfam as pf
 from gmlucas import sequences as seq
+from gmlucas import symfun as sf
 from gmlucas import verify
 
 ALLOWED = {
-    # A ring constant (the one of the letters' ring), read by the symmetric
-    # and generating function routes alike.
+    # Ring constants (the one and the zero of the letters' ring), read by
+    # the symmetric, generating function and kernel routes alike.
     "gmlucas.symfun._one_like",
+    "gmlucas.symfun._zero_like",
     # The gm and gmpoly recurrence routes and their relation routes both
     # walk the recurrence, but from different seeds (the Gm seeds and the m
     # seeds); a wrong tap in walk still makes the two disagree at n = 3.
@@ -106,8 +108,10 @@ def _entered_by_stream(stream, terms: int = 4) -> set[str]:
 # in a clean run; a check that compares routes in a loop of its own fails
 # the guard by name.  decimation/* builds its three series and its term list
 # before the call, as tables/* builds its rows, so the guard sees no route
-# code behind those streams, and neither does it behind the explicit Gm
-# stream of route-agreement/numbers, built from the m line's sums.
+# code behind those streams; test_decimation_series_share_no_code_with_the_
+# kernel_walk profiles the decimation builders instead.  Nor does it see code
+# behind the two explicit streams of route-agreement/numbers, which replay
+# the m explicit sums the check computed.
 STREAM_CHECKS = (
     "decimation/kernel-poly",
     "decimation/kernel-scalar",
@@ -153,3 +157,15 @@ def test_streams_that_verify_compares_share_no_code(monkeypatch):
             for a, b in itertools.combinations(entered, 2):
                 shared = (entered[a] & entered[b]) - ALLOWED
                 assert not shared, f"{name}: {label}: {a} and {b} both enter {sorted(shared)}"
+
+
+@pytest.mark.parametrize("kernel", [sf._KERNEL_NUM, sf._KERNEL_POLY], ids=["scalar", "poly"])
+def test_decimation_series_share_no_code_with_the_kernel_walk(kernel):
+    # decimation/* compares the three series of kernel_even_odd_series with
+    # terms taken from kernel_term and the kernel walk, both built before
+    # its _check_streams call, so the builders themselves are profiled here.
+    series = _entered_by_stream(lambda: sf.kernel_even_odd_series(kernel, 4), 3)
+    terms = _entered_by_stream(
+        lambda: (sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 10)), 11)
+    shared = (series & terms) - ALLOWED
+    assert not shared, sorted(shared)
