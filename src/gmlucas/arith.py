@@ -88,7 +88,7 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
-        if type(num) is not int and (type(num) is bool or not isinstance(num, int)):
+        if type(num) is bool or not isinstance(num, int):
             raise TypeError(f"Dyadic numerator must be an int, not {type(num).__name__}")
         if exp < 0:
             raise ValueError("dyadic exponent must be non-negative")
@@ -319,8 +319,6 @@ class GaussianDyadic:
 
     def __eq__(self, other) -> bool:
         if type(other) is not GaussianDyadic:
-            if type(other) is int:  # canonical, so an int has exp 0
-                return self.a == other and self.b == 0 and self.exp == 0
             other = GaussianDyadic._coerce(other)
             if other is None:
                 return NotImplemented

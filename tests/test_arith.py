@@ -5,7 +5,6 @@ Dyadic and GaussianDyadic operation must agree with exact rational
 arithmetic done by the standard library.
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -315,13 +314,6 @@ def test_gaussian_hash_matches_real_values():
     assert GaussianDyadic(5) == 5
     assert hash(GaussianDyadic(5)) == hash(Dyadic(5)) == hash(5)
     assert GaussianDyadic(Dyadic(3, 1)) == Dyadic(3, 1)
-
-
-def test_gaussian_equals_an_int_exactly_when_it_is_that_int():
-    for a, b, e, k in itertools.product(range(-4, 5), range(-2, 3), range(3), range(-4, 5)):
-        g = GaussianDyadic(Dyadic(a, e), Dyadic(b, e))
-        want = b == 0 and Fraction(a, 2**e) == k
-        assert (g == k, g != k, k == g, k != g) == (want, not want, want, not want), (g, k)
 
 
 def test_gaussian_part_types_guarded():

@@ -116,6 +116,20 @@ def test_verify_compares_each_polynomial_route_from_its_first_index(monkeypatch)
             assert got == want, f"{label}: {route.method}"
 
 
+def test_each_route_stream_yields_its_terms_from_its_first_index():
+    # A check that walks a row's stream takes it for the row's term, so
+    # each stream must give term(first), term(first ± 1), ... in order:
+    # upwards for a forward row, downwards from -1 for a negative one.
+    streamed = [(family, route) for family, (routes, negative) in verify.ROUTES.items()
+                for route in (*routes, negative) if route.stream is not None]
+    assert {(family, route.method, route.first) for family, route in streamed} >= \
+        {("gm", "symmetric", 0), ("gm", "relation", 1)}
+    for family, route in streamed:
+        step = -1 if route.first < 0 else 1
+        want = [route.term(n) for n in range(route.first, route.first + 4 * step, step)]
+        assert list(itertools.islice(route.stream(), 4)) == want, f"{family} {route.method}"
+
+
 @pytest.mark.parametrize("family, detail", [("m", "n=3: recurrence=9 vs added=10"),
                                             ("gm", "n=3: recurrence=9+5i vs added=10+5i")])
 def test_verify_compares_each_number_route_from_the_table(monkeypatch, family, detail):
