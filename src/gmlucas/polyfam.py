@@ -10,9 +10,10 @@ The characteristic roots (3x +- sqrt(9x**2 - 8)) / 2 are irrational in x, so
 the closed form is exposed only as a floating point spot check
 (binet_numeric); every exact route stays in Z[1/2][i][x].
 
-A route that needs two adjacent terms of m (the relation Gm_n(x) =
-m_n(x) + i m_{n-1}(x) and the negative extension of Gm) takes both from one
-walk of the recurrence.
+Each walked route is one stream, iter_*(start): it walks to start without
+building an output, refuses a start below the route's first n, and yields
+the route's terms from there.  Its single-term function is the stream's
+first item from n, so a term and a sweep run one code path.
 """
 
 from __future__ import annotations
@@ -46,57 +47,54 @@ def poly_recurrence_term(seed0: Poly, seed1: Poly, n: int) -> Poly:
     return next(itertools.islice(walk(seed0, seed1, _THREE_X, -2), n, None))
 
 
-def _ml_poly_pair(n: int) -> tuple[Poly, Poly]:
-    """(m_{n-1}(x), m_n(x)) from one walk, n >= 1."""
-    return next(itertools.islice(itertools.pairwise(iter_ml_poly()), n - 1, None))
+def iter_ml_poly(start: int = 0) -> Iterator[Poly]:
+    """Yields m_start(x), m_{start+1}(x), ... from one walk of the recurrence."""
+    if start < 0:
+        raise ValueError("ml_poly requires n >= 0")
+    yield from itertools.islice(walk(MP0, MP1, _THREE_X, -2), start, None)
 
 
-def iter_ml_poly() -> Iterator[Poly]:
-    """Yields m_0(x), m_1(x), m_2(x), ... without recomputing prefixes."""
-    return walk(MP0, MP1, _THREE_X, -2)
+def iter_gml_poly(start: int = 0) -> Iterator[Poly]:
+    """Yields Gm_start(x), Gm_{start+1}(x), ... from one walk of the recurrence."""
+    if start < 0:
+        raise ValueError("gml_poly requires n >= 0")
+    yield from itertools.islice(walk(GMP0, GMP1, _THREE_X, -2), start, None)
 
 
-def iter_gml_poly() -> Iterator[Poly]:
-    return walk(GMP0, GMP1, _THREE_X, -2)
-
-
-def iter_gml_poly_from_ml() -> Iterator[Poly]:
-    """Yields gml_poly_from_ml(1), (2), ... from one walk of iter_ml_poly."""
-    for m_prev, m_n in itertools.pairwise(iter_ml_poly()):
+def iter_gml_poly_from_ml(start: int = 1) -> Iterator[Poly]:
+    """Yields Gm_n(x) = m_n(x) + i m_{n-1}(x) from n = start on, from one walk of m."""
+    if start < 1:
+        raise ValueError("gml_poly_from_ml requires n >= 1")
+    for m_prev, m_n in itertools.pairwise(iter_ml_poly(start - 1)):
         yield _PLUS_I(m_n, m_prev)
 
 
-def iter_ml_poly_negative() -> Iterator[Poly]:
-    """Yields m_{-1}(x), m_{-2}(x), ... from one walk of iter_ml_poly."""
-    for n, m_n in enumerate(itertools.islice(iter_ml_poly(), 1, None), 1):
+def iter_ml_poly_negative(start: int = 1) -> Iterator[Poly]:
+    """Yields m_{-n}(x) = m_n(x) / 2**n from n = start on (backward recurrence closure)."""
+    if start < 1:
+        raise ValueError("ml_poly_negative requires n >= 1")
+    for n, m_n in enumerate(iter_ml_poly(start), start):
         yield m_n.div_pow2(n)
 
 
-def iter_gml_poly_negative() -> Iterator[Poly]:
-    """Yields Gm_{-1}(x), Gm_{-2}(x), ... from one walk of iter_ml_poly."""
-    pairs = itertools.pairwise(itertools.islice(iter_ml_poly(), 1, None))
-    for n, (m_n, m_next) in enumerate(pairs, 1):
+def iter_gml_poly_negative(start: int = 1) -> Iterator[Poly]:
+    """Yields Gm_{-n}(x) = (m_n(x) + (i/2) m_{n+1}(x)) / 2**n from n = start on."""
+    if start < 1:
+        raise ValueError("gml_poly_negative requires n >= 1")
+    for n, (m_n, m_next) in enumerate(itertools.pairwise(iter_ml_poly(start)), start):
         yield _PLUS_HALF_I(m_n, m_next).div_pow2(n)
 
 
 def ml_poly(n: int) -> Poly:
-    if n < 0:
-        raise ValueError("ml_poly requires n >= 0")
-    return poly_recurrence_term(MP0, MP1, n)
+    return next(iter_ml_poly(n))
 
 
 def gml_poly(n: int) -> Poly:
-    if n < 0:
-        raise ValueError("gml_poly requires n >= 0")
-    return poly_recurrence_term(GMP0, GMP1, n)
+    return next(iter_gml_poly(n))
 
 
 def gml_poly_from_ml(n: int) -> Poly:
-    """Gm_n(x) = m_n(x) + i m_{n-1}(x), valid for n >= 1."""
-    if n < 1:
-        raise ValueError("gml_poly_from_ml requires n >= 1")
-    m_prev, m_n = _ml_poly_pair(n)
-    return _PLUS_I(m_n, m_prev)
+    return next(iter_gml_poly_from_ml(n))
 
 
 def ml_poly_explicit(n: int) -> Poly:
@@ -119,18 +117,11 @@ def gml_poly_explicit(n: int) -> Poly:
 
 
 def ml_poly_negative(n: int) -> Poly:
-    """m_{-n}(x) = m_n(x) / 2**n for n >= 1 (backward recurrence closure)."""
-    if n < 1:
-        raise ValueError("ml_poly_negative requires n >= 1")
-    return ml_poly(n).div_pow2(n)
+    return next(iter_ml_poly_negative(n))
 
 
 def gml_poly_negative(n: int) -> Poly:
-    """Gm_{-n}(x) = (m_n(x) + (i/2) m_{n+1}(x)) / 2**n for n >= 1."""
-    if n < 1:
-        raise ValueError("gml_poly_negative requires n >= 1")
-    m_n, m_next = _ml_poly_pair(n + 1)
-    return _PLUS_HALF_I(m_n, m_next).div_pow2(n)
+    return next(iter_gml_poly_negative(n))
 
 
 def _cpow(base: complex, k: int) -> complex:

@@ -128,23 +128,17 @@ def gml_binet(n: int) -> GaussianDyadic:
     return _canonical(_ml_int(n), _ml_int(n - 1), 0)
 
 
-def iter_gml_from_ml() -> Iterator[GaussianDyadic]:
-    """Yields gml_from_ml(1), (2), ... from one walk of the m recurrence."""
-    for m_prev, m_n in itertools.pairwise(walk(M0, M1, 3, -2)):
+def iter_gml_from_ml(start: int = 1) -> Iterator[GaussianDyadic]:
+    """Yields Gm_n = m_n + i m_{n-1} for n = start, start + 1, ..., from one
+    walk of the m recurrence on ints, which gml_binet's closed form skips."""
+    if start < 1:
+        raise ValueError("gml_from_ml requires n >= 1")
+    for m_prev, m_n in itertools.pairwise(itertools.islice(walk(M0, M1, 3, -2), start - 1, None)):
         yield GaussianDyadic(m_n, m_prev)
 
 
 def gml_from_ml(n: int) -> GaussianDyadic:
-    """Gm_n = m_n + i m_{n-1}, valid for n >= 1.
-
-    Both m terms come from one walk of the m recurrence, so this route
-    shares no code with gml_binet's closed form.
-    """
-    if n < 1:
-        raise ValueError("gml_from_ml requires n >= 1")
-    pairs = itertools.pairwise(walk(M0, M1, 3, -2))
-    m_prev, m_n = next(itertools.islice(pairs, n - 1, None))
-    return GaussianDyadic(m_n, m_prev)
+    return next(iter_gml_from_ml(n))
 
 
 def gml_explicit(n: int) -> GaussianDyadic:

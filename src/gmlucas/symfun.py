@@ -618,11 +618,13 @@ _ml_poly_from_kernel = linear_step(_ML_POLY_C0, -_ML_POLY_C1, Poly)
 _gml_poly_from_kernel = linear_step(_GML_POLY_C0, _GML_POLY_C1, Poly)
 
 
-def _iter_decompose(kernel: SymKernel, combine) -> Iterator:
-    s_prev = _zero_like(kernel.d)
-    for s_n in iter_kernel(kernel):
+def _iter_decompose(kernel: SymKernel, combine, start: int, route: str) -> Iterator:
+    if start < 0:
+        raise ValueError(f"{route} requires n >= 0")
+    # (S_{n-1}, S_n) for n = start, start + 1, ..., with S_{-1} = 0.
+    pairs = itertools.pairwise(itertools.chain((_zero_like(kernel.d),), iter_kernel(kernel)))
+    for s_prev, s_n in itertools.islice(pairs, start, None):
         yield combine(s_n, s_prev)
-        s_prev = s_n
 
 
 def sym_decompose_gml(n: int) -> GaussianDyadic:
@@ -650,16 +652,16 @@ def sym_decompose_gml_poly(n: int) -> Poly:
     return _gml_poly_from_kernel(s_n, s_prev)
 
 
-def iter_sym_decompose_gml() -> Iterator[GaussianDyadic]:
-    """Yields sym_decompose_gml(0), (1), ... from one walk of the kernel."""
-    yield from _iter_decompose(_KERNEL_NUM, _gml_from_kernel)
+def iter_sym_decompose_gml(start: int = 0) -> Iterator[GaussianDyadic]:
+    """Yields sym_decompose_gml(start), (start + 1), ... from one walk of the kernel."""
+    yield from _iter_decompose(_KERNEL_NUM, _gml_from_kernel, start, "sym_decompose_gml")
 
 
-def iter_sym_decompose_ml_poly() -> Iterator[Poly]:
-    """Yields sym_decompose_ml_poly(0), (1), ... from one walk of the kernel."""
-    yield from _iter_decompose(_KERNEL_POLY, _ml_poly_from_kernel)
+def iter_sym_decompose_ml_poly(start: int = 0) -> Iterator[Poly]:
+    """Yields sym_decompose_ml_poly(start), (start + 1), ... from one walk of the kernel."""
+    yield from _iter_decompose(_KERNEL_POLY, _ml_poly_from_kernel, start, "sym_decompose_ml_poly")
 
 
-def iter_sym_decompose_gml_poly() -> Iterator[Poly]:
-    """Yields sym_decompose_gml_poly(0), (1), ... from one walk of the kernel."""
-    yield from _iter_decompose(_KERNEL_POLY, _gml_poly_from_kernel)
+def iter_sym_decompose_gml_poly(start: int = 0) -> Iterator[Poly]:
+    """Yields sym_decompose_gml_poly(start), (start + 1), ... from one walk of the kernel."""
+    yield from _iter_decompose(_KERNEL_POLY, _gml_poly_from_kernel, start, "sym_decompose_gml_poly")

@@ -25,12 +25,15 @@ ones.  The iterators are looked up on their modules at call time, so a test
 can substitute a corrupted route and see the sweep catch it.
 
 ROUTES is the one table of each family's routes: method, first valid n,
-single-term function and, where a check walks one, stream.  `term` runs it,
-and route-agreement/* and negative/* compare its routes.  A check that
-compares streams term by term runs through one helper, _check_streams:
-each group pairs a stream with the routes compared against it, each from
-its own first index, so a route's domain is data, and every such check
-reports its first mismatch in one format.
+single-term function and stream(start).  A walked route has only a stream:
+`term` reads the first item of stream(n) and a check walks stream(first),
+one function for both; the symmetric rows keep a doubling term beside the
+kernel walk.  `term` runs the table, and route-agreement/*, negative/* and
+tables/polynomials compare its routes.  A check that compares streams
+term by term runs through one helper, _check_streams: each group pairs a
+stream with the routes compared against it, each from its own first index,
+so a route's domain is data, and every such check reports its first
+mismatch in one format.
 route-agreement/numbers compares each family's seed walk, from the seeds a
 fault may perturb, with the family's other routes but genfun, m before Gm
 at each n, and the m walk with the int 2**n + 1 too.  Its two explicit
@@ -61,15 +64,21 @@ _THREE_HALVES = GaussianDyadic(Dyadic(3, 1))
 _MINUS_HALF = GaussianDyadic(Dyadic(-1, 1))
 
 
-class Route(namedtuple("Route", "method first term stream", defaults=(None,))):
-    """A route: its --method, first n, term(n), and the stream from first that a check walks."""
+class Route(namedtuple("Route", "method first single stream", defaults=(None, None))):
+    """A route: its --method, first n, single(n), and the stream(start) that
+    yields its terms from start on, downwards for a negative route."""
     __slots__ = ()
+
+    def term(self, n):
+        """The n-th term: single(n), or else the first item of stream(n)."""
+        return self.single(n) if self.single else next(self.stream(n))
 
 
 # Each family's routes in `term --method auto` order, then its route for
 # negative n, which answers from n = -1 down: the closed form for numbers,
-# the backward recurrence for polynomials.  Terms and streams look their
-# function up on its module at call time, so a patched or traced route runs.
+# the backward recurrence for polynomials.  A walked route names only its
+# stream, so `term` and every check run the same code.  Each function is
+# looked up on its module at call time, so a patched or traced route runs.
 ROUTES = {
     "m": ((Route("recurrence", 0, lambda n: seq.ml_recurrence(n)),
            Route("binet", 0, lambda n: seq.ml_binet(n)),
@@ -78,27 +87,24 @@ ROUTES = {
     "gm": ((Route("recurrence", 0, lambda n: seq.gml_recurrence(n)),
             Route("binet", 0, lambda n: seq.gml_binet(n)),
             Route("symmetric", 0, lambda n: sf.sym_decompose_gml(n),
-                  lambda: sf.iter_sym_decompose_gml()),
+                  lambda start: sf.iter_sym_decompose_gml(start)),
             Route("genfun", 0, lambda n: sf.gf_gml(n)[n]),
             Route("explicit", 1, lambda n: seq.gml_explicit(n)),
-            Route("relation", 1, lambda n: seq.gml_from_ml(n), lambda: seq.iter_gml_from_ml())),
+            Route("relation", 1, stream=lambda start: seq.iter_gml_from_ml(start))),
            Route("binet", -1, lambda n: seq.gml_negative(-n))),
-    "mpoly": ((Route("recurrence", 0, lambda n: pf.ml_poly(n), lambda: pf.iter_ml_poly()),
+    "mpoly": ((Route("recurrence", 0, stream=lambda start: pf.iter_ml_poly(start)),
                Route("explicit", 0, lambda n: pf.ml_poly_explicit(n)),
                Route("symmetric", 0, lambda n: sf.sym_decompose_ml_poly(n),
-                     lambda: sf.iter_sym_decompose_ml_poly()),
+                     lambda start: sf.iter_sym_decompose_ml_poly(start)),
                Route("genfun", 0, lambda n: sf.gf_ml_poly(n)[n])),
-              Route("recurrence", -1, lambda n: pf.ml_poly_negative(-n),
-                    lambda: pf.iter_ml_poly_negative())),
-    "gmpoly": ((Route("recurrence", 0, lambda n: pf.gml_poly(n), lambda: pf.iter_gml_poly()),
+              Route("recurrence", -1, stream=lambda start: pf.iter_ml_poly_negative(-start))),
+    "gmpoly": ((Route("recurrence", 0, stream=lambda start: pf.iter_gml_poly(start)),
                 Route("symmetric", 0, lambda n: sf.sym_decompose_gml_poly(n),
-                      lambda: sf.iter_sym_decompose_gml_poly()),
+                      lambda start: sf.iter_sym_decompose_gml_poly(start)),
                 Route("genfun", 0, lambda n: sf.gf_gml_poly(n)[n]),
                 Route("explicit", 1, lambda n: pf.gml_poly_explicit(n)),
-                Route("relation", 1, lambda n: pf.gml_poly_from_ml(n),
-                      lambda: pf.iter_gml_poly_from_ml())),
-               Route("recurrence", -1, lambda n: pf.gml_poly_negative(-n),
-                     lambda: pf.iter_gml_poly_negative())),
+                Route("relation", 1, stream=lambda start: pf.iter_gml_poly_from_ml(start))),
+               Route("recurrence", -1, stream=lambda start: pf.iter_gml_poly_negative(-start))),
 }
 
 
@@ -174,14 +180,10 @@ def _terms(route, first=0, step=1):
 
 
 def _stream(route: Route, step: int = 1):
-    """The route's own stream, or one of its single-term function."""
-    return route.stream or _terms(route.term, route.first, step)
-
-
-def _check_tables_polynomials() -> CheckResult:
-    return _check_streams("tables/polynomials", 0, 5,
-                          ("m recurrence", _terms(pf.ml_poly), (("table", 0, lambda: _TABLE_M_POLY),)),
-                          ("gm recurrence", _terms(pf.gml_poly), (("table", 0, lambda: _TABLE_GM_POLY),)))
+    """The route's own stream from its first index, or one of its single-term function."""
+    if route.stream:
+        return lambda: route.stream(route.first)
+    return _terms(route.single, route.first, step)
 
 
 def _compared(routes, **streams) -> list:
@@ -396,6 +398,7 @@ def run_verify(
     trials = min(200, 5 * max_poly_n)
 
     gm_binet = _terms(seq.gml_binet)
+    m_poly, gm_poly = (_stream(ROUTES[family][0][0]) for family in ("mpoly", "gmpoly"))
     checks = [
         _check_convolution(seed, trials),
         _check_decimation(kernel_num, "scalar", hi_decimation),
@@ -436,7 +439,9 @@ def run_verify(
         _check_specialization(hi_spec),
         _check_streams("tables/numbers", 0, 5,
                        ("recurrence", _terms(seq.gml_recurrence), (("table", 0, lambda: _TABLE_GM),))),
-        _check_tables_polynomials(),
+        _check_streams("tables/polynomials", 0, 5,
+                       ("m recurrence", m_poly, (("table", 0, lambda: _TABLE_M_POLY),)),
+                       ("gm recurrence", gm_poly, (("table", 0, lambda: _TABLE_GM_POLY),))),
     ]
     checks.sort(key=lambda c: c.name)
     return VerifyReport(tuple(checks))

@@ -227,3 +227,27 @@ def test_adjacent_term_routes_walk_once(monkeypatch, route):
     one_walk = walked(ml_poly, n)
     assert one_walk == n - 1
     assert walked(route, n) <= one_walk + 4, (walked(route, n), one_walk)
+
+
+@pytest.mark.parametrize("route, owner, combine", (
+    (gml_poly_from_ml, pf, "_PLUS_I"),
+    (gml_poly_negative, pf, "_PLUS_HALF_I"),
+    (ml_poly_negative, Poly, "div_pow2"),
+), ids=("gml_poly_from_ml", "gml_poly_negative", "ml_poly_negative"))
+@pytest.mark.parametrize("n", (1, 7, 120))
+def test_stream_routes_combine_once_per_term(monkeypatch, route, owner, combine, n):
+    # Counts, not timings: the single-term function is its stream's first
+    # item from n, and the stream walks to n without building an output,
+    # so the route's combine step runs once, not once per index below n.
+    want = route(n)
+    calls = 0
+    step = getattr(owner, combine)
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(owner, combine, counting)
+    assert route(n) == want
+    assert calls == 1

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+import gmlucas
 from gmlucas import cli
 from gmlucas import polyfam as pf
 from gmlucas import sequences as seq
@@ -116,18 +117,47 @@ def test_verify_compares_each_polynomial_route_from_its_first_index(monkeypatch)
             assert got == want, f"{label}: {route.method}"
 
 
+# Each walked row's public single-term function, by (family, method,
+# first): it answers at |n| with the first item of the row's stream from n.
+WRAPPERS = {
+    ("gm", "relation", 1): seq.gml_from_ml,
+    ("mpoly", "recurrence", 0): pf.ml_poly,
+    ("gmpoly", "recurrence", 0): pf.gml_poly,
+    ("gmpoly", "relation", 1): pf.gml_poly_from_ml,
+    ("mpoly", "recurrence", -1): pf.ml_poly_negative,
+    ("gmpoly", "recurrence", -1): pf.gml_poly_negative,
+}
+
+
 def test_each_route_stream_yields_its_terms_from_its_first_index():
-    # A check that walks a row's stream takes it for the row's term, so
-    # each stream must give term(first), term(first ± 1), ... in order:
-    # upwards for a forward row, downwards from -1 for a negative one.
+    # A check walks a row's stream from first, and `term` reads the first
+    # item of stream(n), so each stream must give the family's terms from
+    # every start: upwards for a forward row, downwards for a negative one,
+    # and must refuse a start below first.  A walked row's exported
+    # single-term function must give the same terms and refuse there too.
     streamed = [(family, route) for family, (routes, negative) in verify.ROUTES.items()
                 for route in (*routes, negative) if route.stream is not None]
     assert {(family, route.method, route.first) for family, route in streamed} >= \
         {("gm", "symmetric", 0), ("gm", "relation", 1)}
+    assert {(family, route.method, route.first) for family, route in streamed
+            if route.single is None} == set(WRAPPERS)
     for family, route in streamed:
         step = -1 if route.first < 0 else 1
-        want = [route.term(n) for n in range(route.first, route.first + 4 * step, step)]
-        assert list(itertools.islice(route.stream(), 4)) == want, f"{family} {route.method}"
+        want = FORWARD[family] if step == 1 else _backward(family)
+        wrapper = WRAPPERS.get((family, route.method, route.first))
+        for k in _indices(abs(route.first), TOP[family]):
+            terms = want[k:k + 4]
+            got = list(itertools.islice(route.stream(step * k), len(terms)))
+            assert got == terms, f"{family} {route.method} from {step * k}"
+            assert wrapper is None or wrapper(k) == terms[0], f"{wrapper.__name__}({k})"
+        with pytest.raises(ValueError):
+            next(route.stream(route.first - step))
+            pytest.fail(f"{family} {route.method} streamed from {route.first - step}")
+        if wrapper:
+            assert wrapper.__name__ in gmlucas.__all__
+            with pytest.raises(ValueError):
+                wrapper(abs(route.first) - 1)
+                pytest.fail(f"{wrapper.__name__} answered at {abs(route.first) - 1}")
 
 
 @pytest.mark.parametrize("family, detail", [("m", "n=3: recurrence=9 vs added=10"),

@@ -11,6 +11,7 @@ The streams that each verify check compares are held to the same rule,
 outside arith and verify.
 """
 
+import inspect
 import itertools
 import sys
 
@@ -33,18 +34,21 @@ ALLOWED = {
 }
 
 
-def _entered(compute, n: int) -> set[str]:
+def _entered(route, n: int) -> set[str]:
+    """The gmlucas functions outside arith that route.term(n) enters, past
+    the row's own entries in the table: Route.term and the row's lambdas."""
+    own = {verify.Route.term.__code__, *(f.__code__ for f in (route.single, route.stream) if f)}
     seen = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is not compute.__code__:
+        if event == "call" and frame.f_code not in own:
             module = frame.f_globals.get("__name__", "")
             if module.startswith("gmlucas.") and module != "gmlucas.arith":
                 seen.add(f"{module}.{frame.f_code.co_qualname}")
 
     sys.setprofile(profile)
     try:
-        compute(n)
+        route.term(n)
     finally:
         sys.setprofile(None)
     return seen
@@ -54,7 +58,7 @@ def _entered(compute, n: int) -> set[str]:
 def test_routes_of_a_family_share_no_code(family):
     routes, _ = verify.ROUTES[family]
     for n in (1, 3, 9):
-        entered = {route.method: _entered(route.term, n) for route in routes if n >= route.first}
+        entered = {route.method: _entered(route, n) for route in routes if n >= route.first}
         for a, b in itertools.combinations(entered, 2):
             shared = (entered[a] & entered[b]) - ALLOWED
             assert not shared, f"{family} n={n}: {a} and {b} both enter {sorted(shared)}"
@@ -85,6 +89,20 @@ def test_wrong_walk_splits_recurrence_from_relation(monkeypatch, step):
     assert any(pf.gml_poly(n) != pf.gml_poly_from_ml(n) for n in (1, 2, 3))
 
 
+def test_every_route_stream_is_a_generator_function():
+    # perfbench's tracer counts one route span per `term` call only if the
+    # stream a row names is a generator function: it records one span per
+    # item of a generator function, but one per call of any other function,
+    # so a stream that returned a plain iterator (an islice of walk, say)
+    # would put every walk step under `term` as a route of its own.
+    for family, (routes, negative) in verify.ROUTES.items():
+        for route in (*routes, negative):
+            if route.stream:
+                module, name = route.stream.__code__.co_names[:2]
+                stream = getattr(route.stream.__globals__[module], name)
+                assert inspect.isgeneratorfunction(stream), f"{family} {route.method}: {name}"
+
+
 def _entered_by_stream(stream, terms: int = 4) -> set[str]:
     """The gmlucas functions outside arith and verify that the first terms
     of a verify stream enter."""
@@ -111,7 +129,8 @@ def _entered_by_stream(stream, terms: int = 4) -> set[str]:
 # code behind those streams; test_decimation_series_share_no_code_with_the_
 # kernel_walk profiles the decimation builders instead.  Nor does it see code
 # behind the two explicit streams of route-agreement/numbers, which replay
-# the m explicit sums the check computed.
+# the m explicit sums the check computed; test_m_explicit_sums_share_no_
+# code_with_the_number_routes profiles a fresh ml_explicit instead.
 STREAM_CHECKS = (
     "decimation/kernel-poly",
     "decimation/kernel-scalar",
@@ -169,3 +188,28 @@ def test_decimation_series_share_no_code_with_the_kernel_walk(kernel):
         lambda: (sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 10)), 11)
     shared = (series & terms) - ALLOWED
     assert not shared, sorted(shared)
+
+
+def test_m_explicit_sums_share_no_code_with_the_number_routes(monkeypatch):
+    # Both explicit streams of route-agreement/numbers replay one list of m
+    # explicit sums, so a fresh seq.ml_explicit is profiled against every
+    # other stream of the check's m and Gm groups.
+    groups = {}
+    check_streams = verify._check_streams
+
+    def capture(name, lo, hi, *compared):
+        groups[name] = compared
+        return check_streams(name, lo, hi, *compared)
+
+    monkeypatch.setattr(verify, "_check_streams", capture)
+    assert verify._check_route_numbers(12, None).passed
+    explicit = _entered_by_stream(lambda: map(seq.ml_explicit, itertools.count()))
+    assert "gmlucas.sequences._ml_explicit_int" in explicit
+    streams = []
+    for label, stream, others in groups["route-agreement/numbers"]:
+        streams += [(label, stream), *((other, s) for other, _, s in others if other != "explicit")]
+    # The m walk, binet and 2**n + 1; the Gm walk, binet, symmetric and relation.
+    assert len(streams) == 7
+    for label, stream in streams:
+        shared = (explicit & _entered_by_stream(stream)) - ALLOWED
+        assert not shared, f"explicit and {label} both enter {sorted(shared)}"

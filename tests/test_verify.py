@@ -254,14 +254,14 @@ def test_corrupted_decimation_series_is_reported_exactly(monkeypatch, indices, s
 
 
 def route_one_too_large_at(module, attr, first, index):
-    """Replace a single-term route (first None) or a stream from first by
-    one whose term at index is one too large."""
+    """Replace a single-term route (first None) or a stream, which starts at
+    first unless told where, by one whose term at index is one too large."""
     route = getattr(module, attr)
     if first is None:
         return lambda n: route(n) + 1 if n == index else route(n)
 
-    def corrupted(*args):
-        for n, term in enumerate(route(*args), first):
+    def corrupted(start=first):
+        for n, term in enumerate(route(start), start):
             yield term + 1 if n == index else term
 
     return corrupted
@@ -296,50 +296,75 @@ def test_number_routes_report_the_first_index_of_two_faults(monkeypatch):
     assert failed["route-agreement/numbers"] == "n=2: recurrence=5+3i vs binet=6+3i"
 
 
-def term_function(route):
-    """(module, name) of the function that a ROUTES row's term calls."""
-    module, name = route.term.__code__.co_names[:2]
-    return route.term.__globals__[module], name
+def route_function(route):
+    """(module, name) of the function that a ROUTES row names: its
+    single-term function or, for a walked row, its stream."""
+    code = route.single or route.stream
+    module, name = code.__code__.co_names[:2]
+    return code.__globals__[module], name
 
 
-# Every row of verify.ROUTES, forward and negative, named by its function.
-ROUTE_FUNCTIONS = [term_function(route) for routes, negative in verify.ROUTES.values()
-                   for route in (*routes, negative)]
-# The functions whose fault at n = 7 no check catches: verify walks the
-# seeds, the m explicit sums and the iter_* streams instead (ROADMAP
-# direction 1), and the symmetric streams walk the kernel rather than
-# double as the single-term routes do (direction 3).  A change that closes
-# an escape takes it off this list.
+# Every row of verify.ROUTES, forward and negative, with its family and the
+# function it names.
+ROUTE_ROWS = [(family, route, *route_function(route))
+              for family, (routes, negative) in verify.ROUTES.items()
+              for route in (*routes, negative)]
+# The functions whose fault at n = 7 no check catches, each for one reason:
+# - ml_recurrence and gml_recurrence: route-agreement/numbers walks the
+#   seeds itself, so that a fault can perturb them, and tables/numbers
+#   reads gml_recurrence only up to n = 5;
+# - gml_explicit: route-agreement/numbers builds the Gm explicit terms from
+#   the one list of m explicit sums that its m group reads, so each sum is
+#   computed once;
+# - the three sym_decompose_*: the single-term functions double to S_n,
+#   and the checks walk the kernel instead (ROADMAP direction 3).
+# A change that closes an escape takes it off this list.
 ESCAPES = {
-    "ml_recurrence", "gml_recurrence", "gml_explicit", "gml_from_ml",
-    "ml_poly", "gml_poly", "gml_poly_from_ml", "ml_poly_negative", "gml_poly_negative",
+    "ml_recurrence", "gml_recurrence", "gml_explicit",
     "sym_decompose_gml", "sym_decompose_ml_poly", "sym_decompose_gml_poly",
 }
 
 
 def test_route_fault_matrix_covers_every_row():
-    names = [name for _, name in ROUTE_FUNCTIONS]
+    names = [name for _, _, _, name in ROUTE_ROWS]
     assert len(names) == len(set(names)) == 22
     assert ESCAPES < set(names)
-    assert len(set(names) - ESCAPES) == 10
+    assert len(set(names) - ESCAPES) == 16
+    # A walked row names its stream, which term and the checks both run.
+    walked = {name for _, route, _, name in ROUTE_ROWS if route.single is None}
+    assert walked == {"iter_gml_from_ml", "iter_ml_poly", "iter_gml_poly",
+                      "iter_gml_poly_from_ml", "iter_ml_poly_negative",
+                      "iter_gml_poly_negative"}
 
 
-@pytest.mark.parametrize("module, attr", [
-    pytest.param(module, attr, id=attr, marks=pytest.mark.xfail(
-        strict=True, reason="no check reads this function") if attr in ESCAPES else ())
-    for module, attr in ROUTE_FUNCTIONS])
-def test_route_fault_at_7_is_caught(monkeypatch, module, attr):
-    # The function is one too large at n = 7 or, for a genfun series, in
-    # its coefficient 7.
-    route = getattr(module, attr)
+def _term_output(family: str, n: int, method: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(["term", family, str(n), "--method", method])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("family, route, module, attr", [
+    pytest.param(*row, id=row[3], marks=pytest.mark.xfail(
+        strict=True, reason="no check reads this function") if row[3] in ESCAPES else ())
+    for row in ROUTE_ROWS])
+def test_route_fault_at_7_is_caught(monkeypatch, family, route, module, attr):
+    # The function is one too large at n = 7 (its term -7 for a negative
+    # row) or, for a genfun series, in its coefficient 7.  term prints the
+    # wrong value, and verify must fail.
+    function = getattr(module, attr)
     if attr.startswith("gf_"):
         def corrupted(order):
-            coeffs = list(route(order))
+            coeffs = list(function(order))
             coeffs[7] += 1
             return sf.PowerSeries(coeffs)
     else:
-        corrupted = route_one_too_large_at(module, attr, None, 7)
+        first = abs(route.first) if route.single is None else None
+        corrupted = route_one_too_large_at(module, attr, first, 7)
+    n = 7 if route.first >= 0 else -7
+    right = _term_output(family, n, route.method)
     monkeypatch.setattr(module, attr, corrupted)
+    assert _term_output(family, n, route.method) != right
     assert not run_verify(max_n=12, max_poly_n=8).overall
 
 
