@@ -73,17 +73,20 @@ def _ml_int(n: int) -> int:
 
 def _ml_explicit_int(n: int) -> int:
     # The lone n = 0 summand is 0/0 * C(0,0); the Lucas convention reads
-    # it as 2, matching the recurrence seed.  Summand j + 1 is summand j
-    # times -2 (n-2j)(n-2j-1) / (9 (j+1)(n-j-1)); both summands are
-    # integers, so the floor division is exact.  explicit_summand above
-    # stays the term-by-term reference.
+    # it as 2, matching the recurrence seed.  Summand j is b_j 3**(n-2j)
+    # with b_j = (-2)**j n/(n-j) C(n-j, j), so with h = n // 2 the sum is
+    # 3**(n % 2) * sum_j b_j 9**(h-j), taken by Horner's rule.  b_0 = 1 and
+    # b_{j+1} = b_j * -2 (n-2j)(n-2j-1) / ((j+1)(n-j-1)); b_{j+1} is an
+    # integer, so the floor division is exact, and it divides the small
+    # b_j rather than a summand carrying its power of 3.  explicit_summand
+    # above computes each summand on its own, from a binomial.
     if n == 0:
         return 2
-    total = term = 3**n
+    total = b = 1
     for j in range(n // 2):
-        term = -term * (2 * (n - 2 * j) * (n - 2 * j - 1)) // (9 * (j + 1) * (n - j - 1))
-        total += term
-    return total
+        b = b * (-2 * (n - 2 * j) * (n - 2 * j - 1)) // ((j + 1) * (n - j - 1))
+        total = total * 9 + b
+    return total * 3 if n & 1 else total
 
 
 def ml_recurrence(n: int) -> GaussianDyadic:

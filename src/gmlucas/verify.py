@@ -33,7 +33,9 @@ tables/polynomials compare its routes.  A check that compares streams
 term by term runs through one helper, _check_streams: each group pairs a
 stream with the routes compared against it, each from its own first index,
 so a route's domain is data, and every such check reports its first
-mismatch in one format.
+mismatch in one format.  It and negative/backward-closure compare terms by
+their canonical ints (_parts), not by the == of arith, so a fault in the
+ring's equality cannot pass a wrong term.
 route-agreement/numbers compares each family's seed walk, from the seeds a
 fault may perturb, with the family's other routes but genfun, m before Gm
 at each n, and the m walk with the int 2**n + 1 too.  Its two explicit
@@ -150,6 +152,20 @@ _TABLE_GM_POLY = (Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
                   *(m + GaussianDyadic.I * prev for prev, m in itertools.pairwise(_TABLE_M_POLY)))
 
 
+def _parts(x) -> tuple:
+    """The canonical ints of a term: (a, b, exp) of a GaussianDyadic, (re,
+    im, exp) of a Poly, (x, 0, 0) of an int.  Both sides of a comparison
+    are canonical, so equal values have equal parts, and the comparison
+    reads ints, not the == of the ring whose routes it checks."""
+    if type(x) is GaussianDyadic:
+        return x.a, x.b, x.exp
+    if type(x) is Poly:
+        return x.re, x.im, x.exp
+    if type(x) is int:
+        return x, 0, 0
+    raise TypeError(f"no canonical parts for {type(x).__name__}")
+
+
 def _check_streams(name: str, lo: int, hi: int, *groups) -> CheckResult:
     """Terms lo..hi of each group's stream against its others, term by term.
 
@@ -167,7 +183,7 @@ def _check_streams(name: str, lo: int, hi: int, *groups) -> CheckResult:
         for label, stream, others in walks:
             term = next(stream)
             for other, first, s in others:
-                if n >= first and (other_term := next(s)) != term:
+                if n >= first and _parts(other_term := next(s)) != _parts(term):
                     at = {"n": n, "even": 2 * n, "odd": 2 * n + 1}
                     return _fail(name, rng, f"n={n}: {label.format(**at)}={term} "
                                             f"vs {other.format(**at)}={other_term}")
@@ -271,7 +287,7 @@ def _check_backward_closure(hi: int) -> CheckResult:
     for k in range(lo, hi + 1):
         cur = term(k)
         want = 3 * prev1 - 2 * prev2
-        if cur != want:
+        if _parts(cur) != _parts(want):
             return _fail(name, rng, f"k={k}: term={cur} vs 3x_(k-1) - 2x_(k-2)={want}")
         prev2, prev1 = prev1, cur
     return _ok(name, rng)

@@ -113,6 +113,14 @@ def test_ratio_updated_sum_matches_summands_and_closed_form():
         assert _ml_explicit_int(n) == total == 2**n + 1, n
 
 
+@pytest.mark.parametrize("n", (1023, 1024, 1025, 2000, 4001))
+def test_explicit_sum_past_600_matches_closed_form(n):
+    # Past the summand sweep above: both parities, either side of a power
+    # of two, and the Gm route that reads two sums.
+    assert _ml_explicit_int(n) == 2**n + 1
+    assert gml_explicit(n) == gml_binet(n)
+
+
 def test_explicit_summand_is_integral():
     # n * C(n-j, j) is always divisible by n - j
     from gmlucas.arith import binomial

@@ -368,6 +368,33 @@ def test_route_fault_at_7_is_caught(monkeypatch, family, route, module, attr):
     assert not run_verify(max_n=12, max_poly_n=8).overall
 
 
+def test_comparator_fault_does_not_hide_a_wrong_term(monkeypatch):
+    # GaussianDyadic == reads only the real parts, and gml_binet(7) is off
+    # by i.  The checks compare canonical ints, not ==, so every check that
+    # reads Gm_7 through gml_binet still fails.
+    def real_parts_only(self, other):
+        other = GaussianDyadic._coerce(other)
+        return NotImplemented if other is None else self.re == other.re
+
+    binet = seq.gml_binet
+    monkeypatch.setattr(GaussianDyadic, "__eq__", real_parts_only)
+    monkeypatch.setattr(seq, "gml_binet", lambda n: binet(n) + GaussianDyadic.I if n == 7 else binet(n))
+    assert seq.gml_binet(7) == binet(7)
+    report = run_verify(12, 8)
+    assert not report.overall
+    assert {c.name for c in report.checks if not c.passed} == {
+        "decomposition/gm", "genfun/gm", "genfun/gm-odd", "negative/backward-closure",
+        "route-agreement/numbers", "specialization/x=1"}
+
+
+def test_parts_reads_canonical_ints():
+    assert verify._parts(5) == (5, 0, 0)
+    assert verify._parts(GaussianDyadic(Dyadic(3, 1), 2)) == (3, 4, 1)
+    assert verify._parts(Poly((1, GaussianDyadic(0, Dyadic(1, 1))))) == ((2, 0), (0, 1), 1)
+    with pytest.raises(TypeError):
+        verify._parts(Dyadic(1, 1))
+
+
 def test_corrupted_alphabet_series_is_reported_at_its_first_mismatch(monkeypatch):
     # The convolution check compares whole coefficient tuples first; a
     # mismatch must still be reported at the first coefficient that differs.
