@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -174,7 +173,7 @@ def cmd_table(which: int, rows: int, fmt: str) -> int:
     if rows > cap:
         return _usage_error(f"--rows must be at most {cap} for table {which}")
     if which == 1:
-        data = list(enumerate(itertools.islice(seq.walk(seq.GM0, seq.GM1, 3, -2), rows)))
+        data = list(zip(range(rows), seq.iter_gml_recurrence()))
         _emit(fmt, lambda: "\n".join(["n  Gm_n"] + [f"{n}  {v}" for n, v in data]),
               lambda: {"table": 1, "rows": [{"n": n, "gm": _gaussian_json(v)} for n, v in data]},
               ("n", "gm"), lambda: [(n, str(v)) for n, v in data])

@@ -10,10 +10,11 @@ GaussianDyadic; the closed forms build theirs straight from ints.
 
 walk is the one producer of the order-2 recurrence x_k = d x_{k-1} +
 p x_{k-2}: the recurrence and relation routes here and in polyfam,
-symfun.iter_kernel, table 1 of the CLI and the verifier's seed sweeps and
-backward walks all take their terms from it.  Over GaussianDyadic and Poly
-seeds each step is one arith.linear_step pass that builds one ring
-element; the m walks run on ints.
+symfun.iter_kernel, and the verifier's seed-fault and backward walks all
+take their terms from it.  Over GaussianDyadic and Poly seeds each step is
+one arith.linear_step pass that builds one ring element; the m walks run
+on ints.  A route that a sweep walks is an iter_* stream from a start
+index, and its single-term function is the stream's first item.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ M0 = 2
 M1 = 3
 GM0 = GaussianDyadic(2, Dyadic(3, 1))
 GM1 = GaussianDyadic(3, 2)
+# (m_n, m_{n-1}) -> m_n + i m_{n-1}, in one pass.
+_PLUS_I = linear_step(1, GaussianDyadic.I, GaussianDyadic)
 
 
 def walk(x0, x1, d, p) -> Iterator:
@@ -89,10 +92,16 @@ def _ml_explicit_int(n: int) -> int:
     return total * 3 if n & 1 else total
 
 
-def ml_recurrence(n: int) -> GaussianDyadic:
-    if n < 0:
+def iter_ml_recurrence(start: int = 0) -> Iterator[GaussianDyadic]:
+    """Yields m_start, m_{start+1}, ... from one walk of the recurrence on ints."""
+    if start < 0:
         raise ValueError("ml_recurrence requires n >= 0")
-    return GaussianDyadic(recurrence_term(M0, M1, n))
+    for m in itertools.islice(walk(M0, M1, 3, -2), start, None):
+        yield GaussianDyadic(m)
+
+
+def ml_recurrence(n: int) -> GaussianDyadic:
+    return next(iter_ml_recurrence(n))
 
 
 def ml_binet(n: int) -> GaussianDyadic:
@@ -116,10 +125,15 @@ def ml_negative(n: int) -> GaussianDyadic:
     return _canonical(_ml_int(n), 0, n)
 
 
-def gml_recurrence(n: int) -> GaussianDyadic:
-    if n < 0:
+def iter_gml_recurrence(start: int = 0) -> Iterator[GaussianDyadic]:
+    """Yields Gm_start, Gm_{start+1}, ... from one walk of the recurrence."""
+    if start < 0:
         raise ValueError("gml_recurrence requires n >= 0")
-    return recurrence_term(GM0, GM1, n)
+    yield from itertools.islice(walk(GM0, GM1, 3, -2), start, None)
+
+
+def gml_recurrence(n: int) -> GaussianDyadic:
+    return next(iter_gml_recurrence(n))
 
 
 def gml_binet(n: int) -> GaussianDyadic:
@@ -144,11 +158,17 @@ def gml_from_ml(n: int) -> GaussianDyadic:
     return next(iter_gml_from_ml(n))
 
 
-def gml_explicit(n: int) -> GaussianDyadic:
-    """Binomial sums for both parts; the shifted imaginary sum needs n >= 1."""
-    if n < 1:
+def iter_gml_explicit(start: int = 1) -> Iterator[GaussianDyadic]:
+    """Yields Gm_n = m_n + i m_{n-1} for n = start, start + 1, ..., one m
+    explicit sum per n; the shifted imaginary sum needs n >= 1."""
+    if start < 1:
         raise ValueError("gml_explicit requires n >= 1")
-    return GaussianDyadic(_ml_explicit_int(n), _ml_explicit_int(n - 1))
+    for m_prev, m_n in itertools.pairwise(map(ml_explicit, itertools.count(start - 1))):
+        yield _PLUS_I(m_n, m_prev)
+
+
+def gml_explicit(n: int) -> GaussianDyadic:
+    return next(iter_gml_explicit(n))
 
 
 def gml_negative(n: int) -> GaussianDyadic:

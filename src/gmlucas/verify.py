@@ -33,26 +33,29 @@ tables/polynomials compare its routes.  A check that compares streams
 term by term runs through one helper, _check_streams: each group pairs a
 stream with the routes compared against it, each from its own first index,
 so a route's domain is data, and every such check reports its first
-mismatch in one format.  It and negative/backward-closure compare terms by
-their canonical ints (_parts), not by the == of arith, so a fault in the
-ring's equality cannot pass a wrong term.
-route-agreement/numbers compares each family's seed walk, from the seeds a
-fault may perturb, with the family's other routes but genfun, m before Gm
-at each n, and the m walk with the int 2**n + 1 too.  Its two explicit
-routes read one list of m explicit sums, each computed when a comparison
-first needs it, so a seed fault computes only the sums up to its index, and
-no sum is computed twice.
+mismatch in one format.  It, negative/backward-closure and
+convolution/definition1 compare terms by their canonical ints (_parts), not
+by the == of arith, so a fault in the ring's equality cannot pass a wrong
+term.
+route-agreement/numbers compares each family's recurrence stream with the
+family's other routes but genfun, m before Gm at each n, and the m stream
+with the int 2**n + 1 too.  A seed fault adds to its family's recurrence
+stream the walk from the unit seed it perturbs, which by linearity makes it
+the walk from the perturbed seeds.  The m group leaves out its explicit
+route: the Gm explicit stream reads ml_explicit at every n, so each m
+explicit sum is computed once, when a comparison first needs it.
 decimation/* probes kernel_term by hand first.  Three checks stay
 hand-written: negative/backward-closure (a residual over k across zero,
 which writes out the recurrence it checks), convolution/definition1 (random
-trials, compared as whole series with ==, in z, reading coefficients only
-to name the first n at which a failing trial differs) and numeric-binet (a
-float tolerance).
+trials, compared as whole series by the parts of their Polys in z, reading
+coefficients only to name the first n at which a failing trial differs)
+and numeric-binet (a float tolerance).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import namedtuple
 
@@ -82,16 +85,16 @@ class Route(namedtuple("Route", "method first single stream", defaults=(None, No
 # stream, so `term` and every check run the same code.  Each function is
 # looked up on its module at call time, so a patched or traced route runs.
 ROUTES = {
-    "m": ((Route("recurrence", 0, lambda n: seq.ml_recurrence(n)),
+    "m": ((Route("recurrence", 0, stream=lambda start: seq.iter_ml_recurrence(start)),
            Route("binet", 0, lambda n: seq.ml_binet(n)),
            Route("explicit", 0, lambda n: seq.ml_explicit(n))),
           Route("binet", -1, lambda n: seq.ml_negative(-n))),
-    "gm": ((Route("recurrence", 0, lambda n: seq.gml_recurrence(n)),
+    "gm": ((Route("recurrence", 0, stream=lambda start: seq.iter_gml_recurrence(start)),
             Route("binet", 0, lambda n: seq.gml_binet(n)),
             Route("symmetric", 0, lambda n: sf.sym_decompose_gml(n),
                   lambda start: sf.iter_sym_decompose_gml(start)),
             Route("genfun", 0, lambda n: sf.gf_gml(n)[n]),
-            Route("explicit", 1, lambda n: seq.gml_explicit(n)),
+            Route("explicit", 1, stream=lambda start: seq.iter_gml_explicit(start)),
             Route("relation", 1, stream=lambda start: seq.iter_gml_from_ml(start))),
            Route("binet", -1, lambda n: seq.gml_negative(-n))),
     "mpoly": ((Route("recurrence", 0, stream=lambda start: pf.iter_ml_poly(start)),
@@ -202,42 +205,35 @@ def _stream(route: Route, step: int = 1):
     return _terms(route.single, route.first, step)
 
 
-def _compared(routes, **streams) -> list:
-    """The routes but genfun, each as (method, first, stream) for
-    _check_streams: the stream given for its method, or the route's own."""
-    return [(r.method, r.first, streams.get(r.method) or _stream(r))
-            for r in routes if r.method != "genfun"]
+def _compared(routes) -> list:
+    """The routes but genfun, each as (method, first, stream) for _check_streams."""
+    return [(r.method, r.first, _stream(r)) for r in routes if r.method != "genfun"]
+
+
+# The unit walk that a seed fault adds to its family's recurrence stream;
+# by linearity the sum is the walk from the perturbed seeds.
+_FAULT_WALKS = {"m1": ("m", 0, 1), "gm0": ("gm", 1, 0), "gm1": ("gm", 0, 1)}
 
 
 def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
-    """Each family's seed walk, from the seeds a fault may perturb, against
-    its other routes, m before Gm at each n, and the m walk against the int
-    2**n + 1 too; genfun/gm compares the genfun route in full.  The two
-    explicit routes read one list of m explicit sums, each computed once,
-    when a comparison first needs it."""
-    seeds = {"m1": seq.M1, "gm0": seq.GM0, "gm1": seq.GM1}
+    """Each family's recurrence stream, plus the walk of a seed fault,
+    against its other routes, m before Gm at each n, and the m stream
+    against the int 2**n + 1 too; genfun/gm compares the genfun route in
+    full.  The m group leaves out its explicit route: the Gm explicit
+    stream reads ml_explicit at every n <= max_n, each sum once."""
+    (m_head, *m_routes), _ = ROUTES["m"]
+    (gm_head, *gm_routes), _ = ROUTES["gm"]
+    heads = {"m": _stream(m_head), "gm": _stream(gm_head)}
     if fault:
-        seeds[fault] += 1
-    sums = []
-
-    def m_explicit():
-        for n in itertools.count():
-            if n == len(sums):
-                sums.append(seq.ml_explicit(n))
-            yield sums[n]
-
-    def gm_explicit():
-        return (GaussianDyadic(e.a, e_prev.a) for e_prev, e in itertools.pairwise(m_explicit()))
-
-    (_, *m_routes), _ = ROUTES["m"]
-    (_, *gm_routes), _ = ROUTES["gm"]
+        family, x0, x1 = _FAULT_WALKS[fault]
+        head = heads[family]
+        heads[family] = lambda: map(operator.add, head(), seq.walk(x0, x1, 3, -2))
     return _check_streams(
         "route-agreement/numbers", 0, max_n,
-        ("recurrence", lambda: seq.walk(seq.M0, seeds["m1"], 3, -2),
-         [*_compared(m_routes, explicit=m_explicit),
+        ("recurrence", heads["m"],
+         [*_compared(r for r in m_routes if r.method != "explicit"),
           ("2**{n} + 1", 0, lambda: (2**n + 1 for n in itertools.count()))]),
-        ("recurrence", lambda: seq.walk(seeds["gm0"], seeds["gm1"], 3, -2),
-         _compared(gm_routes, explicit=gm_explicit)))
+        ("recurrence", heads["gm"], _compared(gm_routes)))
 
 
 def _check_route_polynomials(max_poly_n: int) -> CheckResult:
@@ -336,11 +332,11 @@ def _check_convolution(seed: int, trials: int) -> CheckResult:
         # Definition 1, sum_j S_{n-j}(-mu) S_j(lambda), for every n <= 12
         # at once: the Cauchy product of the two factor series.
         convolution = sf.s_neg_alphabet(mu, 12) * sf.s_diff_series(lam, (), 12)
-        if convolution == series:
+        if _parts(convolution._zview()) == _parts(series._zview()):
             continue
         for n in range(13):
             conv = convolution[n]
-            if conv != series[n]:
+            if _parts(conv) != _parts(series[n]):
                 return _fail(
                     name, rng_text,
                     f"trial={trial} n={n}: convolution={conv} vs series={series[n]}",
@@ -414,7 +410,7 @@ def run_verify(
     trials = min(200, 5 * max_poly_n)
 
     gm_binet = _terms(seq.gml_binet)
-    m_poly, gm_poly = (_stream(ROUTES[family][0][0]) for family in ("mpoly", "gmpoly"))
+    gm, m_poly, gm_poly = (_stream(ROUTES[family][0][0]) for family in ("gm", "mpoly", "gmpoly"))
     checks = [
         _check_convolution(seed, trials),
         _check_decimation(kernel_num, "scalar", hi_decimation),
@@ -454,7 +450,7 @@ def run_verify(
         _check_route_polynomials(max_poly_n),
         _check_specialization(hi_spec),
         _check_streams("tables/numbers", 0, 5,
-                       ("recurrence", _terms(seq.gml_recurrence), (("table", 0, lambda: _TABLE_GM),))),
+                       ("recurrence", gm, (("table", 0, lambda: _TABLE_GM),))),
         _check_streams("tables/polynomials", 0, 5,
                        ("m recurrence", m_poly, (("table", 0, lambda: _TABLE_M_POLY),)),
                        ("gm recurrence", gm_poly, (("table", 0, lambda: _TABLE_GM_POLY),))),

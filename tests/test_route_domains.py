@@ -120,6 +120,9 @@ def test_verify_compares_each_polynomial_route_from_its_first_index(monkeypatch)
 # Each walked row's public single-term function, by (family, method,
 # first): it answers at |n| with the first item of the row's stream from n.
 WRAPPERS = {
+    ("m", "recurrence", 0): seq.ml_recurrence,
+    ("gm", "recurrence", 0): seq.gml_recurrence,
+    ("gm", "explicit", 1): seq.gml_explicit,
     ("gm", "relation", 1): seq.gml_from_ml,
     ("mpoly", "recurrence", 0): pf.ml_poly,
     ("gmpoly", "recurrence", 0): pf.gml_poly,

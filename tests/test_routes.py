@@ -127,10 +127,10 @@ def _entered_by_stream(stream, terms: int = 4) -> set[str]:
 # the guard by name.  decimation/* builds its three series and its term list
 # before the call, as tables/* builds its rows, so the guard sees no route
 # code behind those streams; test_decimation_series_share_no_code_with_the_
-# kernel_walk profiles the decimation builders instead.  Nor does it see code
-# behind the two explicit streams of route-agreement/numbers, which replay
-# the m explicit sums the check computed; test_m_explicit_sums_share_no_
-# code_with_the_number_routes profiles a fresh ml_explicit instead.
+# kernel_walk profiles the decimation builders instead.  The guard compares
+# streams within a group, so test_m_explicit_sums_share_no_code_with_the_
+# number_routes holds the Gm explicit stream of route-agreement/numbers,
+# which alone reads the m explicit sums, against the m group too.
 STREAM_CHECKS = (
     "decimation/kernel-poly",
     "decimation/kernel-scalar",
@@ -191,9 +191,9 @@ def test_decimation_series_share_no_code_with_the_kernel_walk(kernel):
 
 
 def test_m_explicit_sums_share_no_code_with_the_number_routes(monkeypatch):
-    # Both explicit streams of route-agreement/numbers replay one list of m
-    # explicit sums, so a fresh seq.ml_explicit is profiled against every
-    # other stream of the check's m and Gm groups.
+    # route-agreement/numbers reads the m explicit sums only through its Gm
+    # explicit stream, which is profiled against every other stream of the
+    # check's m and Gm groups.
     groups = {}
     check_streams = verify._check_streams
 
@@ -203,12 +203,13 @@ def test_m_explicit_sums_share_no_code_with_the_number_routes(monkeypatch):
 
     monkeypatch.setattr(verify, "_check_streams", capture)
     assert verify._check_route_numbers(12, None).passed
-    explicit = _entered_by_stream(lambda: map(seq.ml_explicit, itertools.count()))
-    assert "gmlucas.sequences._ml_explicit_int" in explicit
     streams = []
     for label, stream, others in groups["route-agreement/numbers"]:
-        streams += [(label, stream), *((other, s) for other, _, s in others if other != "explicit")]
+        streams += [(label, stream), *((other, s) for other, _, s in others)]
+    [explicit] = [_entered_by_stream(s) for label, s in streams if label == "explicit"]
+    assert "gmlucas.sequences._ml_explicit_int" in explicit
     # The m walk, binet and 2**n + 1; the Gm walk, binet, symmetric and relation.
+    streams = [(label, s) for label, s in streams if label != "explicit"]
     assert len(streams) == 7
     for label, stream in streams:
         shared = (explicit & _entered_by_stream(stream)) - ALLOWED

@@ -30,7 +30,9 @@ from gmlucas.sequences import (
     gml_from_ml,
     gml_negative,
     gml_recurrence,
+    iter_gml_explicit,
     iter_gml_from_ml,
+    iter_ml_recurrence,
     ml_binet,
     ml_explicit,
     ml_negative,
@@ -105,7 +107,7 @@ def test_explicit_sum_equals_summand_total():
 
 
 def test_ratio_updated_sum_matches_summands_and_closed_form():
-    # Each summand is reached from the one before by an exact floor
+    # Each coefficient b_j is reached from the one before by an exact floor
     # division; a wrong ratio or a rounded quotient shows at some n <= 600.
     assert _ml_explicit_int(0) == 2
     for n in range(1, 601):
@@ -328,6 +330,8 @@ def _first(terms):
 # operators by design.
 PACKAGE_WALKS = {
     "gml_recurrence": gml_recurrence,
+    "iter_ml_recurrence": _first(iter_ml_recurrence),
+    "iter_gml_explicit": _first(iter_gml_explicit),
     "iter_ml_poly": _first(pf.iter_ml_poly),
     "iter_gml_poly": _first(pf.iter_gml_poly),
     "iter_gml_poly_from_ml": _first(pf.iter_gml_poly_from_ml),

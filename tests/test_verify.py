@@ -269,13 +269,17 @@ def route_one_too_large_at(module, attr, first, index):
 
 # (module, route, first index of its stream or None, the detail of
 # route-agreement/numbers when the route is one too large at n = 3): a Gm
-# route is named against the Gm walk, and a wrong m explicit sum, which the
-# Gm explicit route reads too, fails the m group first.
+# route is named against the Gm recurrence stream, a wrong recurrence stream
+# against the family's binet route, and a wrong m explicit sum, which the m
+# group leaves to the Gm explicit stream, as the Gm term that it enters.
 ROUTE_NUMBER_FAULTS = (
+    (seq, "iter_ml_recurrence", 0, "n=3: recurrence=10 vs binet=9"),
+    (seq, "iter_gml_recurrence", 0, "n=3: recurrence=10+5i vs binet=9+5i"),
     (seq, "gml_binet", None, "n=3: recurrence=9+5i vs binet=10+5i"),
     (sf, "iter_sym_decompose_gml", 0, "n=3: recurrence=9+5i vs symmetric=10+5i"),
+    (seq, "iter_gml_explicit", 1, "n=3: recurrence=9+5i vs explicit=10+5i"),
     (seq, "iter_gml_from_ml", 1, "n=3: recurrence=9+5i vs relation=10+5i"),
-    (seq, "ml_explicit", None, "n=3: recurrence=9 vs explicit=10"),
+    (seq, "ml_explicit", None, "n=3: recurrence=9+5i vs explicit=10+5i"),
 )
 
 
@@ -296,6 +300,41 @@ def test_number_routes_report_the_first_index_of_two_faults(monkeypatch):
     assert failed["route-agreement/numbers"] == "n=2: recurrence=5+3i vs binet=6+3i"
 
 
+def test_m_explicit_sum_off_by_i_is_caught(monkeypatch):
+    # The Gm explicit stream pairs two m sums as m_n + i m_{n-1}, so an m_7
+    # off by i reaches both parts of Gm_7; a pairing that read only the
+    # real part of each sum would let it through.
+    explicit = seq.ml_explicit
+    monkeypatch.setattr(seq, "ml_explicit",
+                        lambda n: explicit(n) + GaussianDyadic.I if n == 7 else explicit(n))
+    failed = {c.name: c.detail for c in run_verify(max_n=12, max_poly_n=6).checks if not c.passed}
+    assert failed == {"route-agreement/numbers": "n=7: recurrence=129+65i vs explicit=129+66i"}
+
+
+@pytest.mark.parametrize("fault, seeds", [
+    ("m1", {"m": (seq.M0, seq.M1 + 1), "gm": (seq.GM0, seq.GM1)}),
+    ("gm0", {"m": (seq.M0, seq.M1), "gm": (seq.GM0 + 1, seq.GM1)}),
+    ("gm1", {"m": (seq.M0, seq.M1), "gm": (seq.GM0, seq.GM1 + 1)}),
+], ids=FAULTS)
+def test_seed_fault_heads_walk_from_the_perturbed_seeds(monkeypatch, fault, seeds):
+    # route-agreement/numbers adds the walk of a unit seed to the family's
+    # recurrence stream rather than walking the perturbed seeds itself; by
+    # linearity the two are one walk, and here that is checked term by term.
+    groups = []
+    check_streams = verify._check_streams
+
+    def capture(name, lo, hi, *compared):
+        groups.extend(compared)
+        return check_streams(name, lo, hi, *compared)
+
+    monkeypatch.setattr(verify, "_check_streams", capture)
+    assert not verify._check_route_numbers(64, fault).passed
+    for (_, head, _), family in zip(groups, ("m", "gm"), strict=True):
+        want = itertools.islice(seq.walk(*seeds[family], 3, -2), 65)
+        got = itertools.islice(head(), 65)
+        assert list(map(verify._parts, got)) == list(map(verify._parts, want)), family
+
+
 def route_function(route):
     """(module, name) of the function that a ROUTES row names: its
     single-term function or, for a walked row, its stream."""
@@ -309,30 +348,22 @@ def route_function(route):
 ROUTE_ROWS = [(family, route, *route_function(route))
               for family, (routes, negative) in verify.ROUTES.items()
               for route in (*routes, negative)]
-# The functions whose fault at n = 7 no check catches, each for one reason:
-# - ml_recurrence and gml_recurrence: route-agreement/numbers walks the
-#   seeds itself, so that a fault can perturb them, and tables/numbers
-#   reads gml_recurrence only up to n = 5;
-# - gml_explicit: route-agreement/numbers builds the Gm explicit terms from
-#   the one list of m explicit sums that its m group reads, so each sum is
-#   computed once;
-# - the three sym_decompose_*: the single-term functions double to S_n,
-#   and the checks walk the kernel instead (ROADMAP direction 3).
-# A change that closes an escape takes it off this list.
-ESCAPES = {
-    "ml_recurrence", "gml_recurrence", "gml_explicit",
-    "sym_decompose_gml", "sym_decompose_ml_poly", "sym_decompose_gml_poly",
-}
+# The functions whose fault at n = 7 no check catches: the three
+# sym_decompose_*, whose single-term functions double to S_n while the
+# checks walk the kernel instead (ROADMAP direction 3).  A change that
+# closes an escape takes it off this list.
+ESCAPES = {"sym_decompose_gml", "sym_decompose_ml_poly", "sym_decompose_gml_poly"}
 
 
 def test_route_fault_matrix_covers_every_row():
     names = [name for _, _, _, name in ROUTE_ROWS]
     assert len(names) == len(set(names)) == 22
     assert ESCAPES < set(names)
-    assert len(set(names) - ESCAPES) == 16
+    assert len(set(names) - ESCAPES) == 19
     # A walked row names its stream, which term and the checks both run.
     walked = {name for _, route, _, name in ROUTE_ROWS if route.single is None}
-    assert walked == {"iter_gml_from_ml", "iter_ml_poly", "iter_gml_poly",
+    assert walked == {"iter_ml_recurrence", "iter_gml_recurrence", "iter_gml_explicit",
+                      "iter_gml_from_ml", "iter_ml_poly", "iter_gml_poly",
                       "iter_gml_poly_from_ml", "iter_ml_poly_negative",
                       "iter_gml_poly_negative"}
 
@@ -385,6 +416,20 @@ def test_comparator_fault_does_not_hide_a_wrong_term(monkeypatch):
     assert {c.name for c in report.checks if not c.passed} == {
         "decomposition/gm", "genfun/gm", "genfun/gm-odd", "negative/backward-closure",
         "route-agreement/numbers", "specialization/x=1"}
+
+
+def test_equality_fault_does_not_hide_a_wrong_convolution(monkeypatch):
+    # Poly == and GaussianDyadic == always say equal, and S_3(lambda - mu)
+    # is one too large.  convolution/definition1 compares canonical ints, so
+    # it still fails at the first trial, at n = 3.
+    series = sf.s_diff_series
+    monkeypatch.setattr(sf, "s_diff_series", lambda lam, mu, order: (
+        one_too_large_at_3(series(lam, mu, order)) if mu else series(lam, mu, order)))
+    monkeypatch.setattr(Poly, "__eq__", lambda self, other: True)
+    monkeypatch.setattr(GaussianDyadic, "__eq__", lambda self, other: True)
+    result = verify._check_convolution(0, 200)
+    assert not result.passed
+    assert result.detail.startswith("trial=0 n=3:")
 
 
 def test_parts_reads_canonical_ints():
