@@ -25,7 +25,6 @@ from .sequences import (
     ml_explicit,
     ml_negative,
     ml_recurrence,
-    recurrence_term,
     walk,
 )
 from .polyfam import (
@@ -39,7 +38,6 @@ from .polyfam import (
     ml_poly,
     ml_poly_explicit,
     ml_poly_negative,
-    poly_recurrence_term,
 )
 from .symfun import (
     PowerSeries,
@@ -76,8 +74,7 @@ __all__ = [
     "iter_gml_poly", "iter_ml_poly", "kernel_even_odd_series",
     "kernel_series", "kernel_term", "kernel_term_explicit", "ml_binet",
     "ml_explicit", "ml_negative", "ml_poly", "ml_poly_explicit",
-    "ml_poly_negative", "ml_recurrence", "poly_eval",
-    "poly_recurrence_term", "recurrence_term", "run_verify",
+    "ml_poly_negative", "ml_recurrence", "poly_eval", "run_verify",
     "s_diff_convolution", "s_diff_series", "s_neg_alphabet", "series_div",
     "sym_decompose_gml", "sym_decompose_gml_poly", "sym_decompose_ml_poly",
     "two_letter_sn", "walk",

@@ -151,7 +151,7 @@ def cmd_term(family: str, n: int, method: str, fmt: str) -> int:
             return _usage_error(_refusal(family, method, n))
     (first_label, value), *others = [(route.method, route.term(n)) for route in valid]
     for label, other in others:
-        if other != value:
+        if ver._parts(other) != ver._parts(value):
             print(
                 f"gmlucas: route disagreement for {family} at n={n}: "
                 f"{first_label}={value} vs {label}={other}",

@@ -40,13 +40,6 @@ _PLUS_I = linear_step(1, GaussianDyadic.I, Poly)
 _PLUS_HALF_I = linear_step(1, _HALF_I, Poly)
 
 
-def poly_recurrence_term(seed0: Poly, seed1: Poly, n: int) -> Poly:
-    """n-th entry of p_k = 3x p_{k-1} - 2 p_{k-2} from arbitrary seeds."""
-    if n < 0:
-        raise ValueError("poly_recurrence_term requires n >= 0")
-    return next(itertools.islice(walk(seed0, seed1, _THREE_X, -2), n, None))
-
-
 def iter_ml_poly(start: int = 0) -> Iterator[Poly]:
     """Yields m_start(x), m_{start+1}(x), ... from one walk of the recurrence."""
     if start < 0:

@@ -50,13 +50,6 @@ def walk(x0, x1, d, p) -> Iterator:
         x0, x1 = x1, step(x1, x0)
 
 
-def recurrence_term(seed0, seed1, n: int):
-    """n-th entry of x_k = 3 x_{k-1} - 2 x_{k-2} from arbitrary seeds."""
-    if n < 0:
-        raise ValueError("recurrence_term requires n >= 0")
-    return next(itertools.islice(walk(seed0, seed1, 3, -2), n, None))
-
-
 def explicit_summand(n: int, j: int) -> int:
     """The degree n-2j integer term of the closed binomial expansion.
 

@@ -27,19 +27,20 @@ denominator unless lambda's letters are integers.
 The Cauchy product is Poly.__mul__, cut to the order.  series_div keeps
 coefficients (see PowerSeries) and over Poly runs on Z[i] vectors, adding
 each tap through arith._mac, the loop Poly.__mul__ runs; Poly series
-otherwise keep the generic ring loops.  The closed sums run on ints in
-every ring: the binomial sum of kernel_term_explicit and the two-letter sum
-of two_letter_sn keep their nonzero products, finding the common
-denominator and the degree in the same pass, multiply them out term by term
-over the nonzero terms of each power into Gaussian-integer vectors, and
-build one GaussianDyadic or Poly per sum.
+otherwise keep the generic ring loops.
 
 kernel_term computes S_n by doubling on the pair (S_{j-1}, S_j), in about
-log2 n steps of three products each; it never runs the recurrence,
-which iter_kernel walks.  iter_kernel_explicit and iter_two_letter_sn walk
-their closed sums: each extends its powers by one factor per term, keeps
-every power as its nonzero terms and exponent, and sums each term from
-those, so no summand builds a ring element.
+log2 n steps of three products each; it never runs the recurrence, which
+iter_kernel walks.  The sym_decompose_* functions share one doubling body,
+_decompose, and their streams one walk of the kernel, _iter_decompose.
+The closed sums are streams from a start index, iter_kernel_explicit (the
+binomial sum) and iter_two_letter_sn (the two-letter sum), and
+kernel_term_explicit and two_letter_sn are their first items.  A stream
+builds its powers below start without a sum, extends them by one factor
+per term and keeps each as its nonzero terms and exponent.  Each sum runs
+on ints in every ring: it keeps its nonzero products, finding the common
+denominator and the degree in the same pass, multiplies them out term by
+term into Gaussian-integer vectors, and builds one GaussianDyadic or Poly.
 """
 
 from __future__ import annotations
@@ -405,11 +406,6 @@ def _powers(x) -> Iterator:
         power = power * x
 
 
-def _first_powers(x, count: int) -> list:
-    """The _terms of x**0, x**1, ..., x**count."""
-    return list(itertools.islice(_powers(x), count + 1))
-
-
 def _product_sum(products, like):
     """sum c u w over the products (c, u, w) of an int c and two _terms u, w,
     as one element of like's ring.
@@ -442,28 +438,23 @@ def _product_sum(products, like):
     return _poly(re, im, e)
 
 
-def _two_letter_sum(n: int, pows1: list, pows2: list, like):
-    """sum_j l1**j l2**(n-j) from the _terms of l1**0..l1**n and l2**0..l2**n."""
-    return _product_sum(((1, pows1[j], pows2[n - j]) for j in range(n + 1)), like)
+def iter_two_letter_sn(l1, l2, start: int = 0) -> Iterator:
+    """Yields two_letter_sn(l1, l2, start), (start + 1), ...: each step
+    extends both lists of powers by one factor instead of rebuilding them."""
+    if start < 0:
+        raise ValueError("two_letter_sn requires n >= 0")
+    l1, l2 = _common_ring([l1, l2])
+    powers1, powers2 = _powers(l1), _powers(l2)
+    pows1, pows2 = list(itertools.islice(powers1, start)), list(itertools.islice(powers2, start))
+    for n, pow1, pow2 in zip(itertools.count(start), powers1, powers2):
+        pows1.append(pow1)
+        pows2.append(pow2)
+        yield _product_sum(((1, pows1[j], pows2[n - j]) for j in range(n + 1)), l1)
 
 
 def two_letter_sn(l1, l2, n: int):
     """S_n of a two-letter alphabet: sum of l1**j * l2**(n-j)."""
-    if n < 0:
-        raise ValueError("two_letter_sn requires n >= 0")
-    l1, l2 = _common_ring([l1, l2])
-    return _two_letter_sum(n, _first_powers(l1, n), _first_powers(l2, n), l1)
-
-
-def iter_two_letter_sn(l1, l2) -> Iterator:
-    """Yields two_letter_sn(l1, l2, 0), (1), ...: each step extends both
-    lists of powers by one factor instead of rebuilding them."""
-    l1, l2 = _common_ring([l1, l2])
-    pows1, pows2 = [], []
-    for n, pow1, pow2 in zip(itertools.count(), _powers(l1), _powers(l2)):
-        pows1.append(pow1)
-        pows2.append(pow2)
-        yield _two_letter_sum(n, pows1, pows2, l1)
+    return next(iter_two_letter_sn(l1, l2, n))
 
 
 class SymKernel(namedtuple("SymKernel", "d p")):
@@ -505,30 +496,28 @@ def iter_kernel(k: SymKernel) -> Iterator:
     return walk(_one_like(k.d), k.d, k.d, k.p)
 
 
-def _binomial_sum(n: int, d_pows: list, p_pows: list, like):
-    """sum_j C(n-j, j) d**(n-2j) p**j from the _terms of d**0..d**n and
-    p**0..p**(n//2)."""
-    return _product_sum(((binomial(n - j, j), p_pows[j], d_pows[n - 2 * j])
-                         for j in range(n // 2 + 1)), like)
+def iter_kernel_explicit(k: SymKernel, start: int = 0) -> Iterator:
+    """Yields kernel_term_explicit(k, start), (start + 1), ...: each step
+    extends the powers of d and p by one factor instead of rebuilding them."""
+    if start < 0:
+        raise ValueError("iter_kernel_explicit requires start >= 0")
+    d_powers, p_powers = _powers(k.d), _powers(k.p)
+    # d**0..d**(start-1) and p**0..p**((start-1)//2), as steps 0..start-1 leave them.
+    d_pows = list(itertools.islice(d_powers, start))
+    p_pows = list(itertools.islice(p_powers, (start + 1) // 2))
+    for n, d_pow in enumerate(d_powers, start):
+        d_pows.append(d_pow)
+        if n % 2 == 0:
+            p_pows.append(next(p_powers))
+        yield _product_sum(((binomial(n - j, j), p_pows[j], d_pows[n - 2 * j])
+                            for j in range(n // 2 + 1)), k.d)
 
 
 def kernel_term_explicit(k: SymKernel, n: int):
     """S_n = sum_j C(n-j, j) d**(n-2j) p**j, the closed binomial route."""
     if n < 0:
         return _zero_like(k.d)
-    return _binomial_sum(n, _first_powers(k.d, n), _first_powers(k.p, n // 2), k.d)
-
-
-def iter_kernel_explicit(k: SymKernel) -> Iterator:
-    """Yields kernel_term_explicit(k, 0), (1), ...: each step extends the
-    powers of d and p by one factor instead of rebuilding them."""
-    d_powers, p_powers = _powers(k.d), _powers(k.p)
-    d_pows, p_pows = [], []
-    for n, d_pow in enumerate(d_powers):
-        d_pows.append(d_pow)
-        if n % 2 == 0:
-            p_pows.append(next(p_powers))
-        yield _binomial_sum(n, d_pows, p_pows, k.d)
+    return next(iter_kernel_explicit(k, n))
 
 
 def kernel_series(k: SymKernel, order: int) -> PowerSeries:
@@ -627,29 +616,25 @@ def _iter_decompose(kernel: SymKernel, combine, start: int, route: str) -> Itera
         yield combine(s_n, s_prev)
 
 
+def _decompose(kernel: SymKernel, combine, n: int, route: str):
+    if n < 0:
+        raise ValueError(f"{route} requires n >= 0")
+    return combine(kernel_term(kernel, n), kernel_term(kernel, n - 1))
+
+
 def sym_decompose_gml(n: int) -> GaussianDyadic:
     """Gm_n = (2 + 3i/2) S_n - (3 + 5i/2) S_{n-1} over the kernel (3, -2)."""
-    if n < 0:
-        raise ValueError("sym_decompose_gml requires n >= 0")
-    return _gml_from_kernel(kernel_term(_KERNEL_NUM, n), kernel_term(_KERNEL_NUM, n - 1))
+    return _decompose(_KERNEL_NUM, _gml_from_kernel, n, "sym_decompose_gml")
 
 
 def sym_decompose_ml_poly(n: int) -> Poly:
     """m_n(x) = 2 S_n - 3x S_{n-1} over the kernel (3x, -2)."""
-    if n < 0:
-        raise ValueError("sym_decompose_ml_poly requires n >= 0")
-    s_n = kernel_term(_KERNEL_POLY, n)
-    s_prev = kernel_term(_KERNEL_POLY, n - 1)
-    return _ml_poly_from_kernel(s_n, s_prev)
+    return _decompose(_KERNEL_POLY, _ml_poly_from_kernel, n, "sym_decompose_ml_poly")
 
 
 def sym_decompose_gml_poly(n: int) -> Poly:
     """Gm_n(x) = (2 + (3i/2)x) S_n + (i(2 - (9/2)x**2) - 3x) S_{n-1}."""
-    if n < 0:
-        raise ValueError("sym_decompose_gml_poly requires n >= 0")
-    s_n = kernel_term(_KERNEL_POLY, n)
-    s_prev = kernel_term(_KERNEL_POLY, n - 1)
-    return _gml_poly_from_kernel(s_n, s_prev)
+    return _decompose(_KERNEL_POLY, _gml_poly_from_kernel, n, "sym_decompose_gml_poly")
 
 
 def iter_sym_decompose_gml(start: int = 0) -> Iterator[GaussianDyadic]:

@@ -44,12 +44,12 @@ stream the walk from the unit seed it perturbs, which by linearity makes it
 the walk from the perturbed seeds.  The m group leaves out its explicit
 route: the Gm explicit stream reads ml_explicit at every n, so each m
 explicit sum is computed once, when a comparison first needs it.
-decimation/* probes kernel_term by hand first.  Three checks stay
-hand-written: negative/backward-closure (a residual over k across zero,
-which writes out the recurrence it checks), convolution/definition1 (random
-trials, compared as whole series by the parts of their Polys in z, reading
-coefficients only to name the first n at which a failing trial differs)
-and numeric-binet (a float tolerance).
+decimation/* probes kernel_term by hand first, by _parts too.  Three
+checks stay hand-written: negative/backward-closure (a residual over k
+across zero, which writes out the recurrence it checks),
+convolution/definition1 (random trials, compared as whole series by the
+parts of their Polys in z, reading coefficients only to name the first n
+at which a failing trial differs) and numeric-binet (a float tolerance).
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ def _check_decimation(kernel: sf.SymKernel, which: str, hi: int) -> CheckResult:
     odd_back, even, odd_fwd = sf.kernel_even_odd_series(kernel, hi)
     # S_{-1} .. S_{2hi+1}
     terms = [sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 2 * hi + 2)]
-    if terms[hi + 1] != sf.kernel_term(kernel, hi):
+    if _parts(terms[hi + 1]) != _parts(sf.kernel_term(kernel, hi)):
         return _fail(name, f"0..{hi}", "recurrence walk disagrees with kernel_term")
     return _check_streams(name, 0, hi,
                           ("S(2n-1) coefficient", lambda: odd_back, (("term", 0, lambda: terms[0::2]),)),

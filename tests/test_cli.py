@@ -22,6 +22,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gmlucas import cli
+from gmlucas import sequences as seq
+from gmlucas.arith import GaussianDyadic
 from gmlucas.cli import main
 
 TABLE1_TEXT = """\
@@ -115,6 +117,21 @@ def test_format_flag_position_is_flexible():
     after = run_cli("term", "m", "3", "--format", "json")
     assert before == after
     assert before[0] == 0
+
+
+def test_term_compares_routes_by_canonical_ints(monkeypatch):
+    # GaussianDyadic == reads only the real parts, and gml_binet(7) is off
+    # by i.  term compares its routes' canonical ints, not ==, so the wrong
+    # route still splits from the recurrence.
+    def real_parts_only(self, other):
+        other = GaussianDyadic._coerce(other)
+        return NotImplemented if other is None else self.re == other.re
+
+    binet = seq.gml_binet
+    monkeypatch.setattr(GaussianDyadic, "__eq__", real_parts_only)
+    monkeypatch.setattr(seq, "gml_binet", lambda n: binet(n) + GaussianDyadic.I if n == 7 else binet(n))
+    assert run_cli("term", "gm", "7") == (
+        1, "", "gmlucas: route disagreement for gm at n=7: recurrence=129+65i vs binet=129+66i\n")
 
 
 def test_term_invalid_method_is_usage_error():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gmlucas import polyfam as pf
+from gmlucas import sequences as seq
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, poly_eval
 from gmlucas.polyfam import (
     binet_numeric,
@@ -28,7 +29,6 @@ from gmlucas.polyfam import (
     ml_poly,
     ml_poly_explicit,
     ml_poly_negative,
-    poly_recurrence_term,
 )
 from gmlucas.sequences import gml_binet, ml_binet
 
@@ -157,13 +157,11 @@ def test_preconditions():
                gml_poly_negative):
         with pytest.raises(ValueError):
             fn(0)
-    with pytest.raises(ValueError):
-        poly_recurrence_term(Poly((1,)), Poly((1,)), -1)
 
 
 def test_generic_poly_walker_seeds():
     # seeds 1, x: step 2 is 3x * x - 2 * 1 = 3x^2 - 2
-    s2 = poly_recurrence_term(Poly.ONE, Poly.X, 2)
+    s2 = next(itertools.islice(seq.walk(Poly.ONE, Poly.X, Poly((0, 3)), -2), 2, None))
     assert s2 == Poly((-2, 0, 3))
 
 
@@ -192,10 +190,8 @@ def test_binet_numeric_tracks_exact_route():
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 12))
 def test_poly_walker_specializes_to_number_walker(a, b, n):
-    from gmlucas.sequences import recurrence_term
-
-    p = poly_recurrence_term(Poly((a,)), Poly((b,)), n)
-    assert poly_eval(p, 1) == GaussianDyadic(recurrence_term(a, b, n))
+    p = next(itertools.islice(seq.walk(Poly((a,)), Poly((b,)), Poly((0, 3)), -2), n, None))
+    assert poly_eval(p, 1) == GaussianDyadic(next(itertools.islice(seq.walk(a, b, 3, -2), n, None)))
 
 
 @pytest.mark.parametrize("route", (

@@ -37,7 +37,6 @@ from gmlucas.sequences import (
     ml_explicit,
     ml_negative,
     ml_recurrence,
-    recurrence_term,
     walk,
 )
 
@@ -197,21 +196,18 @@ def test_preconditions():
         explicit_summand(3, 2)
     with pytest.raises(ValueError):
         explicit_summand(3, -1)
-    with pytest.raises(ValueError):
-        recurrence_term(0, 1, -1)
 
 
 def test_generic_walker_on_mersenne_seeds():
     # seeds 0, 1 give 2**n - 1 under the same recurrence
-    for n in range(21):
-        assert recurrence_term(0, 1, n) == (1 << n) - 1
+    assert list(itertools.islice(walk(0, 1, 3, -2), 21)) == [(1 << n) - 1 for n in range(21)]
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
        st.integers(0, 30))
 def test_generic_walker_closed_form(a, b, n):
     # x_n = (b - a) 2**n + (2a - b) solves x_n = 3 x_{n-1} - 2 x_{n-2}
-    assert recurrence_term(a, b, n) == (b - a) * (1 << n) + (2 * a - b)
+    assert next(itertools.islice(walk(a, b, 3, -2), n, None)) == (b - a) * (1 << n) + (2 * a - b)
 
 
 @given(st.integers(1, 200))

@@ -14,6 +14,7 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gmlucas import symfun as sf
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, binomial
 from gmlucas.symfun import (
     PowerSeries,
@@ -726,6 +727,51 @@ def test_closed_sums_build_no_poly_per_summand(monkeypatch):
         assert calls["add"] == 0
         assert calls["mul"] <= 2 * len(terms), calls
     assert terms[3] == Poly((1, 5, 11, 15))  # (1 + x)**3 + ... + (2x)**3
+
+
+# Each closed sum has one body, its stream: a stream from start builds the
+# powers below start without summing them, and the single-term function is
+# the stream's first item from n.
+
+STREAM_STARTS = (*range(13), 40)
+
+
+@pytest.mark.parametrize("kernel", (KER_NUM, KER_POLY, FIB),
+                         ids=("3,-2", "3x,-2", "1,1"))
+def test_explicit_kernel_stream_from_each_start(kernel):
+    for start in STREAM_STARTS:
+        assert_same_terms(list(itertools.islice(iter_kernel_explicit(kernel, start), 6)),
+                          list(itertools.islice(iter_kernel_explicit(kernel), start, start + 6)))
+
+
+@pytest.mark.parametrize("l1, l2", ((2, 1), (Poly.X, 2), (3, -1)), ids=("2,1", "x,2", "3,-1"))
+def test_two_letter_stream_from_each_start(l1, l2):
+    for start in STREAM_STARTS:
+        assert_same_terms(list(itertools.islice(iter_two_letter_sn(l1, l2, start), 6)),
+                          list(itertools.islice(iter_two_letter_sn(l1, l2), start, start + 6)))
+
+
+@pytest.mark.parametrize("term", (lambda: kernel_term_explicit(KER_POLY, 40),
+                                  lambda: two_letter_sn(2, 1, 40)),
+                         ids=("kernel_term_explicit", "two_letter_sn"))
+def test_single_closed_sum_takes_one_sum(monkeypatch, term):
+    sums = []
+    product_sum = sf._product_sum
+
+    def counted(products, like):
+        sums.append(like)
+        return product_sum(products, like)
+
+    monkeypatch.setattr(sf, "_product_sum", counted)
+    term()
+    assert len(sums) == 1
+
+
+def test_closed_sum_streams_refuse_a_negative_start():
+    with pytest.raises(ValueError, match="two_letter_sn requires n >= 0"):
+        next(iter_two_letter_sn(2, 1, -1))
+    with pytest.raises(ValueError, match="iter_kernel_explicit requires start >= 0"):
+        next(iter_kernel_explicit(KER_NUM, -1))
 
 
 def test_poly_kernel_small_terms():

@@ -432,6 +432,18 @@ def test_equality_fault_does_not_hide_a_wrong_convolution(monkeypatch):
     assert result.detail.startswith("trial=0 n=3:")
 
 
+def test_equality_fault_does_not_hide_a_wrong_kernel_term(monkeypatch):
+    # Poly == and GaussianDyadic == always say equal, and kernel_term(k, 12)
+    # is one too large.  The decimation probe compares canonical ints, so
+    # decimation/kernel-scalar, which probes S_12, still fails.
+    term = sf.kernel_term
+    monkeypatch.setattr(sf, "kernel_term", lambda k, n: term(k, n) + 1 if n == 12 else term(k, n))
+    monkeypatch.setattr(Poly, "__eq__", lambda self, other: True)
+    monkeypatch.setattr(GaussianDyadic, "__eq__", lambda self, other: True)
+    failed = {c.name: c.detail for c in run_verify(12, 6).checks if not c.passed}
+    assert failed["decimation/kernel-scalar"] == "recurrence walk disagrees with kernel_term"
+
+
 def test_parts_reads_canonical_ints():
     assert verify._parts(5) == (5, 0, 0)
     assert verify._parts(GaussianDyadic(Dyadic(3, 1), 2)) == (3, 4, 1)
@@ -484,10 +496,10 @@ def test_corrupted_convolution_route_is_reported_at_its_first_mismatch(monkeypat
 
 
 def test_number_routes_compute_each_m_sum_once_as_needed(monkeypatch):
-    # Counts, not timings: both explicit routes pull each m explicit sum
-    # from one list as a comparison first needs it, so a seed fault at a
-    # large max_n computes the sums up to the fault's index, and no run
-    # computes a sum twice.
+    # Counts, not timings: only the Gm explicit stream reads the m explicit
+    # sums, each computed as a comparison first needs it and kept in no
+    # list, so a seed fault at a large max_n computes the sums up to the
+    # fault's index, and no run computes a sum twice.
     sums = []
     explicit = seq._ml_explicit_int
 
