@@ -5,18 +5,14 @@ The report is deterministic for a given (max_n, max_poly_n, seed) triple;
 the seed drives only the random-alphabet convolution check.  A fault can be
 injected into the recurrence seeds to confirm that the checks actually bite.
 
-Sizes follow the request.  run_verify derives every check's top index from
-max_n or max_poly_n in one place, and its caps keep the default report
-(500, 40) and every larger one as they are.  kernel/explicit-* and
-kernel/two-letter-bridge run 0..min(60, max_n), decimation/kernel-scalar
-0..min(30, max_n), decimation/kernel-poly 0..min(30, max_poly_n),
-numeric-binet n <= min(30, max_poly_n), and convolution/definition1 draws
-min(200, 5 max_poly_n) alphabets from one seeded stream, so a smaller run
-checks the first alphabets of a larger one.  Only tables/* read six frozen
-rows at every size.  Each draw is the one random.Random.randrange would
-make, read straight from getrandbits by CPython's rule (k = n.bit_length()
-bits, drawn again while n or more), so the alphabets are randrange's
-without its call layers.
+Sizes follow the request.  CHECKS, the one table of checks in report
+order, gives each check the option it grows with, max_n or max_poly_n, and
+the cap on its top index; README's table of checks states the same.
+convolution/definition1 draws 5 alphabets per index from one seeded stream,
+so a smaller run checks the first alphabets of a larger one.  Each draw is
+the one random.Random.randrange would make, read straight from getrandbits
+by CPython's rule (k = n.bit_length() bits, drawn again while n or more),
+so the alphabets are randrange's without its call layers.
 
 Every sweep over indices walks each recurrence once, through the iter_*
 routes of polyfam and symfun, so a sweep to n costs one pass rather than a
@@ -28,15 +24,15 @@ ROUTES is the one table of each family's routes: method, first valid n,
 single-term function and stream(start).  A walked route has only a stream:
 `term` reads the first item of stream(n) and a check walks stream(first),
 one function for both; the symmetric rows keep a doubling term beside the
-kernel walk.  `term` runs the table, and route-agreement/*, negative/* and
-tables/polynomials compare its routes.  A check that compares streams
-term by term runs through one helper, _check_streams: each group pairs a
-stream with the routes compared against it, each from its own first index,
-so a route's domain is data, and every such check reports its first
-mismatch in one format.  It, negative/backward-closure and
-convolution/definition1 compare terms by their canonical ints (_parts), not
-by the == of arith, so a fault in the ring's equality cannot pass a wrong
-term.
+kernel walk.  `term` runs the table, and every check that compares a
+family's route reads it from its row when it runs, through _route(family,
+method).  A check that compares streams term by term runs through one
+helper, _check_streams: each group pairs a stream with the routes compared
+against it, each from its own first index, so a route's domain is data,
+and every such check reports its first mismatch in one format.  It,
+negative/backward-closure and convolution/definition1 compare terms by
+their canonical ints (_parts), not by the == of arith, so a fault in the
+ring's equality cannot pass a wrong term.
 route-agreement/numbers compares each family's recurrence stream with the
 family's other routes but genfun, m before Gm at each n, and the m stream
 with the int 2**n + 1 too.  A seed fault adds to its family's recurrence
@@ -125,14 +121,6 @@ class VerifyReport(namedtuple("VerifyReport", "checks")):
         return all(c.passed for c in self.checks)
 
 
-def _ok(name: str, rng: str) -> CheckResult:
-    return CheckResult(name, rng, True)
-
-
-def _fail(name: str, rng: str, detail: str) -> CheckResult:
-    return CheckResult(name, rng, False, detail)
-
-
 # The first six rows of both families, frozen as independent literals.
 _TABLE_GM = (
     GaussianDyadic(2, Dyadic(3, 1)),
@@ -188,9 +176,9 @@ def _check_streams(name: str, lo: int, hi: int, *groups) -> CheckResult:
             for other, first, s in others:
                 if n >= first and _parts(other_term := next(s)) != _parts(term):
                     at = {"n": n, "even": 2 * n, "odd": 2 * n + 1}
-                    return _fail(name, rng, f"n={n}: {label.format(**at)}={term} "
-                                            f"vs {other.format(**at)}={other_term}")
-    return _ok(name, rng)
+                    return CheckResult(name, rng, False, f"n={n}: {label.format(**at)}={term} "
+                                                         f"vs {other.format(**at)}={other_term}")
+    return CheckResult(name, rng, True)
 
 
 def _terms(route, first=0, step=1):
@@ -203,6 +191,11 @@ def _stream(route: Route, step: int = 1):
     if route.stream:
         return lambda: route.stream(route.first)
     return _terms(route.single, route.first, step)
+
+
+def _route(family: str, method: str) -> Route:
+    """The family's forward route of that method, read from ROUTES when called."""
+    return next(route for route in ROUTES[family][0] if route.method == method)
 
 
 def _compared(routes) -> list:
@@ -259,44 +252,45 @@ def _check_negative(name: str, hi: int, d, *families) -> CheckResult:
         for label, family, x1, x0 in families))
 
 
-def _check_negative_numbers(hi: int) -> CheckResult:
-    return _check_negative("negative/numbers", hi, _THREE_HALVES,
-                           ("m(-{n})", "m", GaussianDyadic(seq.M1), GaussianDyadic(seq.M0)),
-                           ("Gm(-{n})", "gm", seq.GM1, seq.GM0))
-
-
-def _check_negative_polynomials(hi: int) -> CheckResult:
-    return _check_negative("negative/polynomials", hi, Poly((0, _THREE_HALVES)),
-                           ("m(-{n})(x)", "mpoly", pf.MP1, pf.MP0),
-                           ("Gm(-{n})(x)", "gmpoly", pf.GMP1, pf.GMP0))
-
-
 def _check_backward_closure(hi: int) -> CheckResult:
     lo = -(hi - 2)
     name, rng = "negative/backward-closure", f"{lo}..{hi}"
+    binet, negative = _route("gm", "binet"), ROUTES["gm"][1]
 
     def term(k: int) -> GaussianDyadic:
-        return seq.gml_binet(k) if k >= 0 else seq.gml_negative(-k)
+        return binet.term(k) if k >= 0 else negative.term(k)
 
-    prev2 = term(lo - 2)
-    prev1 = term(lo - 1)
+    prev2, prev1 = term(lo - 2), term(lo - 1)
     for k in range(lo, hi + 1):
         cur = term(k)
         want = 3 * prev1 - 2 * prev2
         if _parts(cur) != _parts(want):
-            return _fail(name, rng, f"k={k}: term={cur} vs 3x_(k-1) - 2x_(k-2)={want}")
+            return CheckResult(name, rng, False,
+                               f"k={k}: term={cur} vs 3x_(k-1) - 2x_(k-2)={want}")
         prev2, prev1 = prev1, cur
-    return _ok(name, rng)
+    return CheckResult(name, rng, True)
 
 
 def _check_specialization(hi: int) -> CheckResult:
-    def at_one(walk):
+    def at_one(family):
+        walk = _stream(_route(family, "recurrence"))
         return lambda: (poly_eval(p, GaussianDyadic.ONE) for p in walk())
 
     return _check_streams(
         "specialization/x=1", 0, hi,
-        ("m_{n}(1)", at_one(pf.iter_ml_poly), (("m_{n}", 0, _terms(seq.ml_binet)),)),
-        ("Gm_{n}(1)", at_one(pf.iter_gml_poly), (("Gm_{n}", 0, _terms(seq.gml_binet)),)))
+        ("m_{n}(1)", at_one("mpoly"), (("m_{n}", 0, _stream(_route("m", "binet"))),)),
+        ("Gm_{n}(1)", at_one("gmpoly"), (("Gm_{n}", 0, _stream(_route("gm", "binet"))),)))
+
+
+def _check_decomposition(name: str, hi: int, family: str, method: str) -> CheckResult:
+    """The family's symmetric stream against its route of that method."""
+    return _check_streams(name, 0, hi, ("decomposition", _stream(_route(family, "symmetric")),
+                                        ((method, 0, _stream(_route(family, method))),)))
+
+
+def _check_genfun(name: str, hi: int, series, label: str, terms) -> CheckResult:
+    """Coefficients 0..hi of series(hi) against the stream terms."""
+    return _check_streams(name, 0, hi, ("coefficient", lambda: series(hi), ((label, 0, terms),)))
 
 
 def _below(bits, n: int) -> int:
@@ -337,28 +331,27 @@ def _check_convolution(seed: int, trials: int) -> CheckResult:
         for n in range(13):
             conv = convolution[n]
             if _parts(conv) != _parts(series[n]):
-                return _fail(
-                    name, rng_text,
+                return CheckResult(
+                    name, rng_text, False,
                     f"trial={trial} n={n}: convolution={conv} vs series={series[n]}",
                 )
-    return _ok(name, rng_text)
+    return CheckResult(name, rng_text, True)
 
 
-def _check_kernel_explicit(kernel: sf.SymKernel, which: str, hi: int) -> CheckResult:
+def _check_kernel_explicit(name: str, hi: int, kernel: sf.SymKernel) -> CheckResult:
     return _check_streams(
-        f"kernel/explicit-{which}", 0, hi,
+        name, 0, hi,
         ("recurrence", lambda: sf.iter_kernel(kernel),
          (("explicit", 0, lambda: sf.iter_kernel_explicit(kernel)),
           ("series", 0, lambda: sf.kernel_series(kernel, hi)))))
 
 
-def _check_decimation(kernel: sf.SymKernel, which: str, hi: int) -> CheckResult:
-    name = f"decimation/kernel-{which}"
+def _check_decimation(name: str, hi: int, kernel: sf.SymKernel) -> CheckResult:
     odd_back, even, odd_fwd = sf.kernel_even_odd_series(kernel, hi)
     # S_{-1} .. S_{2hi+1}
     terms = [sf.kernel_term(kernel, -1), *itertools.islice(sf.iter_kernel(kernel), 2 * hi + 2)]
     if _parts(terms[hi + 1]) != _parts(sf.kernel_term(kernel, hi)):
-        return _fail(name, f"0..{hi}", "recurrence walk disagrees with kernel_term")
+        return CheckResult(name, f"0..{hi}", False, "recurrence walk disagrees with kernel_term")
     return _check_streams(name, 0, hi,
                           ("S(2n-1) coefficient", lambda: odd_back, (("term", 0, lambda: terms[0::2]),)),
                           ("S(2n) coefficient", lambda: even, (("term", 0, lambda: terms[1::2]),)),
@@ -369,7 +362,7 @@ def _check_numeric_binet(hi: int) -> CheckResult:
     name, rng = "numeric-binet", f"n<={hi}, x in {{1, 2, 3, 5/2}}"
     points = ((1, GaussianDyadic(1)), (2, GaussianDyadic(2)),
               (3, GaussianDyadic(3)), (2.5, GaussianDyadic(Dyadic(5, 1))))
-    walker = pf.iter_gml_poly()
+    walker = _stream(_route("gmpoly", "recurrence"))()
     for n in range(hi + 1):
         gm = next(walker)
         for x_float, x_exact in points:
@@ -378,10 +371,71 @@ def _check_numeric_binet(hi: int) -> CheckResult:
             err = abs(approx - exact)
             if x_float == 1:
                 if err != 0.0:
-                    return _fail(name, rng, f"n={n} x=1: error {err} (must be exactly 0)")
+                    return CheckResult(name, rng, False,
+                                       f"n={n} x=1: error {err} (must be exactly 0)")
             elif err > 1e-9 * (1.0 + abs(exact)):
-                return _fail(name, rng, f"n={n} x={x_float}: relative error {err / (1.0 + abs(exact))}")
-    return _ok(name, rng)
+                return CheckResult(name, rng, False,
+                                   f"n={n} x={x_float}: relative error {err / (1.0 + abs(exact))}")
+    return CheckResult(name, rng, True)
+
+
+# One row per reported check, in report order: its name, the option its top
+# index hi grows with, the cap on hi (None: hi is the option), and
+# check(name, hi, seed, fault).  A row reaches its _check_* through the
+# module when it runs, so a patched check runs too.  README's table of
+# checks is held to this one.
+CHECKS = (
+    ("convolution/definition1", "max_poly_n", 40,
+     lambda name, hi, seed, fault: _check_convolution(seed, 5 * hi)),
+    ("decimation/kernel-poly", "max_poly_n", 30,
+     lambda name, hi, *_: _check_decimation(name, hi, sf._KERNEL_POLY)),
+    ("decimation/kernel-scalar", "max_n", 30,
+     lambda name, hi, *_: _check_decimation(name, hi, sf._KERNEL_NUM)),
+    ("decomposition/gm", "max_n", 100,
+     lambda name, hi, *_: _check_decomposition(name, hi, "gm", "binet")),
+    ("decomposition/gm-poly", "max_poly_n", 40,
+     lambda name, hi, *_: _check_decomposition(name, hi, "gmpoly", "recurrence")),
+    ("decomposition/m-poly", "max_poly_n", 40,
+     lambda name, hi, *_: _check_decomposition(name, hi, "mpoly", "recurrence")),
+    ("genfun/gm", "max_n", 100, lambda name, hi, *_: _check_genfun(
+        name, hi, sf.gf_gml, "term", _stream(_route("gm", "binet")))),
+    ("genfun/gm-even", "max_n", 100, lambda name, hi, *_: _check_genfun(
+        name, hi // 2, sf.gf_gml_even, "Gm({even})", _terms(_route("gm", "binet").single, 0, 2))),
+    ("genfun/gm-odd", "max_n", 100, lambda name, hi, *_: _check_genfun(
+        name, hi // 2, sf.gf_gml_odd, "Gm({odd})", _terms(_route("gm", "binet").single, 1, 2))),
+    ("genfun/gm-poly", "max_poly_n", 30, lambda name, hi, *_: _check_genfun(
+        name, hi, sf.gf_gml_poly, "term", _stream(_route("gmpoly", "recurrence")))),
+    ("genfun/m-poly", "max_poly_n", 30, lambda name, hi, *_: _check_genfun(
+        name, hi, sf.gf_ml_poly, "term", _stream(_route("mpoly", "recurrence")))),
+    ("kernel/explicit-poly", "max_n", 60,
+     lambda name, hi, *_: _check_kernel_explicit(name, hi, sf._KERNEL_POLY)),
+    ("kernel/explicit-scalar", "max_n", 60,
+     lambda name, hi, *_: _check_kernel_explicit(name, hi, sf._KERNEL_NUM)),
+    ("kernel/two-letter-bridge", "max_n", 60, lambda name, hi, *_: _check_streams(
+        name, 0, hi, ("two-letter", lambda: sf.iter_two_letter_sn(2, 1),
+                      (("kernel", 0, lambda: sf.iter_kernel(sf._KERNEL_NUM)),)))),
+    ("negative/backward-closure", "max_n", 100, lambda name, hi, *_: _check_backward_closure(hi)),
+    ("negative/numbers", "max_n", 100, lambda name, hi, *_: _check_negative(
+        name, hi, _THREE_HALVES, ("m(-{n})", "m", GaussianDyadic(seq.M1), GaussianDyadic(seq.M0)),
+        ("Gm(-{n})", "gm", seq.GM1, seq.GM0))),
+    ("negative/polynomials", "max_poly_n", 40, lambda name, hi, *_: _check_negative(
+        name, hi, Poly((0, _THREE_HALVES)), ("m(-{n})(x)", "mpoly", pf.MP1, pf.MP0),
+        ("Gm(-{n})(x)", "gmpoly", pf.GMP1, pf.GMP0))),
+    ("numeric-binet", "max_poly_n", 30, lambda name, hi, *_: _check_numeric_binet(hi)),
+    ("route-agreement/numbers", "max_n", None,
+     lambda name, hi, seed, fault: _check_route_numbers(hi, fault)),
+    ("route-agreement/polynomials", "max_poly_n", None,
+     lambda name, hi, *_: _check_route_polynomials(hi)),
+    ("specialization/x=1", "max_n", 200, lambda name, hi, *_: _check_specialization(hi)),
+    ("tables/numbers", "max_n", 5, lambda name, hi, *_: _check_streams(
+        name, 0, hi, ("recurrence", _stream(_route("gm", "recurrence")),
+                      (("table", 0, lambda: _TABLE_GM),)))),
+    ("tables/polynomials", "max_poly_n", 5, lambda name, hi, *_: _check_streams(
+        name, 0, hi, ("m recurrence", _stream(_route("mpoly", "recurrence")),
+                      (("table", 0, lambda: _TABLE_M_POLY),)),
+        ("gm recurrence", _stream(_route("gmpoly", "recurrence")),
+         (("table", 0, lambda: _TABLE_GM_POLY),)))),
+)
 
 
 def run_verify(
@@ -390,7 +444,7 @@ def run_verify(
     seed: int = 0,
     inject_fault: str | None = None,
 ) -> VerifyReport:
-    """Run every check suite; the report is sorted by check name.
+    """Run every check of CHECKS, in its order, which is by name.
 
     inject_fault in {"m1", "gm0", "gm1"} perturbs the corresponding
     recurrence seed inside the route-agreement check, simulating a
@@ -402,58 +456,7 @@ def run_verify(
         raise ValueError("max_poly_n must be at least 6 to cover the reference tables")
     if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; choose from {FAULTS}")
-    kernel_num, kernel_poly = sf._KERNEL_NUM, sf._KERNEL_POLY
-    # Every capped top index, and the convolution trial count.
-    hi_num, hi_half, hi_spec = min(100, max_n), min(50, max(max_n // 2, 1)), min(200, max_n)
-    hi_kernel, hi_decimation = min(60, max_n), min(30, max_n)
-    hi_poly, hi_gf_poly = min(40, max_poly_n), min(30, max_poly_n)
-    trials = min(200, 5 * max_poly_n)
-
-    gm_binet = _terms(seq.gml_binet)
-    gm, m_poly, gm_poly = (_stream(ROUTES[family][0][0]) for family in ("gm", "mpoly", "gmpoly"))
-    checks = [
-        _check_convolution(seed, trials),
-        _check_decimation(kernel_num, "scalar", hi_decimation),
-        _check_decimation(kernel_poly, "poly", hi_gf_poly),
-        _check_streams("decomposition/gm", 0, hi_num,
-                       ("decomposition", sf.iter_sym_decompose_gml, (("binet", 0, gm_binet),))),
-        _check_streams("decomposition/gm-poly", 0, hi_poly,
-                       ("decomposition", sf.iter_sym_decompose_gml_poly,
-                        (("recurrence", 0, pf.iter_gml_poly),))),
-        _check_streams("decomposition/m-poly", 0, hi_poly,
-                       ("decomposition", sf.iter_sym_decompose_ml_poly,
-                        (("recurrence", 0, pf.iter_ml_poly),))),
-        _check_streams("genfun/gm", 0, hi_num,
-                       ("coefficient", lambda: sf.gf_gml(hi_num), (("term", 0, gm_binet),))),
-        _check_streams("genfun/gm-even", 0, hi_half,
-                       ("coefficient", lambda: sf.gf_gml_even(hi_half),
-                        (("Gm({even})", 0, _terms(seq.gml_binet, 0, 2)),))),
-        _check_streams("genfun/gm-odd", 0, hi_half,
-                       ("coefficient", lambda: sf.gf_gml_odd(hi_half),
-                        (("Gm({odd})", 0, _terms(seq.gml_binet, 1, 2)),))),
-        _check_streams("genfun/gm-poly", 0, hi_gf_poly,
-                       ("coefficient", lambda: sf.gf_gml_poly(hi_gf_poly),
-                        (("term", 0, pf.iter_gml_poly),))),
-        _check_streams("genfun/m-poly", 0, hi_gf_poly,
-                       ("coefficient", lambda: sf.gf_ml_poly(hi_gf_poly),
-                        (("term", 0, pf.iter_ml_poly),))),
-        _check_kernel_explicit(kernel_num, "scalar", hi_kernel),
-        _check_kernel_explicit(kernel_poly, "poly", hi_kernel),
-        _check_streams("kernel/two-letter-bridge", 0, hi_kernel,
-                       ("two-letter", lambda: sf.iter_two_letter_sn(2, 1),
-                        (("kernel", 0, lambda: sf.iter_kernel(kernel_num)),))),
-        _check_backward_closure(hi_num),
-        _check_negative_numbers(hi_num),
-        _check_negative_polynomials(hi_poly),
-        _check_numeric_binet(hi_gf_poly),
-        _check_route_numbers(max_n, inject_fault),
-        _check_route_polynomials(max_poly_n),
-        _check_specialization(hi_spec),
-        _check_streams("tables/numbers", 0, 5,
-                       ("recurrence", gm, (("table", 0, lambda: _TABLE_GM),))),
-        _check_streams("tables/polynomials", 0, 5,
-                       ("m recurrence", m_poly, (("table", 0, lambda: _TABLE_M_POLY),)),
-                       ("gm recurrence", gm_poly, (("table", 0, lambda: _TABLE_GM_POLY),))),
-    ]
-    checks.sort(key=lambda c: c.name)
-    return VerifyReport(tuple(checks))
+    sizes = {"max_n": max_n, "max_poly_n": max_poly_n}
+    return VerifyReport(tuple(
+        check(name, sizes[option] if cap is None else min(cap, sizes[option]), seed, inject_fault)
+        for name, option, cap, check in CHECKS))

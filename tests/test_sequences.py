@@ -319,6 +319,12 @@ def _first(terms):
     return lambda n: list(itertools.islice(terms(), n))
 
 
+def _run_check(name: str, hi: int):
+    """The row of verify.CHECKS with that name, run to top index hi."""
+    [check] = [check for row, _, _, check in verify.CHECKS if row == name]
+    return check(name, hi, 0, None)
+
+
 # The package's walks over GaussianDyadic and Poly, forward and backward,
 # each as a run of a given length: the iterators walk that many terms, and
 # the checks sweep that far.  sym_decompose_gml_poly is left out: its
@@ -338,8 +344,8 @@ PACKAGE_WALKS = {
     "iter_sym_decompose_ml_poly": _first(sf.iter_sym_decompose_ml_poly),
     "table 1": _table,
     "route-agreement/numbers": lambda n: verify._check_route_numbers(n, None),
-    "negative/numbers": verify._check_negative_numbers,
-    "negative/polynomials": verify._check_negative_polynomials,
+    "negative/numbers": lambda n: _run_check("negative/numbers", n),
+    "negative/polynomials": lambda n: _run_check("negative/polynomials", n),
 }
 RING_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 

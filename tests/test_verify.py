@@ -14,6 +14,7 @@ import io
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from gmlucas.cli import main
 from gmlucas.verify import FAULTS, CheckResult, VerifyReport, run_verify
 
 N_CHECKS = 23
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,22 @@ def test_report_is_sorted_by_name(small_report):
     names = [c.name for c in small_report.checks]
     assert names == sorted(names)
     assert len(set(names)) == N_CHECKS
+
+
+def test_checks_table_is_the_report():
+    # CHECKS lists the checks in report order, so run_verify needs no sort.
+    names = [name for name, _, _, _ in verify.CHECKS]
+    assert len(set(names)) == len(names) == N_CHECKS
+    assert names == sorted(names)
+    for size in ((6, 6), (2000, 200)):
+        assert [c.name for c in run_verify(*size).checks] == names, size
+
+
+def test_readme_table_of_checks_is_checks():
+    rows = re.findall(r"^\| `([^`]+)` \| `(max_n|max_poly_n)` \| (\d+|—) \|$",
+                      README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert rows == [(name, option, "—" if cap is None else str(cap))
+                    for name, option, cap, _ in verify.CHECKS]
 
 
 def test_report_is_deterministic(small_report):
@@ -350,7 +368,7 @@ ROUTE_ROWS = [(family, route, *route_function(route))
               for route in (*routes, negative)]
 # The functions whose fault at n = 7 no check catches: the three
 # sym_decompose_*, whose single-term functions double to S_n while the
-# checks walk the kernel instead (ROADMAP direction 3).  A change that
+# checks walk the kernel instead (ROADMAP direction 1).  A change that
 # closes an escape takes it off this list.
 ESCAPES = {"sym_decompose_gml", "sym_decompose_ml_poly", "sym_decompose_gml_poly"}
 
@@ -366,6 +384,55 @@ def test_route_fault_matrix_covers_every_row():
                       "iter_gml_from_ml", "iter_ml_poly", "iter_gml_poly",
                       "iter_gml_poly_from_ml", "iter_ml_poly_negative",
                       "iter_gml_poly_negative"}
+
+
+def row_one_too_large_at(route, index):
+    """A copy of a ROUTES row whose stream, or else its single-term
+    function, is one too large at index."""
+    if route.stream:
+        stream = route.stream
+
+        def corrupted(start):
+            for n, term in enumerate(stream(start), start):
+                yield term + 1 if n == index else term
+
+        return route._replace(stream=corrupted)
+    single = route.single
+    return route._replace(single=lambda n: single(n) + 1 if n == index else single(n))
+
+
+# (family, method of the row made one too large at n = 3, or None for the
+# family's negative row, made one too large at n = -3, the checks that
+# fail): every check that compares the row reads it from verify.ROUTES.
+ROW_FAULTS = (
+    ("gm", "binet", {"decomposition/gm", "genfun/gm", "genfun/gm-odd",
+                     "negative/backward-closure", "route-agreement/numbers",
+                     "specialization/x=1"}),
+    ("m", "binet", {"route-agreement/numbers", "specialization/x=1"}),
+    ("gm", None, {"negative/backward-closure", "negative/numbers"}),
+    ("gmpoly", "recurrence", {"decomposition/gm-poly", "genfun/gm-poly", "numeric-binet",
+                              "route-agreement/polynomials", "specialization/x=1",
+                              "tables/polynomials"}),
+    ("mpoly", "recurrence", {"decomposition/m-poly", "genfun/m-poly",
+                             "route-agreement/polynomials", "specialization/x=1",
+                             "tables/polynomials"}),
+    ("gm", "symmetric", {"decomposition/gm", "route-agreement/numbers"}),
+    ("mpoly", "symmetric", {"decomposition/m-poly", "route-agreement/polynomials"}),
+    ("gmpoly", "symmetric", {"decomposition/gm-poly", "route-agreement/polynomials"}),
+)
+
+
+@pytest.mark.parametrize("family, method, expected", ROW_FAULTS,
+                         ids=[f"{family}-{method or 'negative'}" for family, method, _ in ROW_FAULTS])
+def test_checks_follow_the_rows_of_routes(monkeypatch, family, method, expected):
+    routes, negative = verify.ROUTES[family]
+    if method is None:
+        negative = row_one_too_large_at(negative, -3)
+    else:
+        routes = tuple(row_one_too_large_at(route, 3) if route.method == method else route
+                       for route in routes)
+    monkeypatch.setitem(verify.ROUTES, family, (routes, negative))
+    assert {c.name for c in run_verify(12, 6).checks if not c.passed} == expected
 
 
 def _term_output(family: str, n: int, method: str) -> str:
