@@ -31,18 +31,18 @@ equality and hashing compare the three parts, and GaussianDyadic
 coefficients are built only when asked for (coeffs, coeff, str, repr).
 
 Poly mul is schoolbook through _mac, the one loop that adds the product
-of two Z[i] vectors into an output in place; linear_step's complex step
-and series_div over Poly (in symfun) run through it too.  Poly mul keeps
+of two Z[i] vectors into an output in place; linear_step over Poly and
+series_div over Poly (in symfun) run through it too.  Poly mul keeps
 one fast path, the one-term path: when the shorter operand is a single
 term c x**j, as the recurrence multipliers 3x and -2 and the powers d**k
 are, or a GaussianDyadic scalar c, the product is the other operand scaled
 by c and shifted by j, built directly.
 
-linear_step(a, b, ring) fuses a x + b y for one-term a and b into one
-element per term: real a and b take one two-term pass per part, and
-complex ones add a x and b y into one output through _mac.  Other
-coefficients take a x + b y through the operators.  The recurrence walks
-and the kernel decompositions take each term from it.
+linear_step(a, b, ring) fuses a x + b y into one element per term for any
+ring coefficients: over Poly, real one-term ones (the walks' weights) take
+one two-term pass per part, and every other pair adds both products into
+one output through _mac.  Other rings and values take a x + b y through the
+operators.  The walks and the kernel decompositions take each term from it.
 
 Poly evaluation is one Horner chain in Z[i]; at x = 1 it just sums each
 vector.
@@ -679,44 +679,26 @@ Poly.X = Poly((0, 1))
 
 
 def linear_step(a, b, ring):
-    """The map (x, y) -> a x + b y on elements of ring, fused into one pass
-    where a and b allow it.
+    """The map (x, y) -> a x + b y on elements of ring, fused into one pass.
 
-    The fused form needs ring Poly or GaussianDyadic and one-term
-    coefficients a and b: a scalar (int, Dyadic or GaussianDyadic), or,
-    over Poly, a Poly with at most one nonzero term c x**j.  It puts a x and
-    b y over one power-of-two denominator by shifting the coefficients, not
-    the terms, computes the real and imaginary parts by zipping the
-    Gaussian-integer parts of x and y (one pass per part when a and b are
-    real, through _mac otherwise), and canonicalizes once, so it builds one
-    ring element where a x + b y builds three.  Its value and its canonical
-    parts are those of a x + b y.  For any other ring (int, say) or
-    coefficient (a Poly of two or more terms, or a Poly over GaussianDyadic)
-    the map is a x + b y.
+    a and b are scalars (int, Dyadic or GaussianDyadic) over GaussianDyadic,
+    and scalars or Polys over Poly.  The step puts a x and b y over one
+    power-of-two denominator by shifting the coefficients, not the terms,
+    adds the Gaussian-integer parts of both products into one output and
+    canonicalizes once, so it builds one ring element where a x + b y builds
+    three, with the same value and canonical parts.  Any other ring (int, or
+    None for mixed seeds) or coefficient (a float, a Poly over
+    GaussianDyadic) takes a x + b y.
     """
-    ta, tb = _one_term(a, ring), _one_term(b, ring)
-    if ta is None or tb is None:
-        return lambda x, y: a * x + b * y
     if ring is GaussianDyadic:
-        return _gaussian_step(*ta[:3], *tb[:3])
-    return _poly_step(*ta, *tb)
-
-
-def _one_term(c, ring) -> tuple | None:
-    """c as (re, im, exp, j) for the term (re + im i) x**j / 2**exp, or None
-    if c is not one term of ring or ring is neither Poly nor GaussianDyadic."""
-    if ring is not Poly and ring is not GaussianDyadic:
-        return None
-    if type(c) is int:
-        # The walks' constant weights, such as 3 and -2, build nothing.
-        return (c, 0, 0, 0)
-    if type(c) is Poly:
-        j = len(c.re) - 1
-        if ring is GaussianDyadic or any(c.re[:j]) or any(c.im[:j]):
-            return None
-        return (c.re[j], c.im[j], c.exp, j) if c.re else (0, 0, 0, 0)
-    g = GaussianDyadic._coerce(c)
-    return None if g is None else (g.a, g.b, g.exp, 0)
+        ga, gb = GaussianDyadic._coerce(a), GaussianDyadic._coerce(b)
+        if ga is not None and gb is not None:
+            return _gaussian_step(ga.a, ga.b, ga.exp, gb.a, gb.b, gb.exp)
+    elif ring is Poly:
+        pa, pb = Poly._coerce(a), Poly._coerce(b)
+        if pa is not None and pb is not None:
+            return _poly_step(pa, pb)
+    return lambda x, y: a * x + b * y
 
 
 def _gaussian_step(ar: int, ai: int, ea: int, br: int, bi: int, eb: int):
@@ -732,28 +714,40 @@ def _gaussian_step(ar: int, ai: int, ea: int, br: int, bi: int, eb: int):
     return step
 
 
-def _poly_step(ar: int, ai: int, ea: int, ja: int, br: int, bi: int, eb: int, jb: int):
+def _poly_step(a: Poly, b: Poly):
+    ja, jb = len(a.re) - 1, len(b.re) - 1
+    if ja < 0 or jb < 0 or any(a.re[:ja]) or any(a.im) or any(b.re[:jb]) or any(b.im):
+        def step(x: Poly, y: Poly) -> Poly:
+            # Each product adds into the one output through _mac, its
+            # coefficient shifted over the shared denominator.
+            e, f = a.exp + x.exp, b.exp + y.exp
+            exp = e if e > f else f
+            size = max(len(a.re) + len(x.re), len(b.re) + len(y.re)) - 1
+            re, im = [0] * size, [0] * size
+            for c, z, k in ((a, x, exp - e), (b, y, exp - f)):
+                if k:
+                    _mac(re, im, [u << k for u in c.re], [u << k for u in c.im], z.re, z.im)
+                else:
+                    _mac(re, im, c.re, c.im, z.re, z.im)
+            return _poly(re, im, exp)
+
+        return step
+    # Real one-term a = ar x**ja / 2**ea and b, the walks' case: each part
+    # is one two-term pass over x and y, shifted by ja and jb.
+    ar, ea, br, eb = a.re[ja], a.exp, b.re[jb], b.exp
     pad_a, pad_b = (0,) * ja, (0,) * jb
-    real = not (ai or bi)
 
     def step(x: Poly, y: Poly) -> Poly:
         e, f = ea + x.exp, eb + y.exp
         exp = e if e > f else f
-        sr, si, tr, ti = ar << (exp - e), ai << (exp - e), br << (exp - f), bi << (exp - f)
-        xr, xi, yr, yi = pad_a + x.re, pad_a + x.im, pad_b + y.re, pad_b + y.im
-        if real:
-            # The walks' case: each part is one two-term pass, and real
-            # terms give an imaginary part of zeros.
-            re = [sr * u + tr * v for u, v in zip_longest(xr, yr, fillvalue=0)]
-            if any(xi) or any(yi):
-                im = [sr * u + tr * v for u, v in zip_longest(xi, yi, fillvalue=0)]
-            else:
-                im = [0] * len(re)
+        sr, tr = ar << (exp - e), br << (exp - f)
+        re = [sr * u + tr * v for u, v in zip_longest(pad_a + x.re, pad_b + y.re, fillvalue=0)]
+        if any(x.im) or any(y.im):
+            im = [sr * u + tr * v
+                  for u, v in zip_longest(pad_a + x.im, pad_b + y.im, fillvalue=0)]
         else:
-            size = max(len(xr), len(yr))
-            re, im = [0] * size, [0] * size
-            _mac(re, im, (sr,), (si,), xr, xi)
-            _mac(re, im, (tr,), (ti,), yr, yi)
+            # Real terms give an imaginary part of zeros.
+            im = [0] * len(re)
         return _poly(re, im, exp)
 
     return step

@@ -10,10 +10,12 @@ The characteristic roots (3x +- sqrt(9x**2 - 8)) / 2 are irrational in x, so
 the closed form is exposed only as a floating point spot check
 (binet_numeric); every exact route stays in Z[1/2][i][x].
 
-Each walked route is one stream, iter_*(start): it walks to start without
-building an output, refuses a start below the route's first n, and yields
-the route's terms from there.  Its single-term function is the stream's
-first item from n, so a term and a sweep run one code path.
+Each walked route and the Gm explicit route is one stream, iter_*(start),
+that refuses a start below the route's first n.  A walk gets to start
+without building an output, and the explicit stream pairs one m sum per n
+through _PLUS_I, as the relation route pairs walk terms.  A single-term
+function is its stream's first item from n, so a term and a sweep run one
+code path.
 """
 
 from __future__ import annotations
@@ -103,10 +105,17 @@ def ml_poly_explicit(n: int) -> Poly:
     return Poly(coeffs)
 
 
-def gml_poly_explicit(n: int) -> Poly:
-    if n < 1:
+def iter_gml_poly_explicit(start: int = 1) -> Iterator[Poly]:
+    """Yields Gm_n(x) = m_n(x) + i m_{n-1}(x) for n = start, start + 1, ...,
+    one m explicit sum per n; the shifted imaginary sum needs n >= 1."""
+    if start < 1:
         raise ValueError("gml_poly_explicit requires n >= 1")
-    return ml_poly_explicit(n) + GaussianDyadic.I * ml_poly_explicit(n - 1)
+    for m_prev, m_n in itertools.pairwise(map(ml_poly_explicit, itertools.count(start - 1))):
+        yield _PLUS_I(m_n, m_prev)
+
+
+def gml_poly_explicit(n: int) -> Poly:
+    return next(iter_gml_poly_explicit(n))
 
 
 def ml_poly_negative(n: int) -> Poly:

@@ -39,9 +39,9 @@ def walk(x0, x1, d, p) -> Iterator:
     Works over any ring whose elements support + and * (ints mix in), and
     computes x_k only when it is asked for.  The step is
     arith.linear_step(d, p, ring), picked once from the ring of the seeds:
-    over GaussianDyadic or Poly seeds with one-term d and p it is the fused
-    pass, and otherwise (int seeds, a d or p of several terms, or mixed
-    seeds, which name no one ring) it is d x1 + p x0.
+    over GaussianDyadic seeds with scalar d and p, or Poly seeds, it is the
+    fused pass, and otherwise (int seeds, a Poly weight over GaussianDyadic
+    seeds, or mixed seeds, which name no one ring) it is d x1 + p x0.
     """
     step = linear_step(d, p, type(x0) if type(x1) is type(x0) else None)
     yield x0

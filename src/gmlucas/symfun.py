@@ -20,10 +20,10 @@ pairs over their largest denominator 2**e, shifted only when e is not zero;
 letters that are all GaussianDyadic are read as they are.  prod(1 - letter
 z) multiplies its linear factors in place into a Gaussian-integer vector
 over 2**(e k), for k letters over 2**e, and s_neg_alphabet cuts that vector
-to the order.  s_diff_series expands mu's product alone and divides it by
-lambda's factors one at a time, each a running sum on Gaussian integers
-that shares no code with series_div, then shifts its terms over one
-denominator unless lambda's letters are integers.
+to the order.  s_diff_series expands mu's product alone, shifts it once
+over the final denominator, and divides it by lambda's factors one at a
+time, each a running sum on Gaussian integers that shares no code with
+series_div.
 The Cauchy product is Poly.__mul__, cut to the order.  series_div keeps
 coefficients (see PowerSeries) and over Poly runs on Z[i] vectors, adding
 each tap through arith._mac, the loop Poly.__mul__ runs; Poly series
@@ -346,35 +346,29 @@ def s_diff_series(lam, mu, order: int) -> PowerSeries:
     """S_n(lambda - mu) for n = 0..order: prod(1 - mu_j z) divided by the
     factors 1 - lambda_i z one at a time.
 
-    With lambda's letters c_i / 2**e over one denominator, z = 2**e y makes
-    each factor 1 - c_i y, and dividing by it is the running sum
-    T_n += c_i T_{n-1} on Gaussian integers, with no shifts.  prod(1 - mu_j z)
-    is over 2**g, so coefficient n is T_n / 2**(g + n e).
+    With lambda's letters c_i / 2**e over one denominator and
+    prod(1 - mu_j z) over 2**g, coefficient n is T_n / 2**(g + order e)
+    for every n.  T_n starts as the numerator's coefficient n shifted up
+    by order e, and dividing by 1 - c_i z is the running sum
+    T_n += (c_i T_{n-1}) / 2**e on Gaussian integers, exact because
+    T_{n-1} carries 2**((order - n + 1) e).
     """
     if order < 0:
         raise ValueError("series order must be non-negative")
     lr, li, e = _align(_letters(lam))
     nr, ni, g = _alphabet_z(mu)
-    size = order + 1
+    size, top = order + 1, order * e
     pad = [0] * (size - len(nr))
-    tr, ti = nr[:size] + pad, ni[:size] + pad
-    # T_n is the numerator's coefficient n over 2**(g + n e).
-    if e:
-        tr = [c << n * e for n, c in enumerate(tr)]
-        ti = [c << n * e for n, c in enumerate(ti)]
+    tr = [c << top for c in nr[:size]] + pad
+    ti = [c << top for c in ni[:size]] + pad
     for a, b in zip(lr, li):
-        # Divide by 1 - (a + b i) y in place: T_n becomes T_n + c T_{n-1},
-        # from the bottom up, so that T_{n-1} is already the new one.
+        # Divide by 1 - (a + b i) z in place, from the bottom up, so that
+        # T_{n-1} is already the new one.
         xr = xi = 0
         for n in range(size):
-            xr, xi = tr[n] + a * xr - b * xi, ti[n] + a * xi + b * xr
+            xr, xi = tr[n] + ((a * xr - b * xi) >> e), ti[n] + ((a * xi + b * xr) >> e)
             tr[n], ti[n] = xr, xi
-    # Over 2**(g + order e), T_n moves up by (order - n) e, which is no
-    # move at all when e = 0.
-    if e:
-        tr = [t << (order - n) * e for n, t in enumerate(tr)]
-        ti = [t << (order - n) * e for n, t in enumerate(ti)]
-    return _series(None, _poly(tr, ti, g + order * e), order)
+    return _series(None, _poly(tr, ti, g + top), order)
 
 
 def s_diff_convolution(lam, mu, n: int) -> GaussianDyadic:
@@ -600,8 +594,8 @@ _GML_POLY_C0 = Poly((2, GaussianDyadic(0, Dyadic(3, 1))))
 _GML_POLY_C1 = Poly((GaussianDyadic(0, 2), -3, GaussianDyadic(0, Dyadic(-9, 1))))
 
 
-# Each decomposition is one linear_step: the one-term pairs take its fused
-# pass, and _GML_POLY_C1, of three terms, the ring operators.
+# Each decomposition is one linear_step, whose fused pass builds one term
+# per step for every coefficient pair, _GML_POLY_C1's three terms too.
 _gml_from_kernel = linear_step(_GML_C0, -_GML_C1, GaussianDyadic)
 _ml_poly_from_kernel = linear_step(_ML_POLY_C0, -_ML_POLY_C1, Poly)
 _gml_poly_from_kernel = linear_step(_GML_POLY_C0, _GML_POLY_C1, Poly)

@@ -37,9 +37,9 @@ route-agreement/numbers compares each family's recurrence stream with the
 family's other routes but genfun, m before Gm at each n, and the m stream
 with the int 2**n + 1 too.  A seed fault adds to its family's recurrence
 stream the walk from the unit seed it perturbs, which by linearity makes it
-the walk from the perturbed seeds.  The m group leaves out its explicit
-route: the Gm explicit stream reads ml_explicit at every n, so each m
-explicit sum is computed once, when a comparison first needs it.
+the walk from the perturbed seeds.  In both route-agreement checks the m
+group leaves out its explicit route: the Gm explicit stream reads each m
+explicit sum, once, when a comparison first needs it.
 decimation/* probes kernel_term by hand first, by _parts too.  Three
 checks stay hand-written: negative/backward-closure (a residual over k
 across zero, which writes out the recurrence it checks),
@@ -103,7 +103,7 @@ ROUTES = {
                 Route("symmetric", 0, lambda n: sf.sym_decompose_gml_poly(n),
                       lambda start: sf.iter_sym_decompose_gml_poly(start)),
                 Route("genfun", 0, lambda n: sf.gf_gml_poly(n)[n]),
-                Route("explicit", 1, lambda n: pf.gml_poly_explicit(n)),
+                Route("explicit", 1, stream=lambda start: pf.iter_gml_poly_explicit(start)),
                 Route("relation", 1, stream=lambda start: pf.iter_gml_poly_from_ml(start))),
                Route("recurrence", -1, stream=lambda start: pf.iter_gml_poly_negative(-start))),
 }
@@ -208,7 +208,7 @@ def _compared(routes) -> list:
 _FAULT_WALKS = {"m1": ("m", 0, 1), "gm0": ("gm", 1, 0), "gm1": ("gm", 0, 1)}
 
 
-def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
+def _check_route_numbers(name: str, max_n: int, fault: str | None) -> CheckResult:
     """Each family's recurrence stream, plus the walk of a seed fault,
     against its other routes, m before Gm at each n, and the m stream
     against the int 2**n + 1 too; genfun/gm compares the genfun route in
@@ -222,19 +222,22 @@ def _check_route_numbers(max_n: int, fault: str | None) -> CheckResult:
         head = heads[family]
         heads[family] = lambda: map(operator.add, head(), seq.walk(x0, x1, 3, -2))
     return _check_streams(
-        "route-agreement/numbers", 0, max_n,
+        name, 0, max_n,
         ("recurrence", heads["m"],
          [*_compared(r for r in m_routes if r.method != "explicit"),
           ("2**{n} + 1", 0, lambda: (2**n + 1 for n in itertools.count()))]),
         ("recurrence", heads["gm"], _compared(gm_routes)))
 
 
-def _check_route_polynomials(max_poly_n: int) -> CheckResult:
+def _check_route_polynomials(name: str, max_poly_n: int) -> CheckResult:
     """Each polynomial family's first route against its other routes, each
-    from its first index; genfun/* compares the genfun routes in full."""
-    groups = [(f"{label} {head.method}", _stream(head), _compared(rest))
+    from its first index; genfun/* compares the genfun routes in full.  The
+    m group leaves out its explicit route: the Gm explicit stream reads
+    ml_poly_explicit at every n <= max_poly_n, each sum once."""
+    groups = [(f"{label} {head.method}", _stream(head),
+               _compared(r for r in rest if (label, r.method) != ("m", "explicit")))
               for label, (head, *rest) in (("m", ROUTES["mpoly"][0]), ("Gm", ROUTES["gmpoly"][0]))]
-    return _check_streams("route-agreement/polynomials", 0, max_poly_n, *groups)
+    return _check_streams(name, 0, max_poly_n, *groups)
 
 
 def _backward(x1, x0, d):
@@ -252,9 +255,9 @@ def _check_negative(name: str, hi: int, d, *families) -> CheckResult:
         for label, family, x1, x0 in families))
 
 
-def _check_backward_closure(hi: int) -> CheckResult:
+def _check_backward_closure(name: str, hi: int) -> CheckResult:
     lo = -(hi - 2)
-    name, rng = "negative/backward-closure", f"{lo}..{hi}"
+    rng = f"{lo}..{hi}"
     binet, negative = _route("gm", "binet"), ROUTES["gm"][1]
 
     def term(k: int) -> GaussianDyadic:
@@ -271,13 +274,13 @@ def _check_backward_closure(hi: int) -> CheckResult:
     return CheckResult(name, rng, True)
 
 
-def _check_specialization(hi: int) -> CheckResult:
+def _check_specialization(name: str, hi: int) -> CheckResult:
     def at_one(family):
         walk = _stream(_route(family, "recurrence"))
         return lambda: (poly_eval(p, GaussianDyadic.ONE) for p in walk())
 
     return _check_streams(
-        "specialization/x=1", 0, hi,
+        name, 0, hi,
         ("m_{n}(1)", at_one("mpoly"), (("m_{n}", 0, _stream(_route("m", "binet"))),)),
         ("Gm_{n}(1)", at_one("gmpoly"), (("Gm_{n}", 0, _stream(_route("gm", "binet"))),)))
 
@@ -314,8 +317,8 @@ def _random_letter(bits) -> GaussianDyadic:
     return _canonical(a << (1 - ea), b << (1 - eb), 1)
 
 
-def _check_convolution(seed: int, trials: int) -> CheckResult:
-    name, rng_text = "convolution/definition1", f"{trials} alphabets, n<=12"
+def _check_convolution(name: str, seed: int, trials: int) -> CheckResult:
+    rng_text = f"{trials} alphabets, n<=12"
     # Each draw is the one rng.randrange would make, read straight from
     # the generator's bits.
     bits = random.Random(seed).getrandbits
@@ -358,8 +361,8 @@ def _check_decimation(name: str, hi: int, kernel: sf.SymKernel) -> CheckResult:
                           ("S(2n+1) coefficient", lambda: odd_fwd, (("term", 0, lambda: terms[2::2]),)))
 
 
-def _check_numeric_binet(hi: int) -> CheckResult:
-    name, rng = "numeric-binet", f"n<={hi}, x in {{1, 2, 3, 5/2}}"
+def _check_numeric_binet(name: str, hi: int) -> CheckResult:
+    rng = f"n<={hi}, x in {{1, 2, 3, 5/2}}"
     points = ((1, GaussianDyadic(1)), (2, GaussianDyadic(2)),
               (3, GaussianDyadic(3)), (2.5, GaussianDyadic(Dyadic(5, 1))))
     walker = _stream(_route("gmpoly", "recurrence"))()
@@ -386,7 +389,7 @@ def _check_numeric_binet(hi: int) -> CheckResult:
 # checks is held to this one.
 CHECKS = (
     ("convolution/definition1", "max_poly_n", 40,
-     lambda name, hi, seed, fault: _check_convolution(seed, 5 * hi)),
+     lambda name, hi, seed, fault: _check_convolution(name, seed, 5 * hi)),
     ("decimation/kernel-poly", "max_poly_n", 30,
      lambda name, hi, *_: _check_decimation(name, hi, sf._KERNEL_POLY)),
     ("decimation/kernel-scalar", "max_n", 30,
@@ -414,19 +417,19 @@ CHECKS = (
     ("kernel/two-letter-bridge", "max_n", 60, lambda name, hi, *_: _check_streams(
         name, 0, hi, ("two-letter", lambda: sf.iter_two_letter_sn(2, 1),
                       (("kernel", 0, lambda: sf.iter_kernel(sf._KERNEL_NUM)),)))),
-    ("negative/backward-closure", "max_n", 100, lambda name, hi, *_: _check_backward_closure(hi)),
+    ("negative/backward-closure", "max_n", 100, lambda name, hi, *_: _check_backward_closure(name, hi)),
     ("negative/numbers", "max_n", 100, lambda name, hi, *_: _check_negative(
         name, hi, _THREE_HALVES, ("m(-{n})", "m", GaussianDyadic(seq.M1), GaussianDyadic(seq.M0)),
         ("Gm(-{n})", "gm", seq.GM1, seq.GM0))),
     ("negative/polynomials", "max_poly_n", 40, lambda name, hi, *_: _check_negative(
         name, hi, Poly((0, _THREE_HALVES)), ("m(-{n})(x)", "mpoly", pf.MP1, pf.MP0),
         ("Gm(-{n})(x)", "gmpoly", pf.GMP1, pf.GMP0))),
-    ("numeric-binet", "max_poly_n", 30, lambda name, hi, *_: _check_numeric_binet(hi)),
+    ("numeric-binet", "max_poly_n", 30, lambda name, hi, *_: _check_numeric_binet(name, hi)),
     ("route-agreement/numbers", "max_n", None,
-     lambda name, hi, seed, fault: _check_route_numbers(hi, fault)),
+     lambda name, hi, seed, fault: _check_route_numbers(name, hi, fault)),
     ("route-agreement/polynomials", "max_poly_n", None,
-     lambda name, hi, *_: _check_route_polynomials(hi)),
-    ("specialization/x=1", "max_n", 200, lambda name, hi, *_: _check_specialization(hi)),
+     lambda name, hi, *_: _check_route_polynomials(name, hi)),
+    ("specialization/x=1", "max_n", 200, lambda name, hi, *_: _check_specialization(name, hi)),
     ("tables/numbers", "max_n", 5, lambda name, hi, *_: _check_streams(
         name, 0, hi, ("recurrence", _stream(_route("gm", "recurrence")),
                       (("table", 0, lambda: _TABLE_GM),)))),

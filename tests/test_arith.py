@@ -861,10 +861,11 @@ def test_poly_coefficient_type_guard():
         Poly((0.5,))
 
 
-# linear_step: the fused a x + b y that the recurrence walks and the one-term
+# linear_step: the fused a x + b y that the recurrence walks and the
 # decompositions take.  Coefficients are scalars of every type, zeros
-# included, and over Poly also one-term polys c x**j; the terms are drawn
-# with dyadic exponents, Gaussian parts and the zero polynomial.
+# included, and over Poly also polys of one term c x**j or of several, with
+# dyadic and Gaussian coefficients; the terms are drawn with dyadic
+# exponents, Gaussian parts and the zero polynomial.
 step_scalars = st.one_of(st.integers(-9, 9), small_dyadics, one_term_coeffs,
                          st.just(GaussianDyadic.ZERO),
                          st.builds(lambda parts: GaussianDyadic(*parts), gaussian_parts()))
@@ -887,8 +888,10 @@ def test_gaussian_linear_step_matches_operators(a, b, x, y):
     assert_gaussian_canonical(got)
 
 
-@given(st.one_of(step_scalars, one_term_polys), st.one_of(step_scalars, one_term_polys),
-       gaussian_polys, gaussian_polys)
+step_coeffs = st.one_of(step_scalars, one_term_polys, gaussian_polys)
+
+
+@given(step_coeffs, step_coeffs, gaussian_polys, gaussian_polys)
 @example(Poly.X * half_unit, 0, Poly((half_unit, half_unit)), Poly.ZERO)
 @example(Dyadic(1, 1), Dyadic(1, 1), Poly((1, 3)), Poly((1, -1)))
 # The recurrence taps: 3x m_1 - 2 m_0 and the backward (3x/2) x_0 - (1/2) x_1.
@@ -900,6 +903,13 @@ def test_gaussian_linear_step_matches_operators(a, b, x, y):
 # Complex a and b over complex x and y.
 @example(GaussianDyadic(1, 2), Poly((0, GaussianDyadic(Dyadic(3, 1), -1))),
          Poly((GaussianDyadic(1, 1), 2)), Poly((GaussianDyadic(0, 3), GaussianDyadic(1, -1))))
+# Two-term a (1 + x) and b (i + x).
+@example(Poly((1, 1)), -2, Poly((2, 3)), Poly((0, Dyadic(1, 1))))
+@example(Poly((0, 3)), Poly((GaussianDyadic.I, 1)), Poly((1, 2)), Poly((GaussianDyadic(1, 1),)))
+# The gmpoly decomposition: 2 + (3i/2)x and i(2 - (9/2)x**2) - 3x over S_n, S_{n-1}.
+@example(Poly((2, GaussianDyadic(0, Dyadic(3, 1)))),
+         Poly((GaussianDyadic(0, 2), -3, GaussianDyadic(0, Dyadic(-9, 1)))),
+         Poly((-4, 0, 9)), Poly((0, 3)))
 def test_poly_linear_step_matches_operators(a, b, x, y):
     got = linear_step(a, b, Poly)(x, y)
     want = a * x + b * y
@@ -913,17 +923,14 @@ def test_poly_linear_step_matches_operators(a, b, x, y):
 @pytest.mark.parametrize("a, b, x, y", (
     (3, -2, 5, 7),                                            # the m walks stay on ints
     (3, -2, Dyadic(3, 1), Dyadic(5, 2)),
-    (Poly((1, 1)), -2, Poly((2, 3)), Poly((0, Dyadic(1, 1)))),  # 1 + x has two terms
-    (Poly((0, 3)), Poly((GaussianDyadic.I, 1)),                    # i + x has two terms
-     Poly((1, 2)), Poly((GaussianDyadic(1, 1),))),
     (Poly((0, 3)), -2, GaussianDyadic(1, 2), GaussianDyadic(3)),  # a Poly is no scalar
     (Poly((3,)), -2, GaussianDyadic(1, 2), GaussianDyadic(3)),    # not even a constant one
     (0.5, 1, Poly((1, 2)), Poly((3,))),
     (True, 1, GaussianDyadic(1, 2), GaussianDyadic(3)),
-), ids=("int ring", "Dyadic ring", "two-term a", "two-term b", "poly over scalars",
+), ids=("int ring", "Dyadic ring", "poly over scalars",
         "constant poly over scalars", "float", "bool"))
 def test_linear_step_falls_back_to_the_operators(a, b, x, y):
-    # Outside one-term coefficients over Poly or GaussianDyadic the step is
+    # Outside ring coefficients over Poly or GaussianDyadic the step is
     # a x + b y itself: the same value and type, or the same TypeError.
     step = linear_step(a, b, type(x))
     try:

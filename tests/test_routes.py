@@ -129,8 +129,9 @@ def _entered_by_stream(stream, terms: int = 4) -> set[str]:
 # code behind those streams; test_decimation_series_share_no_code_with_the_
 # kernel_walk profiles the decimation builders instead.  The guard compares
 # streams within a group, so test_m_explicit_sums_share_no_code_with_the_
-# number_routes holds the Gm explicit stream of route-agreement/numbers,
-# which alone reads the m explicit sums, against the m group too.
+# number_routes and its polynomial twin hold the Gm explicit stream of each
+# route-agreement check, which alone reads the m explicit sums, against the
+# m group too.
 STREAM_CHECKS = (
     "decimation/kernel-poly",
     "decimation/kernel-scalar",
@@ -190,10 +191,9 @@ def test_decimation_series_share_no_code_with_the_kernel_walk(kernel):
     assert not shared, sorted(shared)
 
 
-def test_m_explicit_sums_share_no_code_with_the_number_routes(monkeypatch):
-    # route-agreement/numbers reads the m explicit sums only through its Gm
-    # explicit stream, which is profiled against every other stream of the
-    # check's m and Gm groups.
+def _explicit_and_other_streams(monkeypatch, name: str, run) -> tuple[set[str], list]:
+    """What the explicit stream of a route-agreement check enters, and the
+    check's other streams, labelled."""
     groups = {}
     check_streams = verify._check_streams
 
@@ -202,15 +202,38 @@ def test_m_explicit_sums_share_no_code_with_the_number_routes(monkeypatch):
         return check_streams(name, lo, hi, *compared)
 
     monkeypatch.setattr(verify, "_check_streams", capture)
-    assert verify._check_route_numbers(12, None).passed
+    assert run().passed
     streams = []
-    for label, stream, others in groups["route-agreement/numbers"]:
+    for label, stream, others in groups[name]:
         streams += [(label, stream), *((other, s) for other, _, s in others)]
     [explicit] = [_entered_by_stream(s) for label, s in streams if label == "explicit"]
+    return explicit, [(label, s) for label, s in streams if label != "explicit"]
+
+
+def test_m_explicit_sums_share_no_code_with_the_number_routes(monkeypatch):
+    # route-agreement/numbers reads the m explicit sums only through its Gm
+    # explicit stream, which is profiled against every other stream of the
+    # check's m and Gm groups.
+    explicit, streams = _explicit_and_other_streams(
+        monkeypatch, "route-agreement/numbers",
+        lambda: verify._check_route_numbers("route-agreement/numbers", 12, None))
     assert "gmlucas.sequences._ml_explicit_int" in explicit
     # The m walk, binet and 2**n + 1; the Gm walk, binet, symmetric and relation.
-    streams = [(label, s) for label, s in streams if label != "explicit"]
     assert len(streams) == 7
+    for label, stream in streams:
+        shared = (explicit & _entered_by_stream(stream)) - ALLOWED
+        assert not shared, f"explicit and {label} both enter {sorted(shared)}"
+
+
+def test_m_explicit_polys_share_no_code_with_the_polynomial_routes(monkeypatch):
+    # route-agreement/polynomials reads the m explicit sums only through its
+    # Gm explicit stream, held here against the m group too.
+    explicit, streams = _explicit_and_other_streams(
+        monkeypatch, "route-agreement/polynomials",
+        lambda: verify._check_route_polynomials("route-agreement/polynomials", 6))
+    assert "gmlucas.polyfam.ml_poly_explicit" in explicit
+    # The m walk and symmetric; the Gm walk, symmetric and relation.
+    assert len(streams) == 5
     for label, stream in streams:
         shared = (explicit & _entered_by_stream(stream)) - ALLOWED
         assert not shared, f"explicit and {label} both enter {sorted(shared)}"

@@ -327,9 +327,7 @@ def _run_check(name: str, hi: int):
 
 # The package's walks over GaussianDyadic and Poly, forward and backward,
 # each as a run of a given length: the iterators walk that many terms, and
-# the checks sweep that far.  sym_decompose_gml_poly is left out: its
-# coefficient (i(2 - (9/2)x**2) - 3x) has three terms, so it keeps the ring
-# operators by design.
+# the checks sweep that far.
 PACKAGE_WALKS = {
     "gml_recurrence": gml_recurrence,
     "iter_ml_recurrence": _first(iter_ml_recurrence),
@@ -342,8 +340,11 @@ PACKAGE_WALKS = {
     "iter_kernel poly": _first(lambda: sf.iter_kernel(sf.SymKernel(Poly((0, 3)), Poly((-2,))))),
     "iter_sym_decompose_gml": _first(sf.iter_sym_decompose_gml),
     "iter_sym_decompose_ml_poly": _first(sf.iter_sym_decompose_ml_poly),
+    "iter_sym_decompose_gml_poly": _first(sf.iter_sym_decompose_gml_poly),
+    "iter_gml_poly_explicit": _first(pf.iter_gml_poly_explicit),
     "table 1": _table,
-    "route-agreement/numbers": lambda n: verify._check_route_numbers(n, None),
+    "route-agreement/numbers": lambda n: _run_check("route-agreement/numbers", n),
+    "route-agreement/polynomials": lambda n: _run_check("route-agreement/polynomials", n),
     "negative/numbers": lambda n: _run_check("negative/numbers", n),
     "negative/polynomials": lambda n: _run_check("negative/polynomials", n),
 }

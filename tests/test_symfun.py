@@ -14,6 +14,7 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gmlucas import arith
 from gmlucas import symfun as sf
 from gmlucas.arith import Dyadic, GaussianDyadic, Poly, binomial
 from gmlucas.symfun import (
@@ -885,6 +886,26 @@ def test_decomposition_walks_match_single_terms():
             (iter_sym_decompose_ml_poly(), sym_decompose_ml_poly, 40),
             (iter_sym_decompose_gml_poly(), sym_decompose_gml_poly, 40)):
         assert list(itertools.islice(walk, hi + 1)) == [term(n) for n in range(hi + 1)]
+
+
+def test_gml_poly_decomposition_step_builds_one_poly(monkeypatch):
+    # Counts, not timings: the two- and three-term coefficients of the
+    # gmpoly decomposition take the fused step, which adds both products
+    # into one output, where a S_n + b S_{n-1} would build three Polys.
+    s_prev, s_n = itertools.islice(iter_kernel(sf._KERNEL_POLY), 9, 11)
+    want = sf._GML_POLY_C0 * s_n + sf._GML_POLY_C1 * s_prev
+    built = 0
+    make_poly = arith._make_poly
+
+    def counting(re, im, exp):
+        nonlocal built
+        built += 1
+        return make_poly(re, im, exp)
+
+    monkeypatch.setattr(arith, "_make_poly", counting)
+    got = sf._gml_poly_from_kernel(s_n, s_prev)
+    assert built == 1
+    assert (got.re, got.im, got.exp) == (want.re, want.im, want.exp)
 
 
 def test_decomposition_preconditions():

@@ -346,7 +346,7 @@ def test_seed_fault_heads_walk_from_the_perturbed_seeds(monkeypatch, fault, seed
         return check_streams(name, lo, hi, *compared)
 
     monkeypatch.setattr(verify, "_check_streams", capture)
-    assert not verify._check_route_numbers(64, fault).passed
+    assert not verify._check_route_numbers("route-agreement/numbers", 64, fault).passed
     for (_, head, _), family in zip(groups, ("m", "gm"), strict=True):
         want = itertools.islice(seq.walk(*seeds[family], 3, -2), 65)
         got = itertools.islice(head(), 65)
@@ -382,8 +382,8 @@ def test_route_fault_matrix_covers_every_row():
     walked = {name for _, route, _, name in ROUTE_ROWS if route.single is None}
     assert walked == {"iter_ml_recurrence", "iter_gml_recurrence", "iter_gml_explicit",
                       "iter_gml_from_ml", "iter_ml_poly", "iter_gml_poly",
-                      "iter_gml_poly_from_ml", "iter_ml_poly_negative",
-                      "iter_gml_poly_negative"}
+                      "iter_gml_poly_explicit", "iter_gml_poly_from_ml",
+                      "iter_ml_poly_negative", "iter_gml_poly_negative"}
 
 
 def row_one_too_large_at(route, index):
@@ -494,7 +494,7 @@ def test_equality_fault_does_not_hide_a_wrong_convolution(monkeypatch):
         one_too_large_at_3(series(lam, mu, order)) if mu else series(lam, mu, order)))
     monkeypatch.setattr(Poly, "__eq__", lambda self, other: True)
     monkeypatch.setattr(GaussianDyadic, "__eq__", lambda self, other: True)
-    result = verify._check_convolution(0, 200)
+    result = verify._check_convolution("convolution/definition1", 0, 200)
     assert not result.passed
     assert result.detail.startswith("trial=0 n=3:")
 
@@ -579,11 +579,11 @@ def test_number_routes_compute_each_m_sum_once_as_needed(monkeypatch):
                                 ("gm0", "n=0: recurrence=3+3i/2 vs binet=2+3i/2", 3),
                                 ("gm1", "n=1: recurrence=4+2i vs binet=3+2i", 3)):
         sums.clear()
-        assert verify._check_route_numbers(500, fault) == CheckResult(
+        assert verify._check_route_numbers("route-agreement/numbers", 500, fault) == CheckResult(
             "route-agreement/numbers", "0..500", False, detail)
         assert len(sums) <= most and len(sums) == len(set(sums)), (fault, sums)
     sums.clear()
-    assert verify._check_route_numbers(500, None).passed
+    assert verify._check_route_numbers("route-agreement/numbers", 500, None).passed
     assert sums == list(range(501))
 
 
@@ -626,7 +626,7 @@ def test_convolution_check_does_the_same_work(monkeypatch, seed):
     def draws_of(trials):
         calls.clear()
         diff_args.clear()
-        assert verify._check_convolution(seed, trials).passed
+        assert verify._check_convolution("convolution/definition1", seed, trials).passed
         assert calls == {"s_diff_series": 2 * trials, "s_neg_alphabet": trials, "__mul__": trials}
         # Each trial asks for S(lambda - mu), then for S(lambda) alone.
         draws = [(list(lam), list(mu)) for lam, mu, _ in diff_args[::2]]
@@ -684,32 +684,50 @@ def test_convolution_trial_builds_few_polys(monkeypatch):
     monkeypatch.setattr(sf, "_poly", counting)
     for trials in (30, 200):
         calls = 0
-        assert verify._check_convolution(0, trials).passed
+        assert verify._check_convolution("convolution/definition1", 0, trials).passed
         assert calls <= 4 * trials, (trials, calls)
+
+
+def test_polynomial_routes_compute_each_m_sum_once(monkeypatch):
+    # Counts, not timings: only the Gm explicit stream reads the m explicit
+    # sums, one per n, as route-agreement/numbers reads its m sums.
+    sums = []
+    explicit = pf.ml_poly_explicit
+
+    def counting(n):
+        sums.append(n)
+        return explicit(n)
+
+    monkeypatch.setattr(pf, "ml_poly_explicit", counting)
+    for max_poly_n in (6, 40):
+        sums.clear()
+        assert verify._check_route_polynomials("route-agreement/polynomials", max_poly_n).passed
+        assert sums == list(range(max_poly_n + 1))
 
 
 def test_polynomial_route_sweep_is_linear(monkeypatch):
     # Counts, not timings: a sweep that reruns a recurrence from index 0 for
-    # every n does about 4x the multiplications when n doubles, a single
-    # walk about 2x.
+    # every n builds about 4x the Polys when n doubles, a single walk about
+    # 2x.  Every walk step, sum and decomposition builds its Poly through
+    # arith._poly.
     calls = 0
-    mul = Poly.__mul__
+    poly = arith._poly
 
-    def counting(self, other):
+    def counting(re, im, exp):
         nonlocal calls
         calls += 1
-        return mul(self, other)
+        return poly(re, im, exp)
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
-    monkeypatch.setattr(Poly, "__rmul__", counting)
+    monkeypatch.setattr(arith, "_poly", counting)
+    monkeypatch.setattr(sf, "_poly", counting)
 
-    def muls(max_poly_n: int) -> int:
+    def builds(max_poly_n: int) -> int:
         nonlocal calls
         calls = 0
-        assert verify._check_route_polynomials(max_poly_n).passed
+        assert verify._check_route_polynomials("route-agreement/polynomials", max_poly_n).passed
         return calls
 
-    small, large = muls(40), muls(80)
+    small, large = builds(40), builds(80)
     assert large / small < 2.5, (small, large)
 
 
